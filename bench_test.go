@@ -88,8 +88,7 @@ func BenchmarkSinklessRand2048(b *testing.B) {
 }
 
 // BenchmarkCVSolve2048 drives the Cole–Vishkin solver end to end on a
-// 2048-cycle — since the typed-core rewrite this is the unboxed cvMsg
-// plane; the remaining allocs/op are the per-Solve setup (machines,
+// 2048-cycle; the allocs/op are the per-Solve setup (machines,
 // labeling, cost), not the round loop, which the AllocsPerRun pins in
 // internal/coloring hold at zero. (The engine-only round-loop numbers
 // are BenchmarkCVEngine*2048 in internal/coloring.)
@@ -110,9 +109,8 @@ func BenchmarkCVSolve2048(b *testing.B) {
 }
 
 // BenchmarkSinklessMsg2048 drives the message-passing sinkless protocol
-// through the sharded engine — since the typed-core rewrite this is the
-// unboxed smMsg plane; like BenchmarkCVSolve2048, steady-state rounds
-// allocate nothing and the reported allocs/op are per-Solve setup.
+// through the sharded engine; like BenchmarkCVSolve2048, steady-state
+// rounds allocate nothing and the reported allocs/op are per-Solve setup.
 func BenchmarkSinklessMsg2048(b *testing.B) {
 	g, err := graph.NewRandomRegular(2048, 3, 5, false)
 	if err != nil {

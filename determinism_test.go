@@ -13,8 +13,10 @@ import (
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
+	"locallab/internal/local"
 	"locallab/internal/scenario"
 	"locallab/internal/sinkless"
+	"locallab/internal/solver"
 )
 
 func TestDeterministicSolverReplays(t *testing.T) {
@@ -77,113 +79,138 @@ var shardedConfigs = []engine.Options{
 	{}, // package defaults (GOMAXPROCS workers)
 }
 
-// TestShardedEngineMatchesSequentialSinkless is the property test of the
-// engine rewrite: on random 3-regular graphs, the message-passing
-// sinkless solver must produce byte-identical labelings on the sharded
-// worker-pool engine and on the sequential reference oracle, for every
-// master seed, graph size, and worker/shard configuration.
-func TestShardedEngineMatchesSequentialSinkless(t *testing.T) {
-	sizes := []int{64, 128, 256}
-	seeds := []int64{1, 2, 3, 4, 5}
-	for _, n := range sizes {
-		for _, seed := range seeds {
-			g, err := graph.NewRandomRegular(n, 3, seed*31+int64(n), false)
+// twinOracleTable pins LabelingChecksum and rounds for sinkless-msg on
+// random 3-regular graphs and for Cole–Vishkin and MIS on cycles, as
+// recorded from the single-threaded interface{}-message oracle and its
+// hand-kept twin machines before those were removed. Every engine
+// geometry must reproduce it. engine.RunReference is the live oracle:
+// the reference tests of internal/coloring and internal/sinkless compare
+// it with every geometry on the same cells.
+var twinOracleTable = []struct {
+	kind     string
+	n        int
+	seed     int64
+	checksum uint64
+	rounds   int
+}{
+	{"sinkless", 64, 1, 0x4dcc30518378f31b, 6},
+	{"sinkless", 64, 2, 0x62c4211161b1506b, 6},
+	{"sinkless", 64, 3, 0x16cc2b4b479bdc7b, 6},
+	{"sinkless", 64, 4, 0xcb3a33565ec1eb77, 8},
+	{"sinkless", 64, 5, 0x0d60bba458d58db7, 6},
+	{"sinkless", 128, 1, 0x974b6e821a7fe4bb, 6},
+	{"sinkless", 128, 2, 0x4dbc5ae168cc2647, 6},
+	{"sinkless", 128, 3, 0x3e45918ae96d8f3b, 6},
+	{"sinkless", 128, 4, 0x827df07b4ff4f1b3, 8},
+	{"sinkless", 128, 5, 0xb94c31b578ec4aff, 8},
+	{"sinkless", 256, 1, 0xb2773f7df0f12c93, 6},
+	{"sinkless", 256, 2, 0x5cc61d908592828b, 10},
+	{"sinkless", 256, 3, 0xe87c9d4d9000a0e7, 14},
+	{"sinkless", 256, 4, 0x958a4d3e8b0544e3, 6},
+	{"sinkless", 256, 5, 0xa83366966166dc37, 8},
+	{"cv", 33, 1, 0xb301d91849b5848b, 9},
+	{"cv", 33, 2, 0xe5a485c614006a2f, 9},
+	{"cv", 33, 3, 0xe162635e5d18d738, 8},
+	{"cv", 33, 4, 0x95ab49391eda2b5d, 8},
+	{"cv", 33, 5, 0x6548397f14b1ab73, 9},
+	{"cv", 100, 1, 0xc6a22584850e4de6, 8},
+	{"cv", 100, 2, 0xac3838c1400d6eed, 9},
+	{"cv", 100, 3, 0x29213c0aa38e5fa5, 8},
+	{"cv", 100, 4, 0xfe6668dcb6c458a2, 9},
+	{"cv", 100, 5, 0x652e30454f65331a, 10},
+	{"cv", 257, 1, 0x55b316fbb2b8beb9, 9},
+	{"cv", 257, 2, 0x18d841d1cfe9b648, 9},
+	{"cv", 257, 3, 0x5cde9536a81e69dd, 9},
+	{"cv", 257, 4, 0xa26d67d21cc7b97f, 9},
+	{"cv", 257, 5, 0xb60eb1e22fdf4b95, 9},
+	{"mis", 33, 1, 0xe6a0dcf896e08ad4, 11},
+	{"mis", 33, 2, 0x83d5cdacd946f9ea, 11},
+	{"mis", 33, 3, 0x75db218177238293, 10},
+	{"mis", 33, 4, 0x9043688cb8c57f6a, 10},
+	{"mis", 33, 5, 0x02ad17d117acbebc, 11},
+	{"mis", 100, 1, 0xc88ec608fb35cd32, 10},
+	{"mis", 100, 2, 0xb5386af95e977a77, 11},
+	{"mis", 100, 3, 0x105f46c5c9e70435, 10},
+	{"mis", 100, 4, 0x36adce849f7eb2be, 11},
+	{"mis", 100, 5, 0x726595e610fcf436, 12},
+	{"mis", 257, 1, 0x1fd4691accd687c6, 11},
+	{"mis", 257, 2, 0xc937e226b4861ac5, 11},
+	{"mis", 257, 3, 0x4f3ebf54f1c6431c, 11},
+	{"mis", 257, 4, 0xa3df4fba681cd026, 11},
+	{"mis", 257, 5, 0x9613c3d2b6a69724, 11},
+}
+
+// checkTwinOracleGrid solves every table cell of the given kind under
+// every shardedConfigs geometry and requires the pinned checksum and
+// rounds. build makes the cell's graph; solve runs the solver under test
+// on it with the given engine.
+func checkTwinOracleGrid(t *testing.T, kind string, p lcl.Problem,
+	build func(n int, seed int64) (*graph.Graph, error),
+	solve func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error)) {
+	t.Helper()
+	cells := 0
+	for _, c := range twinOracleTable {
+		if c.kind != kind {
+			continue
+		}
+		cells++
+		g, err := build(c.n, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := lcl.NewLabeling(g)
+		for _, opts := range shardedConfigs {
+			out, cost, err := solve(engine.New(opts), g, in, c.seed)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s n=%d seed=%d %+v: %v", kind, c.n, c.seed, opts, err)
 			}
-			in := lcl.NewLabeling(g)
-			oracle := &sinkless.MessageSolver{MaxRounds: 4096, Engine: engine.New(engine.Options{Sequential: true})}
-			want, wantCost, err := oracle.Solve(g, in, seed)
-			if err != nil {
-				t.Fatalf("n=%d seed=%d: oracle: %v", n, seed, err)
+			if err := lcl.Verify(g, p, in, out); err != nil {
+				t.Fatalf("%s n=%d seed=%d %+v: output invalid: %v", kind, c.n, c.seed, opts, err)
 			}
-			for _, opts := range shardedConfigs {
-				s := &sinkless.MessageSolver{MaxRounds: 4096, Engine: engine.New(opts)}
-				got, cost, err := s.Solve(g, in, seed)
-				if err != nil {
-					t.Fatalf("n=%d seed=%d %+v: %v", n, seed, opts, err)
-				}
-				if !lcl.Equal(want, got) {
-					t.Fatalf("n=%d seed=%d %+v: sharded labeling differs from sequential oracle", n, seed, opts)
-				}
-				if cost.Rounds() != wantCost.Rounds() {
-					t.Fatalf("n=%d seed=%d %+v: rounds %d, want %d", n, seed, opts, cost.Rounds(), wantCost.Rounds())
-				}
+			if sum := solver.LabelingChecksum(out); sum != c.checksum || cost.Rounds() != c.rounds {
+				t.Fatalf("%s n=%d seed=%d %+v: checksum %#016x rounds %d, want %#016x rounds %d",
+					kind, c.n, c.seed, opts, sum, cost.Rounds(), c.checksum, c.rounds)
 			}
 		}
 	}
+	if cells != 15 {
+		t.Fatalf("%s: %d table cells, want 15", kind, cells)
+	}
+}
+
+// TestShardedEngineMatchesSequentialSinkless is the property test of the
+// engine: on random 3-regular graphs, the message-passing sinkless
+// solver must reproduce the pinned oracle labelings and rounds for every
+// master seed, graph size, and worker/shard configuration.
+func TestShardedEngineMatchesSequentialSinkless(t *testing.T) {
+	checkTwinOracleGrid(t, "sinkless", sinkless.Problem{},
+		func(n int, seed int64) (*graph.Graph, error) {
+			return graph.NewRandomRegular(n, 3, seed*31+int64(n), false)
+		},
+		func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+			return (&sinkless.MessageSolver{MaxRounds: 4096, Engine: e}).Solve(g, in, seed)
+		})
 }
 
 // TestShardedEngineMatchesSequentialColoring is the deterministic-solver
 // counterpart: Cole–Vishkin 3-coloring on cycles through the same engine
 // grid.
 func TestShardedEngineMatchesSequentialColoring(t *testing.T) {
-	sizes := []int{33, 100, 257}
-	seeds := []int64{1, 2, 3, 4, 5}
-	for _, n := range sizes {
-		for _, seed := range seeds {
-			g, err := graph.NewCycle(n, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			in := lcl.NewLabeling(g)
-			oracle := &coloring.CVSolver{MaxRounds: 1 << 20, Engine: engine.New(engine.Options{Sequential: true})}
-			want, _, err := oracle.Solve(g, in, seed)
-			if err != nil {
-				t.Fatalf("n=%d seed=%d: oracle: %v", n, seed, err)
-			}
-			if err := lcl.Verify(g, coloring.Three{}, in, want); err != nil {
-				t.Fatalf("n=%d seed=%d: oracle output invalid: %v", n, seed, err)
-			}
-			for _, opts := range shardedConfigs {
-				s := &coloring.CVSolver{MaxRounds: 1 << 20, Engine: engine.New(opts)}
-				got, _, err := s.Solve(g, in, seed)
-				if err != nil {
-					t.Fatalf("n=%d seed=%d %+v: %v", n, seed, opts, err)
-				}
-				if !lcl.Equal(want, got) {
-					t.Fatalf("n=%d seed=%d %+v: sharded coloring differs from sequential oracle", n, seed, opts)
-				}
-			}
-		}
-	}
+	checkTwinOracleGrid(t, "cv", coloring.Three{}, graph.NewCycle,
+		func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+			return (&coloring.CVSolver{MaxRounds: 1 << 20, Engine: e}).Solve(g, in, seed)
+		})
 }
 
-// TestShardedEngineMatchesSequentialMIS closes the typed-machine trio:
-// the MIS solver's coloring stage runs the unboxed Cole–Vishkin machine
-// on the typed sharded core, and its labelings must stay byte-identical
-// to the boxed sequential oracle across the same seed × size × geometry
-// grid.
+// TestShardedEngineMatchesSequentialMIS closes the trio: the MIS
+// solver's coloring stage runs the Cole–Vishkin machine on the engine,
+// and its labelings must reproduce the pinned table across the same
+// seed × size × geometry grid.
 func TestShardedEngineMatchesSequentialMIS(t *testing.T) {
-	sizes := []int{33, 100, 257}
-	seeds := []int64{1, 2, 3, 4, 5}
-	for _, n := range sizes {
-		for _, seed := range seeds {
-			g, err := graph.NewCycle(n, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			in := lcl.NewLabeling(g)
-			oracle := &coloring.MISSolver{Engine: engine.New(engine.Options{Sequential: true})}
-			want, _, err := oracle.Solve(g, in, seed)
-			if err != nil {
-				t.Fatalf("n=%d seed=%d: oracle: %v", n, seed, err)
-			}
-			if err := lcl.Verify(g, coloring.MIS{}, in, want); err != nil {
-				t.Fatalf("n=%d seed=%d: oracle output invalid: %v", n, seed, err)
-			}
-			for _, opts := range shardedConfigs {
-				s := &coloring.MISSolver{Engine: engine.New(opts)}
-				got, _, err := s.Solve(g, in, seed)
-				if err != nil {
-					t.Fatalf("n=%d seed=%d %+v: %v", n, seed, opts, err)
-				}
-				if !lcl.Equal(want, got) {
-					t.Fatalf("n=%d seed=%d %+v: sharded MIS differs from sequential oracle", n, seed, opts)
-				}
-			}
-		}
-	}
+	checkTwinOracleGrid(t, "mis", coloring.MIS{}, graph.NewCycle,
+		func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+			return (&coloring.MISSolver{Engine: e}).Solve(g, in, seed)
+		})
 }
 
 // TestScenarioReportReplays extends the determinism suite to the

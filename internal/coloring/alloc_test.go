@@ -44,8 +44,8 @@ func newCVSession(tb testing.TB, n int, opts engine.Options) *engine.Session[cvM
 	return sess
 }
 
-// TestCVTypedSteadyStateAllocs is the allocation-regression pin of this
-// PR's headline claim: one steady-state round of the typed Cole–Vishkin
+// TestCVTypedSteadyStateAllocs is the allocation-regression pin of the
+// typed plane's headline claim: one steady-state round of the Cole–Vishkin
 // execution — engine compute + delivery AND the machine's own Round —
 // performs zero allocations, in both the inline and the pooled mode.
 func TestCVTypedSteadyStateAllocs(t *testing.T) {
@@ -53,7 +53,7 @@ func TestCVTypedSteadyStateAllocs(t *testing.T) {
 		name string
 		opts engine.Options
 	}{
-		{"inline", engine.Options{Sequential: true}},
+		{"inline", engine.Options{Workers: 1}},
 		{"pooled", engine.Options{Workers: 4, Shards: 16}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -101,28 +101,6 @@ func BenchmarkCVEngine2048(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sess.Run(1, false, 1<<20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCVEngineBoxed2048 is the same workload through the boxed
-// compatibility adapter (the pre-typed production path), for the
-// before/after comparison the README records.
-func BenchmarkCVEngineBoxed2048(b *testing.B) {
-	g, err := graph.NewCycle(2048, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	machines := make([]engine.Machine, g.NumNodes())
-	for v := range machines {
-		machines[v] = &cvMachine{}
-	}
-	e := engine.New(engine.Options{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(g, machines, 1, false, 1<<20); err != nil {
 			b.Fatal(err)
 		}
 	}

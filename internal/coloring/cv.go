@@ -10,34 +10,6 @@ import (
 	"locallab/internal/local"
 )
 
-// cvMessage is what the boxed Cole–Vishkin machines exchange: the
-// current color and the sender's identifier (for elimination
-// tie-breaks). The production path uses the unboxed cvMsg twin on the
-// typed engine core (cv_typed.go); this boxed machine is retained as the
-// sequential differential-testing oracle.
-type cvMessage struct {
-	Color int64
-	ID    int64
-}
-
-// cvMachine runs the two-port Cole–Vishkin tuple reduction on cycles:
-// in each reduction round a node replaces its color by the pair of
-// (first-differing-bit index, own bit) tuples against both neighbors,
-// shrinking the palette from 2^W to (2W)^2; properness is preserved
-// against both neighbors. After the fixed schedule, surviving colors > 3
-// are eliminated greedily: local (color, ID)-maxima among big-colored
-// nodes recolor into {1,2,3}.
-type cvMachine struct {
-	id       int64
-	color    int64
-	schedule []int // remaining reduction widths
-	nbrs     [2]cvMessage
-	haveNbrs bool
-	started  bool
-}
-
-var _ local.Machine = (*cvMachine)(nil)
-
 // reductionSchedule computes the shared width schedule from the identifier
 // width: W -> bitlen((2W)^2) until it stabilizes. All nodes derive the
 // same schedule, so they stay in lockstep without coordination.
@@ -54,32 +26,68 @@ func reductionSchedule(idWidth int) []int {
 	}
 }
 
-func (m *cvMachine) Init(info local.NodeInfo) {
+// cvMsg is what the Cole–Vishkin machines exchange through the engine
+// core's flat []cvMsg planes: the current color and the sender's
+// identifier (for elimination tie-breaks).
+type cvMsg struct {
+	Color int64
+	ID    int64
+}
+
+// cvSchedule is the shared reduction-width schedule. It depends only on
+// the 63-bit identifier width, so all machines share one package-level
+// copy and track their position with an index.
+var cvSchedule = reductionSchedule(63)
+
+// cvTypedMachine runs the two-port Cole–Vishkin tuple reduction on
+// cycles: in each reduction round a node replaces its color by the pair
+// of (first-differing-bit index, own bit) tuples against both neighbors,
+// shrinking the palette from 2^W to (2W)^2; properness is preserved
+// against both neighbors. After the fixed schedule, surviving colors > 3
+// are eliminated greedily: local (color, ID)-maxima among big-colored
+// nodes recolor into {1,2,3}. It allocates nothing anywhere (Init
+// included).
+type cvTypedMachine struct {
+	id       int64
+	color    int64
+	schedIdx int
+	nbrs     [2]cvMsg
+	haveNbrs bool
+	started  bool
+}
+
+var _ engine.TypedMachine[cvMsg] = (*cvTypedMachine)(nil)
+
+func (m *cvTypedMachine) Init(info engine.NodeInfo) {
 	m.id = info.ID
 	m.color = info.ID // initial coloring: identifiers (proper by uniqueness)
-	m.schedule = reductionSchedule(63)
+	m.schedIdx = 0
 	m.haveNbrs = false
 	m.started = false
 }
 
-func (m *cvMachine) Round(recv []local.Message) ([]local.Message, bool) {
-	if m.started && recv[0] != nil && recv[1] != nil {
-		m.nbrs[0] = recv[0].(cvMessage)
-		m.nbrs[1] = recv[1].(cvMessage)
+func (m *cvTypedMachine) Round(recv, send []cvMsg) bool {
+	if m.started {
+		// From the second round on both ports always carry a fresh
+		// neighbor message (every machine sends on every port every
+		// round), so no presence probing is needed.
+		m.nbrs[0] = recv[0]
+		m.nbrs[1] = recv[1]
 		m.haveNbrs = true
 		m.step()
 	}
 	m.started = true
-	send := []local.Message{cvMessage{Color: m.color, ID: m.id}, cvMessage{Color: m.color, ID: m.id}}
-	done := m.haveNbrs && m.color <= 3 && m.nbrs[0].Color <= 3 && m.nbrs[1].Color <= 3
-	return send, done
+	out := cvMsg{Color: m.color, ID: m.id}
+	send[0] = out
+	send[1] = out
+	return m.haveNbrs && m.color <= 3 && m.nbrs[0].Color <= 3 && m.nbrs[1].Color <= 3
 }
 
 // step performs one state transition given fresh neighbor colors.
-func (m *cvMachine) step() {
-	if len(m.schedule) > 1 {
-		w := m.schedule[0]
-		m.schedule = m.schedule[1:]
+func (m *cvTypedMachine) step() {
+	if m.schedIdx < len(cvSchedule)-1 {
+		w := cvSchedule[m.schedIdx]
+		m.schedIdx++
 		v0 := tupleAgainst(m.color, m.nbrs[0].Color, w)
 		v1 := tupleAgainst(m.color, m.nbrs[1].Color, w)
 		m.color = int64(v0)*int64(2*w) + int64(v1) + 4 // +4 keeps reduction colors out of the final palette
@@ -95,9 +103,8 @@ func (m *cvMachine) step() {
 			return // a bigger neighbor goes first
 		}
 	}
-	used := map[int64]bool{m.nbrs[0].Color: true, m.nbrs[1].Color: true}
 	for c := int64(1); c <= 3; c++ {
-		if !used[c] {
+		if c != m.nbrs[0].Color && c != m.nbrs[1].Color {
 			m.color = c
 			return
 		}
@@ -121,17 +128,17 @@ func tupleAgainst(own, other int64, w int) int {
 // follow the Θ(log* n) class (a constant for all feasible n, since the
 // reduction schedule collapses any 63-bit palette in four steps).
 //
-// The sharded path runs the unboxed cvTypedMachine on the typed engine
-// core — zero steady-state allocations end to end. An injected
-// Sequential engine instead runs the boxed cvMachine through the
-// sequential reference oracle, so the existing differential tests pit
-// the typed sharded execution against the boxed oracle.
+// Solve runs cvTypedMachine on the engine core as a one-shot session —
+// zero steady-state allocations end to end. The root determinism grid
+// pins its labelings and rounds to a fixed table for every engine
+// geometry, and the in-package reference test pins it to
+// engine.RunReference.
 type CVSolver struct {
 	// MaxRounds caps the runtime (elimination chains are short in
 	// practice; the cap only guards against adversarial inputs).
 	MaxRounds int
 	// Engine overrides the execution engine; nil uses the package-level
-	// engine defaults (sharded worker pool).
+	// engine defaults.
 	Engine *engine.Engine
 	// LastStats is the execution profile of the most recent successful
 	// Solve (see engine.Stats). Callers that read it must not share one
@@ -152,30 +159,6 @@ func (s *CVSolver) Randomized() bool { return false }
 
 // Solve implements lcl.Solver.
 func (s *CVSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
-	if s.Engine.Options().Sequential {
-		// Boxed oracle path: the original interface{}-message machine on
-		// the sequential reference implementation.
-		if err := RequireCycleGraph(g); err != nil {
-			return nil, nil, fmt.Errorf("cole-vishkin: %w", err)
-		}
-		n := g.NumNodes()
-		machines := make([]local.Machine, n)
-		for v := range machines {
-			machines[v] = &cvMachine{}
-		}
-		stats, err := local.RunStatsWith(s.Engine, g, machines, seed, false, s.MaxRounds)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cole-vishkin runtime: %w", err)
-		}
-		colors := make([]int64, n)
-		for v := range machines {
-			colors[v] = machines[v].(*cvMachine).color
-		}
-		s.LastStats = stats
-		return cvFinish(g, colors, stats.Rounds)
-	}
-	// Production path: unboxed machines on the typed engine core, run as
-	// a one-shot session.
 	sess, err := s.NewSolverSession(g)
 	if err != nil {
 		return nil, nil, err
@@ -185,8 +168,7 @@ func (s *CVSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Lab
 }
 
 // cvFinish validates the final palette and assembles the labeling and
-// cost; it is the post-processing shared by the boxed oracle path and
-// the typed session path.
+// cost.
 func cvFinish(g *graph.Graph, colors []int64, rounds int) (*lcl.Labeling, *local.Cost, error) {
 	out := lcl.NewLabeling(g)
 	for v, c := range colors {
@@ -216,15 +198,10 @@ type CVSession struct {
 
 var _ lcl.SolverSession = (*CVSession)(nil)
 
-// NewSolverSession implements lcl.SessionSolver. A sequential engine has
-// no typed session — callers get lcl.ErrNoSession and fall back to
-// Solve's boxed oracle path.
+// NewSolverSession implements lcl.SessionSolver.
 func (s *CVSolver) NewSolverSession(g *graph.Graph) (lcl.SolverSession, error) {
 	if err := RequireCycleGraph(g); err != nil {
 		return nil, fmt.Errorf("cole-vishkin: %w", err)
-	}
-	if s.Engine.Options().Sequential {
-		return nil, fmt.Errorf("cole-vishkin: sequential engine: %w", lcl.ErrNoSession)
 	}
 	n := g.NumNodes()
 	cs := &CVSession{s: s, g: g, machines: make([]cvTypedMachine, n)}
@@ -265,8 +242,7 @@ func (cs *CVSession) Close() { cs.sess.Close() }
 type MISSolver struct {
 	cv *CVSolver
 	// Engine overrides the execution engine of the underlying coloring
-	// stage; nil uses the package-level engine defaults. A Sequential
-	// engine selects the boxed oracle path, like CVSolver.
+	// stage; nil uses the package-level engine defaults.
 	Engine *engine.Engine
 }
 

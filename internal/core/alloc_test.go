@@ -7,81 +7,6 @@ import (
 	"locallab/internal/sinkless"
 )
 
-// pinnedSim delegates to the production simMachine but never reports
-// done, keeping both the compute and the delivery phase inside the
-// measured window (Step skips delivery once every machine terminates).
-type pinnedSim struct{ simMachine }
-
-func (m *pinnedSim) Round(recv, send []simMsg) bool {
-	m.simMachine.Round(recv, send)
-	return false
-}
-
-// newSimSession builds a simulation-machine session on a balanced Π₂
-// instance, reset and stepped into steady state.
-func newSimSession(tb testing.TB, opts engine.Options) *engine.Session[simMsg] {
-	tb.Helper()
-	inst, err := BuildInstance(2, InstanceOptions{BaseNodes: 24, Seed: 5, Balanced: true})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s := NewEnginePaddedSolver(sinkless.NewDetSolver(), 3, engine.New(engine.Options{Sequential: true}))
-	d, err := s.SolveDetailed(inst.G, inst.In, 5)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	scope := GadScope(inst.G, inst.In)
-	machines := buildSimMachines(inst.G, scope, d.Virtual, d.InnerCost.Rounds(), d.Dilation)
-	pinned := make([]pinnedSim, len(machines))
-	typed := make([]engine.TypedMachine[simMsg], len(machines))
-	for v := range machines {
-		pinned[v] = pinnedSim{machines[v]}
-		typed[v] = &pinned[v]
-	}
-	sess, err := engine.NewCore[simMsg](opts).NewSession(inst.G, typed)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sess.Reset(1, false)
-	for i := 0; i < 4; i++ {
-		sess.Step()
-	}
-	return sess
-}
-
-// TestSimMachineSteadyStateAllocs pins the simulation-machine round loop
-// to zero allocations in both execution modes, matching the Ψ-machine,
-// CV, and sinkless alloc pins.
-func TestSimMachineSteadyStateAllocs(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts engine.Options
-	}{
-		{"inline", engine.Options{Sequential: true}},
-		{"pooled", engine.Options{Workers: 4, Shards: 16}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			sess := newSimSession(t, mode.opts)
-			defer sess.Close()
-			if allocs := testing.AllocsPerRun(64, func() { sess.Step() }); allocs != 0 {
-				t.Fatalf("steady-state simulation round allocates %v times, want 0", allocs)
-			}
-		})
-	}
-}
-
-// BenchmarkSimMachineSteadyState measures one simulation round
-// end-to-end on a balanced Π₂ instance; it must report 0 allocs/op.
-func BenchmarkSimMachineSteadyState(b *testing.B) {
-	sess := newSimSession(b, engine.Options{})
-	defer sess.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess.Step()
-	}
-}
-
 // pinnedRelay delegates to the production relayMachine (including the
 // hosted virtual machine at leader nodes) but never reports done, keeping
 // compute and delivery inside the measured window.
@@ -100,7 +25,7 @@ func newRelaySession(tb testing.TB, opts engine.Options) *engine.Session[relayMs
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := NewEnginePaddedSolver(sinkless.NewDetSolver(), 3, engine.New(engine.Options{Sequential: true}))
+	s := NewEnginePaddedSolver(sinkless.NewDetSolver(), 3, engine.New(engine.Options{Workers: 1}))
 	d, err := s.SolveDetailed(inst.G, inst.In, 5)
 	if err != nil {
 		tb.Fatal(err)
@@ -135,7 +60,7 @@ func TestRelayMachineSteadyStateAllocs(t *testing.T) {
 		name string
 		opts engine.Options
 	}{
-		{"inline", engine.Options{Sequential: true}},
+		{"inline", engine.Options{Workers: 1}},
 		{"pooled", engine.Options{Workers: 4, Shards: 16}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -179,7 +104,7 @@ func newNativeSession(tb testing.TB, opts engine.Options) *engine.Session[natMsg
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := NewEnginePaddedSolver(sinkless.NewMessageSolver(), 3, engine.New(engine.Options{Sequential: true}))
+	s := NewEnginePaddedSolver(sinkless.NewMessageSolver(), 3, engine.New(engine.Options{Workers: 1}))
 	d, err := s.SolveDetailed(inst.G, inst.In, 5)
 	if err != nil {
 		tb.Fatal(err)
@@ -219,7 +144,7 @@ func TestNativeMachineSteadyStateAllocs(t *testing.T) {
 		name string
 		opts engine.Options
 	}{
-		{"inline", engine.Options{Sequential: true}},
+		{"inline", engine.Options{Workers: 1}},
 		{"pooled", engine.Options{Workers: 4, Shards: 16}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // paddedEngineGrid is the worker/shard geometry grid the engine-padded
 // differential tests sweep.
 var paddedEngineGrid = []engine.Options{
-	{Sequential: true},
+	{Workers: 1}, // inline, default shard count
 	{Workers: 1, Shards: 1},
 	{Workers: 2, Shards: 5},
 	{Workers: 4, Shards: 16},
@@ -128,115 +128,6 @@ func TestEnginePaddedMatchesOracleCorrupted(t *testing.T) {
 		}
 		if err := VerifyPadded(pi.G, NewPiPrime(sinkless.Problem{}, 3), pi.In, d.Out); err != nil {
 			t.Fatalf("%+v: engine output rejected: %v", opts, err)
-		}
-	}
-}
-
-// TestSimulationMaskSandwich pins the information-flow semantics of the
-// simulation machines: after (T+1)·(d+1) physical rounds, every node of a
-// valid gadget has collected at least the virtual ball of radius
-// ⌊(T+1)/2⌋ (information demonstrably crossed that many port hops and
-// fully flooded the gadgets) and at most the ball of radius T+1 (one
-// virtual hop per super-round is a hard ceiling).
-func TestSimulationMaskSandwich(t *testing.T) {
-	inst, err := BuildInstance(2, InstanceOptions{BaseNodes: 12, Seed: 3, Balanced: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewEnginePaddedSolver(sinkless.NewDetSolver(), 3, engine.New(engine.Options{Workers: 2, Shards: 8}))
-	d, err := s.SolveDetailed(inst.G, inst.In, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vg := d.Virtual
-	innerRounds := d.InnerCost.Rounds()
-	scope := GadScope(inst.G, inst.In)
-	sim, err := RunSimulation(engine.New(engine.Options{Workers: 2, Shards: 8}), inst.G, scope, vg, innerRounds, d.Dilation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (innerRounds + 1) * (d.Dilation + 1); sim.Stats.Rounds != want {
-		t.Fatalf("simulation ran %d rounds, want (T+1)(d+1) = %d", sim.Stats.Rounds, want)
-	}
-
-	// Virtual BFS balls as signature masks.
-	ballMask := func(vi graph.NodeID, radius int) uint64 {
-		mask := VirtSignature(vg, vi)
-		dist := map[graph.NodeID]int{vi: 0}
-		queue := []graph.NodeID{vi}
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			if dist[x] == radius {
-				continue
-			}
-			for _, h := range vg.H.Halves(x) {
-				y := vg.H.Edge(h.Edge).Other(h.Side).Node
-				if _, ok := dist[y]; !ok {
-					dist[y] = dist[x] + 1
-					mask |= VirtSignature(vg, y)
-					queue = append(queue, y)
-				}
-			}
-		}
-		return mask
-	}
-	lower := (innerRounds + 1) / 2
-	checked := 0
-	for v := graph.NodeID(0); int(v) < inst.G.NumNodes(); v++ {
-		ci := vg.CompOf[v]
-		if ci < 0 || !vg.Valid[ci] {
-			if sim.Masks[v] != 0 {
-				t.Fatalf("node %d outside valid gadgets holds mask %x", v, sim.Masks[v])
-			}
-			continue
-		}
-		vi := vg.VirtOf[ci]
-		lo, hi := ballMask(vi, lower), ballMask(vi, innerRounds+1)
-		m := sim.Masks[v]
-		if m&lo != lo {
-			t.Fatalf("node %d (virt %d): mask %x misses ball(%d) %x", v, vi, m, lower, lo)
-		}
-		if m&^hi != 0 {
-			t.Fatalf("node %d (virt %d): mask %x exceeds ball(%d) %x", v, vi, m, innerRounds+1, hi)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no valid-gadget nodes checked")
-	}
-}
-
-// TestSimulationDeterministicAcrossGeometries: the final masks and stats
-// are identical for every worker/shard setting.
-func TestSimulationDeterministicAcrossGeometries(t *testing.T) {
-	inst, err := BuildInstance(2, InstanceOptions{BaseNodes: 8, Seed: 1, Balanced: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewEnginePaddedSolver(sinkless.NewDetSolver(), 3, engine.New(engine.Options{Sequential: true}))
-	d, err := s.SolveDetailed(inst.G, inst.In, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scope := GadScope(inst.G, inst.In)
-	var first *SimResult
-	for _, opts := range paddedEngineGrid {
-		sim, err := RunSimulation(engine.New(opts), inst.G, scope, d.Virtual, d.InnerCost.Rounds(), d.Dilation)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = sim
-			continue
-		}
-		if sim.Stats.Rounds != first.Stats.Rounds || sim.Stats.Deliveries != first.Stats.Deliveries {
-			t.Fatalf("%+v: stats %+v differ from %+v", opts, sim.Stats, first.Stats)
-		}
-		for v := range sim.Masks {
-			if sim.Masks[v] != first.Masks[v] {
-				t.Fatalf("%+v: mask of node %d differs across geometries", opts, v)
-			}
 		}
 	}
 }

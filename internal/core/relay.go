@@ -10,13 +10,14 @@ import (
 )
 
 // The payload relay plane: the physical realization of the inner
-// machines' message passing through the gadgets. Where the mask plane
-// (simulate.go) floods 64-bit reachability signatures on a fixed
-// (T+1)·(d+1) schedule, the relay plane carries the inner solver's real
-// per-virtual-edge payloads — knowledge word vectors over the instance's
-// FactTable — along the same routes: every physical round each node
-// floods its payload over gadget edges, and port nodes push it across
-// their virtual (port) edge on a measured schedule — every physical
+// machines' message passing through the gadgets. Lemma 4 charges the
+// inner algorithm's T-round execution on the virtual graph H
+// (T+1)·(d+1) physical rounds: each virtual round crosses one gadget of
+// eccentricity ≤ d plus the port edge. The relay plane carries the inner
+// solver's real per-virtual-edge payloads — knowledge word vectors over
+// the instance's FactTable — along those routes: every physical round
+// each node floods its payload over gadget edges, and port nodes push it
+// across their virtual (port) edge on a measured schedule — every physical
 // round when payloads are a single word, otherwise once per their own
 // gadget's eccentricity + 1 (computed at plan time), never slower than
 // the worst-gadget d+1-round super-round.
@@ -35,9 +36,8 @@ import (
 // session has no precomputed length: it terminates at the first round in
 // which every node has been payload-stable past its own crossing
 // interval and every hosted machine reports stabilization — never more
-// than roughly 2(d+1) physical rounds per virtual hop, the sandwich the
-// mask tests pin, and as little as one physical round per hop under the
-// single-word fast path.
+// than roughly 2(d+1) physical rounds per virtual hop, and as little as
+// one physical round per hop under the single-word fast path.
 
 // relayMsg is the relay payload: a read-only view of the sender's
 // double-buffered knowledge words (nil on silent ports).
@@ -47,7 +47,9 @@ type relayMsg struct {
 
 // relayMachine floods knowledge payloads under the dilated schedule.
 type relayMachine struct {
-	// gad and virt are the port lists, as in simConfig.
+	// gad lists in-scope (gadget-edge) ports, flooded every round; virt
+	// lists ports on virtual (port) edges, crossed every crossEvery
+	// rounds (see classifyPorts).
 	gad  []int32
 	virt []int32
 	// superLen is d+1.
@@ -277,4 +279,29 @@ func buildRelayMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 		m.gad, m.virt = classifyPorts(g, scope, vg, v)
 	}
 	return machines, vms
+}
+
+// classifyPorts splits node v's ports into gadget-interior ports (scoped
+// edges, flooded every round) and virtual ports (port edges carrying a
+// virtual edge, crossed on the node's crossing schedule).
+func classifyPorts(g *graph.Graph, scope func(graph.EdgeID) bool,
+	vg *VirtualGraph, v graph.NodeID) (gad, virt []int32) {
+
+	for p, h := range g.Halves(v) {
+		if scope(h.Edge) {
+			gad = append(gad, int32(p))
+		} else if _, ok := vg.VEdgeOf[h.Edge]; ok {
+			virt = append(virt, int32(p))
+		}
+	}
+	return gad, virt
+}
+
+// superRoundLen is the dilated super-round length d+1, floored at one
+// physical round.
+func superRoundLen(dilation int) int32 {
+	if dilation < 0 {
+		return 1
+	}
+	return int32(dilation + 1)
 }

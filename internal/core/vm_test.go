@@ -85,7 +85,7 @@ func TestRelayMatchesVirtualRun(t *testing.T) {
 	scope := GadScope(inst.G, inst.In)
 	dilation := maxGadgetEccentricity(inst.G, scope, plan.vg)
 	inner := sinkless.NewDetSolver()
-	virt, err := RunVirtual(engine.New(engine.Options{Sequential: true}), plan.vg, table, GatherFactory(inner), 2)
+	virt, err := RunVirtual(engine.New(engine.Options{Workers: 1}), plan.vg, table, GatherFactory(inner), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

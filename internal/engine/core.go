@@ -9,9 +9,8 @@ import (
 	"locallab/internal/graph"
 )
 
-// TypedMachine is the unboxed counterpart of Machine: the per-node
-// program of a synchronous message-passing algorithm whose messages are
-// concrete values of type M instead of interface{}.
+// TypedMachine is the per-node program of a synchronous message-passing
+// algorithm whose messages are concrete values of type M.
 //
 // Round consumes the messages received on each port (recv[p] is the
 // message from port p's neighbor) and writes the messages to send into
@@ -20,15 +19,15 @@ import (
 // state. Both slices have length Degree and alias the engine's flat
 // message planes, so no per-round allocation happens on either side.
 //
-// Contract differences from the boxed Machine interface:
+// Contract:
 //
-//   - There is no nil/silence notion: every port carries a value of M
-//     every round. Machines must write every send slot on every call —
-//     the buffers are reused across rounds, so an unwritten slot would
+//   - There is no silence notion: every port carries a value of M every
+//     round. Machines must write every send slot on every call — the
+//     buffers are reused across rounds, so an unwritten slot would
 //     deliver the previous round's message.
 //   - In the first Round call no messages have arrived yet and recv
 //     holds zero values of M; machines must track their own round count
-//     instead of probing recv for nil.
+//     instead of probing recv for presence.
 //   - recv and send contents are only valid during the call; machines
 //     that need a received value later must copy it into their state.
 type TypedMachine[M any] interface {
@@ -70,25 +69,45 @@ type Interceptor[M any] interface {
 	Deliver(p int32, m M) M
 }
 
-// Core is the generics-based execution core: the engine's sharded
-// worker-pool round loop over a typed, unboxed message plane. A Core
-// holds only options; per-execution state lives in Sessions, so one Core
-// can serve many graphs. The boxed Engine API is a thin adapter over
-// Core[Message].
-type Core[M any] struct {
-	opts Options
-	// silent, when non-nil, classifies a delivered message as absent for
-	// Stats.Deliveries. Only the boxed compatibility adapter sets it (nil
-	// Messages are silent there); the typed plane itself has no silence
-	// notion and counts every slot of every delivery phase.
-	silent func(M) bool
+// Execution phases of the round loop. phaseWarmup is a no-op barrier
+// round-trip: hinted sessions dispatch it once from NewSession so every
+// worker and the coordinator park at least once there, allocating the
+// runtime's lazy park state (sudogs, semaphores) before the first real
+// round.
+const (
+	phaseInit = iota
+	phaseCompute
+	phaseDeliver
+	phaseWarmup
+)
+
+// paddedBool keeps per-shard flags on separate cache lines so concurrent
+// shard completions do not false-share.
+type paddedBool struct {
+	v bool
+	_ [63]byte
 }
 
-// NewCore returns a typed execution core with the given options. For
-// Core, Options.Sequential selects the inline (pool-free) execution mode
-// with workers=shards=1; the semantics are identical by construction,
-// and the independent differential-testing oracle remains the boxed
-// runSequential reference.
+// paddedCount keeps per-shard counters on separate cache lines for the
+// same reason.
+type paddedCount struct {
+	v int64
+	_ [56]byte
+}
+
+// Core is the generics-based execution core: the engine's sharded
+// worker-pool round loop over a typed message plane. A Core holds only
+// options; per-execution state lives in Sessions, so one Core can serve
+// many graphs.
+type Core[M any] struct {
+	opts Options
+}
+
+// NewCore returns a typed execution core with the given options. Its
+// sessions run inline (no worker pool) exactly when the effective worker
+// count, after clamping to the shard count, is 1; the semantics are
+// identical either way, and RunReference is the independent
+// differential-testing oracle for both modes.
 func NewCore[M any](opts Options) *Core[M] { return &Core[M]{opts: opts} }
 
 // Run executes machines on g until every machine reports done or
@@ -118,10 +137,8 @@ func (c *Core[M]) RunStats(g *graph.Graph, machines []TypedMachine[M], masterSee
 // or (for well-behaved typed machines) the machine side.
 //
 // A Session is not safe for concurrent use. Close releases the worker
-// pool; a Session that only ever ran in sequential mode needs no Close,
-// but calling it is always safe.
+// pool; an inline Session needs no Close, but calling it is always safe.
 type Session[M any] struct {
-	core     *Core[M]
 	g        *graph.Graph
 	machines []TypedMachine[M]
 	n        int
@@ -143,7 +160,7 @@ type Session[M any] struct {
 
 	workers int
 	shards  int
-	inline  bool // sequential mode: run phases inline, no pool
+	inline  bool // one effective worker: run phases inline, no pool
 
 	shardLo        []int32 // shardLo[s]..shardLo[s+1] is shard s's node range
 	shardDone      []paddedBool
@@ -186,13 +203,11 @@ func (c *Core[M]) NewSession(g *graph.Graph, machines []TypedMachine[M]) (*Sessi
 	if workers > shards {
 		workers = shards
 	}
-	inline := c.opts.Sequential
-	if inline {
-		workers, shards = 1, 1
-	}
+	// A single effective worker gains nothing from a pool: every phase
+	// runs inline on the calling goroutine, shard by shard.
+	inline := workers <= 1
 	total := g.NumPorts()
 	s := &Session[M]{
-		core:           c,
 		g:              g,
 		machines:       machines,
 		n:              n,
@@ -244,11 +259,11 @@ func (s *Session[M]) Close() {
 	s.closed = true
 }
 
-// dispatch runs one phase across all shards: inline in sequential mode,
-// through the persistent pool otherwise. The pool starts lazily on first
-// use; the channel send orders the phase write before the workers' read,
-// and wg.Wait orders every worker write before the coordinator's next
-// read, so the round loop is barrier-clean.
+// dispatch runs one phase across all shards: inline for a single
+// effective worker, through the persistent pool otherwise. The pool
+// starts lazily on first use; the channel send orders the phase write
+// before the workers' read, and wg.Wait orders every worker write before
+// the coordinator's next read, so the round loop is barrier-clean.
 func (s *Session[M]) dispatch(phase int) {
 	s.phase = phase
 	if s.inline {
@@ -332,35 +347,17 @@ func (s *Session[M]) deliverShard(i int) {
 	recv, send, route := s.recv, s.send, s.route
 	if itc := s.itc; itc != nil {
 		// Fault-injection path: every in-flight message passes through
-		// the interceptor. Deliveries are counted after interception —
-		// what the receiver observes is what crossed the edge.
-		delivered := int64(0)
+		// the interceptor. It rewrites contents, never which slots are
+		// delivered, so the delivery count is the same either way.
 		for p := lo; p < hi; p++ {
-			m := itc.Deliver(p, send[route[p]])
-			recv[p] = m
-			if s.core.silent == nil || !s.core.silent(m) {
-				delivered++
-			}
+			recv[p] = itc.Deliver(p, send[route[p]])
 		}
-		s.shardDelivered[i].v += delivered
-		return
-	}
-	if s.core.silent == nil {
+	} else {
 		for p := lo; p < hi; p++ {
 			recv[p] = send[route[p]]
 		}
-		s.shardDelivered[i].v += int64(hi - lo)
-		return
 	}
-	delivered := int64(0)
-	for p := lo; p < hi; p++ {
-		m := send[route[p]]
-		recv[p] = m
-		if !s.core.silent(m) {
-			delivered++
-		}
-	}
-	s.shardDelivered[i].v += delivered
+	s.shardDelivered[i].v += int64(hi - lo)
 }
 
 // SetInterceptor installs (or, with nil, removes) the delivery

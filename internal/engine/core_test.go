@@ -7,88 +7,79 @@ import (
 	"locallab/internal/graph"
 )
 
-// typedGossip is the unboxed twin of gossipMachine: same digest
-// recurrence, but messages are concrete int64 values written into the
-// engine-owned send plane. Because the typed plane has no silence, it
-// always sends on every port — exactly like gossipMachine, whose boxed
-// sequential execution therefore serves as the differential oracle.
-type typedGossip struct {
-	id     int64
-	degree int
-	digest uint64
-	rounds int
-	target int
+// boxedGossip is gossipMachine on interface-valued messages, the shape
+// of the boxed engine the typed core replaced: a nil entry is silence.
+// Its digest recurrence matches gossipMachine exactly.
+type boxedGossip struct {
+	gossipMachine
 }
 
-func (m *typedGossip) Init(info engine.NodeInfo) {
-	m.id = info.ID
-	m.degree = info.Degree
-	m.digest = uint64(info.ID) * 0x9e3779b97f4a7c15
-	m.rounds = 0
-}
-
-func (m *typedGossip) Round(recv, send []int64) bool {
-	if m.rounds > 0 {
-		for p, r := range recv {
-			m.digest = m.digest*31 + uint64(r) + uint64(p)
-		}
-	}
-	m.rounds++
-	for p := range send {
-		send[p] = int64(m.digest>>1) + int64(p)
-	}
-	return m.rounds >= m.target
-}
-
-// boxedGossipNoNil matches typedGossip on the boxed engine: it skips the
-// nil probe (messages always present after round one) so the digest
-// recurrences line up exactly.
-type boxedGossipNoNil struct {
-	typedGossip
-}
-
-func (m *boxedGossipNoNil) Round(recv []engine.Message) ([]engine.Message, bool) {
+func (m *boxedGossip) Round(recv []any) ([]any, bool) {
 	if m.rounds > 0 {
 		for p, r := range recv {
 			m.digest = m.digest*31 + uint64(r.(int64)) + uint64(p)
 		}
 	}
 	m.rounds++
-	send := make([]engine.Message, m.degree)
+	send := make([]any, m.degree)
 	for p := range send {
 		send[p] = int64(m.digest>>1) + int64(p)
 	}
 	return send, m.rounds >= m.target
 }
 
-func typedDigests(t testing.TB, g *graph.Graph, opts engine.Options) ([]uint64, engine.Stats) {
+// runBoxed is a sequential synchronous runtime over boxed messages,
+// written independently of the engine package: every machine steps, the
+// run stops once all report done, and each non-nil message moves to the
+// opposite half-edge's port. Deliveries count the non-nil messages.
+func runBoxed(t testing.TB, g *graph.Graph, machines []*boxedGossip, maxRounds int) engine.Stats {
 	t.Helper()
-	machines := make([]typedGossip, g.NumNodes())
-	typed := make([]engine.TypedMachine[int64], g.NumNodes())
-	for v := range typed {
-		machines[v].target = 20
-		typed[v] = &machines[v]
+	n := g.NumNodes()
+	inbox := make([][]any, n)
+	for v, m := range machines {
+		deg := g.Degree(graph.NodeID(v))
+		m.Init(engine.NodeInfo{N: n, Delta: g.MaxDegree(), ID: g.ID(graph.NodeID(v)), Degree: deg})
+		inbox[v] = make([]any, deg)
 	}
-	stats, err := engine.NewCore[int64](opts).RunStats(g, typed, 42, false, 100)
-	if err != nil {
-		t.Fatal(err)
+	var stats engine.Stats
+	outbox := make([][]any, n)
+	for round := 1; round <= maxRounds; round++ {
+		allDone := true
+		for v, m := range machines {
+			send, done := m.Round(inbox[v])
+			outbox[v] = send
+			allDone = allDone && done
+		}
+		if allDone {
+			stats.Rounds = round
+			return stats
+		}
+		for v := range inbox {
+			clear(inbox[v])
+		}
+		for v, send := range outbox {
+			for p, msg := range send {
+				if msg == nil {
+					continue
+				}
+				opp := g.OppositeHalf(g.HalfAt(graph.NodeID(v), int32(p)))
+				inbox[g.HalfNode(opp)][g.HalfPort(opp)] = msg
+				stats.Deliveries++
+			}
+		}
 	}
-	out := make([]uint64, g.NumNodes())
-	for v := range out {
-		out[v] = machines[v].digest
-	}
-	return out, stats
+	t.Fatalf("boxed oracle hit the round limit %d", maxRounds)
+	return stats
 }
 
 // TestTypedCoreMatchesBoxedOracle differential-tests the typed core —
-// pooled across a worker/shard grid and in the inline sequential mode —
-// against the boxed sequential reference running the equivalent boxed
-// machine. Digests, rounds, and deliveries must be identical: with no
-// silent ports the boxed non-nil delivery count equals the typed
-// all-slots count.
+// pooled across a worker/shard grid and in the inline mode — against a
+// boxed sequential runtime running the equivalent boxed machine.
+// Digests, rounds, and deliveries must be identical: with no silent
+// ports the boxed non-nil delivery count equals the typed all-slots
+// count.
 func TestTypedCoreMatchesBoxedOracle(t *testing.T) {
 	configs := []engine.Options{
-		{Sequential: true},
 		{Workers: 1, Shards: 1},
 		{Workers: 1, Shards: 5},
 		{Workers: 3, Shards: 7},
@@ -97,27 +88,20 @@ func TestTypedCoreMatchesBoxedOracle(t *testing.T) {
 		{},                          // defaults
 	}
 	for name, g := range testGraphs(t) {
-		machines := make([]engine.Machine, g.NumNodes())
+		machines := make([]*boxedGossip, g.NumNodes())
 		for v := range machines {
-			machines[v] = &boxedGossipNoNil{typedGossip{target: 20}}
+			machines[v] = &boxedGossip{gossipMachine{target: 20}}
 		}
-		wantStats, err := engine.New(engine.Options{Sequential: true}).RunStats(g, machines, 42, false, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]uint64, g.NumNodes())
-		for v := range machines {
-			want[v] = machines[v].(*boxedGossipNoNil).digest
-		}
+		wantStats := runBoxed(t, g, machines, 100)
 		for _, opts := range configs {
-			got, stats := typedDigests(t, g, opts)
+			got, stats := digests(t, g, "gossip", coreRun(opts))
 			if stats.Rounds != wantStats.Rounds || stats.Deliveries != wantStats.Deliveries {
 				t.Errorf("%s %+v: stats rounds=%d deliveries=%d, want rounds=%d deliveries=%d",
 					name, opts, stats.Rounds, stats.Deliveries, wantStats.Rounds, wantStats.Deliveries)
 			}
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("%s %+v: node %d digest %x, want %x", name, opts, v, got[v], want[v])
+			for v, m := range machines {
+				if got[v] != m.digest {
+					t.Fatalf("%s %+v: node %d digest %x, want %x", name, opts, v, got[v], m.digest)
 				}
 			}
 		}
@@ -132,7 +116,7 @@ func TestSessionReuseAndStepping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machines := make([]typedGossip, g.NumNodes())
+	machines := make([]gossipMachine, g.NumNodes())
 	typed := make([]engine.TypedMachine[int64], g.NumNodes())
 	for v := range typed {
 		machines[v].target = 12
@@ -185,7 +169,8 @@ func TestSessionReuseAndStepping(t *testing.T) {
 	}
 }
 
-// TestTypedCoreMachineCountMismatch mirrors the boxed validation.
+// TestTypedCoreMachineCountMismatch: the core validates the machine set
+// like RunReference does (TestMachineCountMismatch).
 func TestTypedCoreMachineCountMismatch(t *testing.T) {
 	g, err := graph.NewCycle(5, 0)
 	if err != nil {
@@ -202,7 +187,7 @@ func TestTypedCoreRoundLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machines := make([]typedGossip, g.NumNodes())
+	machines := make([]gossipMachine, g.NumNodes())
 	typed := make([]engine.TypedMachine[int64], g.NumNodes())
 	for v := range typed {
 		machines[v].target = 1 << 30 // never done
@@ -231,11 +216,11 @@ func TestTypedCoreSteadyStateAllocs(t *testing.T) {
 		name string
 		opts engine.Options
 	}{
-		{"inline", engine.Options{Sequential: true}},
+		{"inline", engine.Options{Workers: 1}},
 		{"pooled", engine.Options{Workers: 4, Shards: 16}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			machines := make([]typedGossip, g.NumNodes())
+			machines := make([]gossipMachine, g.NumNodes())
 			typed := make([]engine.TypedMachine[int64], g.NumNodes())
 			for v := range typed {
 				machines[v].target = 1 << 30
@@ -257,16 +242,14 @@ func TestTypedCoreSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkCoreTyped2048 is the unboxed counterpart of BenchmarkPool2048:
-// the same gossip workload with concrete int64 messages on the typed
-// core. Compare ns/op and allocs/op against the boxed benchmarks below
-// it in this package.
+// BenchmarkCoreTyped2048 runs full executions of the gossip workload
+// (setup-free: one Session reused across Runs) on the default pool.
 func BenchmarkCoreTyped2048(b *testing.B) {
 	g, err := graph.NewRandomRegular(2048, 3, 5, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	machines := make([]typedGossip, g.NumNodes())
+	machines := make([]gossipMachine, g.NumNodes())
 	typed := make([]engine.TypedMachine[int64], g.NumNodes())
 	for v := range typed {
 		machines[v].target = 16
@@ -294,7 +277,7 @@ func BenchmarkCoreTypedSteadyState2048(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	machines := make([]typedGossip, g.NumNodes())
+	machines := make([]gossipMachine, g.NumNodes())
 	typed := make([]engine.TypedMachine[int64], g.NumNodes())
 	for v := range typed {
 		machines[v].target = 1 << 30

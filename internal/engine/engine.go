@@ -1,41 +1,41 @@
 // Package engine is the execution core of the LOCAL-model simulator: a
 // sharded worker-pool runtime for synchronous message-passing algorithms.
 //
-// The model semantics are exactly those of Section 2 of the paper (and of
-// the original goroutine-per-node loop this package replaces): computation
-// proceeds in rounds; in each round every node consumes the messages that
-// arrived on its ports, emits one message per port, and the messages cross
-// their edges before the next round starts. The engine changes only the
-// mechanics, not the semantics:
+// The model semantics are exactly those of Section 2 of the paper:
+// computation proceeds in rounds; in each round every node consumes the
+// messages that arrived on its ports, emits one message per port, and the
+// messages cross their edges before the next round starts. The engine
+// changes only the mechanics, not the semantics:
 //
+//   - Per-node programs are TypedMachine[M] values exchanging concrete
+//     messages of type M; one Core[M] executes them, and a Session holds
+//     one prepared execution (core.go).
 //   - Nodes are partitioned into contiguous shards. A fixed pool of worker
 //     goroutines (Options.Workers, default GOMAXPROCS) executes each round
 //     shard by shard instead of spawning one goroutine per node per round.
-//   - Messages live in a double-buffered plane: two flat per-port buffers
-//     that swap roles each round. The compute phase reads the current
-//     plane; the delivery phase writes the next one through a precomputed
-//     route table (receiver-side delivery, so writes never contend).
-//   - All buffers are allocated once per Run and reused every round, so
-//     the steady-state round loop performs no engine-side allocations.
+//     When the effective worker count is 1 the session runs every phase
+//     inline on the calling goroutine and starts no pool at all.
+//   - Messages live in two flat per-port []M planes over the graph's CSR
+//     topology (PortOffsets plus the RouteTable slot permutation). The
+//     compute phase reads one and writes the other; the delivery phase
+//     gathers back through the route table (receiver-side delivery, so
+//     writes never contend).
+//   - All buffers are allocated once per Session and reused every round,
+//     so the steady-state round loop performs no engine-side allocations.
 //
 // Because every phase is separated by a barrier and every slot of every
 // buffer is owned by exactly one node, the execution is deterministic: the
-// outputs are byte-identical for every Workers/Shards setting, including
-// the sequential reference path (Options.Sequential), which is preserved
-// as the differential-testing oracle.
-//
-// Two message planes share the graph's CSR topology (PortOffsets plus the
-// RouteTable slot permutation): the boxed plane above (Machine, opaque
-// Message values, nil = silence) and the typed zero-alloc plane
-// (TypedMachine[M], Core, Session in core.go), whose flat []M buffers
-// make the steady-state round loop allocation-free on the engine side.
+// outputs are byte-identical for every Workers/Shards setting. RunReference
+// is the independent differential-testing oracle: a direct transcription
+// of the model with per-node inboxes and sender-side delivery, sharing no
+// code with the Session machinery.
 //
 // Invariants (pinned by the differential, determinism, and AllocsPerRun
 // tests):
 //
 //   - Byte-identity: outputs, Stats.Rounds, and Stats.Deliveries are
-//     identical for every Workers/Shards setting and for the pooled and
-//     inline modes.
+//     identical for every Workers/Shards setting, for the pooled and
+//     inline modes, and to RunReference.
 //   - Seed-pinned randomness: per-node RNGs derive from
 //     (master seed, node identifier) via DeriveRNG, never from worker or
 //     shard state.
@@ -48,15 +48,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"locallab/internal/graph"
 )
-
-// Message is an opaque payload exchanged between neighbors. Implementations
-// may send nil to stay silent on a port.
-type Message interface{}
 
 // NodeInfo is the initial knowledge of a node per the model: the global
 // bounds n and Δ, its own identifier and degree, and a private random
@@ -69,20 +64,8 @@ type NodeInfo struct {
 	RNG    *rand.Rand
 }
 
-// Machine is the per-node program of a synchronous message-passing
-// algorithm.
-type Machine interface {
-	// Init resets the machine with the node's initial knowledge.
-	Init(info NodeInfo)
-	// Round consumes the messages received on each port (recv[p] is the
-	// message from port p's neighbor, nil in round 0 or when silent) and
-	// returns the messages to send per port plus whether this node has
-	// terminated with its final state.
-	Round(recv []Message) (send []Message, done bool)
-}
-
-// ErrRoundLimit is returned by Run when machines do not all terminate
-// within the round budget.
+// ErrRoundLimit is returned when machines do not all terminate within
+// the round budget.
 var ErrRoundLimit = errors.New("round limit exceeded")
 
 // DeriveRNG returns the private random source of the node with the given
@@ -96,25 +79,21 @@ func DeriveRNG(masterSeed, nodeIdentifier int64) *rand.Rand {
 	return rand.New(rand.NewSource(int64(z)))
 }
 
-// Options configures an Engine.
+// Options configures an Engine and the Cores built from it.
 type Options struct {
 	// Workers is the number of pool goroutines; <= 0 means GOMAXPROCS.
 	Workers int
 	// Shards is the number of contiguous node ranges the graph is split
 	// into; <= 0 picks 4×Workers (work-stealing slack), capped at n.
 	Shards int
-	// Sequential bypasses the pool entirely and runs the reference
-	// single-threaded implementation with identical semantics. It is the
-	// oracle the determinism tests compare the sharded path against.
-	Sequential bool
 	// Hint, when non-nil, carries the cost twin's prediction for the
-	// execution about to run. It is purely a pre-sizing aid: sessions
-	// created under a hint perform their warm-up allocations (worker
-	// pool startup, job channel) eagerly in NewSession instead of lazily
-	// on the first dispatch, so the first Step is as allocation-free as
-	// the steady state. A wrong hint costs nothing but mis-sized
-	// warm-up; it can never change outputs (pinned by the byte-identity
-	// grids).
+	// execution about to run. It is purely a pre-sizing aid: pooled
+	// sessions created under a hint perform their warm-up allocations
+	// (worker pool startup, job channel) eagerly in NewSession instead of
+	// lazily on the first dispatch, so the first Step is as
+	// allocation-free as the steady state. A wrong hint costs nothing but
+	// mis-sized warm-up; it can never change outputs (pinned by the
+	// byte-identity grids).
 	Hint *SizeHint
 }
 
@@ -127,16 +106,9 @@ type SizeHint struct {
 	Deliveries int64
 }
 
-// Engine executes synchronous rounds under fixed Options. The zero value
-// is usable and equivalent to New(Options{}).
-//
-// Engine is the boxed-message compatibility API: its sharded path is a
-// thin adapter over the typed Core[Message] — machines still return
-// interface{} payload slices, which the adapter copies into the core's
-// flat message plane. New message-passing code should implement
-// TypedMachine on a concrete message type and run on a Core directly;
-// that removes the per-message boxing and the per-round send-slice
-// allocation entirely.
+// Engine carries the execution Options solvers run their typed cores
+// under. The zero value is usable and equivalent to New(Options{}); a nil
+// *Engine stands for the package-level defaults.
 type Engine struct {
 	opts Options
 }
@@ -144,9 +116,9 @@ type Engine struct {
 // New returns an Engine with the given options.
 func New(opts Options) *Engine { return &Engine{opts: opts} }
 
-// Options returns the options the engine was created with. Typed solvers
-// use it to mirror an injected boxed engine's configuration onto their
-// Core.
+// Options returns the options the engine was created with, or the
+// package-level defaults for a nil engine. Solvers pass them to
+// NewCore.
 func (e *Engine) Options() Options {
 	if e == nil {
 		return DefaultOptions()
@@ -161,9 +133,9 @@ var (
 	defaultShards  atomic.Int32
 )
 
-// SetDefaultOptions installs the worker/shard counts used by the
-// package-level Run (and therefore by local.Run and every solver built on
-// it). Non-positive values mean "auto".
+// SetDefaultOptions installs the worker/shard counts a nil *Engine
+// resolves to (and therefore every solver left without an explicit
+// engine). Non-positive values mean "auto".
 func SetDefaultOptions(o Options) {
 	defaultWorkers.Store(int32(o.Workers))
 	defaultShards.Store(int32(o.Shards))
@@ -177,149 +149,64 @@ func DefaultOptions() Options {
 	}
 }
 
-// Stats profiles one Run: the executed rounds, the number of non-nil
+// Stats profiles one execution: the executed rounds, the number of
 // messages that crossed edges over all delivery phases, and the effective
 // pool geometry. Deliveries is a property of the algorithm's execution,
 // not of the scheduling — it is byte-identical across every Workers/
-// Shards setting and equals the sequential reference count, so it is safe
-// to record in deterministic reports.
+// Shards setting and equals RunReference's count, so it is safe to record
+// in deterministic reports.
 type Stats struct {
-	// Rounds is the number of executed rounds (what Run returns).
+	// Rounds is the number of executed rounds.
 	Rounds int
-	// Deliveries counts non-nil messages delivered across all rounds.
+	// Deliveries counts messages delivered across all rounds: every port
+	// slot of every delivery phase.
 	Deliveries int64
-	// Workers and Shards are the effective pool geometry (1/1 for the
-	// sequential reference path).
+	// Workers and Shards are the effective pool geometry after clamping
+	// (Workers == 1 means the session ran inline; 1/1 for RunReference).
 	Workers int
 	Shards  int
 }
 
-// Run executes machines on g with the package-level default options.
-func Run(g *graph.Graph, machines []Machine, masterSeed int64, randomized bool, maxRounds int) (int, error) {
-	return New(DefaultOptions()).Run(g, machines, masterSeed, randomized, maxRounds)
-}
-
-// RunSequential executes machines with the single-threaded reference
-// implementation (the differential-testing oracle).
-func RunSequential(g *graph.Graph, machines []Machine, masterSeed int64, randomized bool, maxRounds int) (int, error) {
-	return New(Options{Sequential: true}).Run(g, machines, masterSeed, randomized, maxRounds)
-}
-
-// Run executes machines synchronously on g until every machine reports
-// done, or maxRounds is exceeded. It returns the number of executed
-// rounds.
-func (e *Engine) Run(g *graph.Graph, machines []Machine, masterSeed int64, randomized bool, maxRounds int) (int, error) {
-	st, err := e.RunStats(g, machines, masterSeed, randomized, maxRounds)
-	return st.Rounds, err
-}
-
-// RunStats is Run plus the execution profile of the run. On error the
-// returned Stats still describe the partial execution (rounds executed so
-// far, deliveries counted so far).
+// RunReference executes machines on g with the single-threaded
+// reference implementation: a direct, goroutine-free transcription of the
+// model semantics with per-node inboxes and outboxes, delivering
+// sender-side through HalfAt/OppositeHalf. It shares no route table,
+// shard table, or Session code with Core, which is what makes it the
+// independent differential-testing oracle of every Core geometry.
 //
-// The sharded path is the boxed-compatibility adapter over the typed
-// Core[Message]: machine send slices are copied into the core's flat
-// send plane (nil-padded when short), and nil messages count as silent
-// for Stats.Deliveries, exactly as before the typed rewrite.
-func (e *Engine) RunStats(g *graph.Graph, machines []Machine, masterSeed int64, randomized bool, maxRounds int) (Stats, error) {
+// The typed contract is the same as Core's: inboxes start zeroed, every
+// port slot is delivered every round (so Deliveries counts every port of
+// every delivery phase), and outboxes persist across rounds. On
+// ErrRoundLimit the Stats still describe the partial execution.
+func RunReference[M any](g *graph.Graph, machines []TypedMachine[M], masterSeed int64, randomized bool, maxRounds int) (Stats, error) {
 	n := g.NumNodes()
 	if len(machines) != n {
 		return Stats{}, fmt.Errorf("engine: %d machines for %d nodes", len(machines), n)
 	}
-	if e.opts.Sequential {
-		return runSequential(g, machines, masterSeed, randomized, maxRounds)
-	}
-	core := &Core[Message]{
-		opts:   e.opts,
-		silent: func(m Message) bool { return m == nil },
-	}
-	adapters := make([]boxedMachine, n)
-	typed := make([]TypedMachine[Message], n)
-	for v := range machines {
-		adapters[v].m = machines[v]
-		typed[v] = &adapters[v]
-	}
-	return core.RunStats(g, typed, masterSeed, randomized, maxRounds)
-}
-
-// boxedMachine adapts a boxed Machine to the typed plane: the returned
-// send slice is copied into the engine-owned buffer and nil-padded, so
-// short outboxes and silent ports keep their original meaning.
-type boxedMachine struct {
-	m Machine
-}
-
-func (a *boxedMachine) Init(info NodeInfo) { a.m.Init(info) }
-
-func (a *boxedMachine) Round(recv, send []Message) bool {
-	out, done := a.m.Round(recv)
-	k := copy(send, out)
-	for i := k; i < len(send); i++ {
-		send[i] = nil
-	}
-	return done
-}
-
-// Execution phases of the round loop. phaseWarmup is a no-op barrier
-// round-trip: hinted sessions dispatch it once from NewSession so every
-// worker and the coordinator park at least once there, allocating the
-// runtime's lazy park state (sudogs, semaphores) before the first real
-// round.
-const (
-	phaseInit = iota
-	phaseCompute
-	phaseDeliver
-	phaseWarmup
-)
-
-// paddedBool keeps per-shard flags on separate cache lines so concurrent
-// shard completions do not false-share.
-type paddedBool struct {
-	v bool
-	_ [63]byte
-}
-
-// paddedCount keeps per-shard counters on separate cache lines for the
-// same reason.
-type paddedCount struct {
-	v int64
-	_ [56]byte
-}
-
-// runSequential is the reference implementation: a direct, goroutine-free
-// transcription of the model semantics (and of the original simulator
-// loop). It exists so the sharded path always has an in-tree oracle to be
-// differential-tested against — including for Stats.Deliveries, which it
-// counts sender-side (every non-nil message sent crosses exactly one
-// edge, so the count equals the sharded path's receiver-side count).
-func runSequential(g *graph.Graph, machines []Machine, masterSeed int64, randomized bool, maxRounds int) (Stats, error) {
-	n := g.NumNodes()
 	delta := g.MaxDegree()
 	stats := Stats{Workers: 1, Shards: 1}
+	inbox := make([][]M, n)
+	outbox := make([][]M, n)
 	for v := 0; v < n; v++ {
 		var rng *rand.Rand
 		if randomized {
 			rng = DeriveRNG(masterSeed, g.ID(graph.NodeID(v)))
 		}
+		deg := g.Degree(graph.NodeID(v))
 		machines[v].Init(NodeInfo{
 			N:      n,
 			Delta:  delta,
 			ID:     g.ID(graph.NodeID(v)),
-			Degree: g.Degree(graph.NodeID(v)),
+			Degree: deg,
 			RNG:    rng,
 		})
-	}
-	inbox := make([][]Message, n)
-	outbox := make([][]Message, n)
-	for v := 0; v < n; v++ {
-		inbox[v] = make([]Message, g.Degree(graph.NodeID(v)))
+		inbox[v] = make([]M, deg)
+		outbox[v] = make([]M, deg)
 	}
 	for round := 1; round <= maxRounds; round++ {
 		allDone := true
 		for v := 0; v < n; v++ {
-			send, fin := machines[v].Round(inbox[v])
-			outbox[v] = send
-			if !fin {
+			if !machines[v].Round(inbox[v], outbox[v]) {
 				allDone = false
 			}
 		}
@@ -330,17 +217,8 @@ func runSequential(g *graph.Graph, machines []Machine, masterSeed int64, randomi
 		// Deliver: the message sent on a half-edge arrives at the
 		// opposite half's port.
 		for v := 0; v < n; v++ {
-			for p := range inbox[v] {
-				inbox[v][p] = nil
-			}
-		}
-		for v := 0; v < n; v++ {
 			for p, msg := range outbox[v] {
-				if msg == nil {
-					continue
-				}
-				h := g.HalfAt(graph.NodeID(v), int32(p))
-				opp := g.OppositeHalf(h)
+				opp := g.OppositeHalf(g.HalfAt(graph.NodeID(v), int32(p)))
 				inbox[g.HalfNode(opp)][g.HalfPort(opp)] = msg
 				stats.Deliveries++
 			}
@@ -348,69 +226,4 @@ func runSequential(g *graph.Graph, machines []Machine, masterSeed int64, randomi
 	}
 	stats.Rounds = maxRounds
 	return stats, ErrRoundLimit
-}
-
-// RunGoroutinePerNode preserves the original simulator loop — one
-// goroutine per node per round — as the benchmarking baseline the sharded
-// engine is measured against. It is not used on any production path.
-func RunGoroutinePerNode(g *graph.Graph, machines []Machine, masterSeed int64, randomized bool, maxRounds int) (int, error) {
-	n := g.NumNodes()
-	delta := g.MaxDegree()
-	for v := 0; v < n; v++ {
-		var rng *rand.Rand
-		if randomized {
-			rng = DeriveRNG(masterSeed, g.ID(graph.NodeID(v)))
-		}
-		machines[v].Init(NodeInfo{
-			N:      n,
-			Delta:  delta,
-			ID:     g.ID(graph.NodeID(v)),
-			Degree: g.Degree(graph.NodeID(v)),
-			RNG:    rng,
-		})
-	}
-	inbox := make([][]Message, n)
-	outbox := make([][]Message, n)
-	done := make([]bool, n)
-	for v := 0; v < n; v++ {
-		inbox[v] = make([]Message, g.Degree(graph.NodeID(v)))
-	}
-	for round := 1; round <= maxRounds; round++ {
-		var wg sync.WaitGroup
-		for v := 0; v < n; v++ {
-			wg.Add(1)
-			go func(v int) {
-				defer wg.Done()
-				send, fin := machines[v].Round(inbox[v])
-				outbox[v] = send
-				done[v] = fin
-			}(v)
-		}
-		wg.Wait()
-		allDone := true
-		for v := 0; v < n; v++ {
-			if !done[v] {
-				allDone = false
-			}
-		}
-		if allDone {
-			return round, nil
-		}
-		for v := 0; v < n; v++ {
-			for p := range inbox[v] {
-				inbox[v][p] = nil
-			}
-		}
-		for v := 0; v < n; v++ {
-			for p, msg := range outbox[v] {
-				if msg == nil {
-					continue
-				}
-				h := g.HalfAt(graph.NodeID(v), int32(p))
-				opp := g.OppositeHalf(h)
-				inbox[g.HalfNode(opp)][g.HalfPort(opp)] = msg
-			}
-		}
-	}
-	return maxRounds, ErrRoundLimit
 }

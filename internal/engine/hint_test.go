@@ -47,8 +47,8 @@ func hintSession(t *testing.T, opts Options) *Session[int64] {
 }
 
 // TestHintStartsPoolEagerly: a hinted pooled session owns its worker
-// pool before the first dispatch; an unhinted one starts it lazily; a
-// sequential session never starts one, hint or not.
+// pool before the first dispatch; an unhinted one starts it lazily; an
+// inline (one effective worker) session never starts one, hint or not.
 func TestHintStartsPoolEagerly(t *testing.T) {
 	hint := &SizeHint{Rounds: 9, Deliveries: 1152}
 
@@ -66,9 +66,9 @@ func TestHintStartsPoolEagerly(t *testing.T) {
 		t.Fatal("first dispatch did not start the lazy pool")
 	}
 
-	inline := hintSession(t, Options{Sequential: true, Hint: hint})
+	inline := hintSession(t, Options{Workers: 1, Hint: hint})
 	if inline.started {
-		t.Fatal("sequential session started a pool")
+		t.Fatal("inline session started a pool")
 	}
 }
 
@@ -108,7 +108,7 @@ func TestHintRemovesWarmupAllocations(t *testing.T) {
 }
 
 // TestHintIdenticalOutputs: a hint moves allocations, never bytes — the
-// same workload under hinted, unhinted, and sequential execution yields
+// same workload under hinted, unhinted, and inline execution yields
 // identical rounds and deliveries.
 func TestHintIdenticalOutputs(t *testing.T) {
 	run := func(opts Options) (int, int64) {
@@ -119,16 +119,16 @@ func TestHintIdenticalOutputs(t *testing.T) {
 		}
 		return s.Rounds(), s.Deliveries()
 	}
-	wantRounds, wantDeliveries := run(Options{Sequential: true})
+	wantRounds, wantDeliveries := run(Options{Workers: 1})
 	for name, opts := range map[string]Options{
-		"pooled":        {Workers: 2, Shards: 8},
-		"pooled+hint":   {Workers: 2, Shards: 8, Hint: &SizeHint{Rounds: 5, Deliveries: 640}},
-		"widehint":      {Workers: 4, Shards: 16, Hint: &SizeHint{Rounds: 1 << 20, Deliveries: 1 << 40}},
-		"sequential+ht": {Sequential: true, Hint: &SizeHint{Rounds: 5, Deliveries: 640}},
+		"pooled":      {Workers: 2, Shards: 8},
+		"pooled+hint": {Workers: 2, Shards: 8, Hint: &SizeHint{Rounds: 5, Deliveries: 640}},
+		"widehint":    {Workers: 4, Shards: 16, Hint: &SizeHint{Rounds: 1 << 20, Deliveries: 1 << 40}},
+		"inline+hint": {Workers: 1, Hint: &SizeHint{Rounds: 5, Deliveries: 640}},
 	} {
 		rounds, deliveries := run(opts)
 		if rounds != wantRounds || deliveries != wantDeliveries {
-			t.Fatalf("%s: rounds/deliveries %d/%d differ from sequential %d/%d",
+			t.Fatalf("%s: rounds/deliveries %d/%d differ from inline %d/%d",
 				name, rounds, deliveries, wantRounds, wantDeliveries)
 		}
 	}

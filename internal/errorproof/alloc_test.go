@@ -53,7 +53,7 @@ func TestPsiMachineSteadyStateAllocs(t *testing.T) {
 		name string
 		opts engine.Options
 	}{
-		{"inline", engine.Options{Sequential: true}},
+		{"inline", engine.Options{Workers: 1}},
 		{"pooled", engine.Options{Workers: 4, Shards: 16}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

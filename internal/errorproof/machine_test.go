@@ -11,10 +11,10 @@ import (
 )
 
 // psiEngineGrid is the worker/shard geometry grid the Ψ-machine
-// differential tests sweep, from the inline sequential mode to heavy
+// differential tests sweep, from the inline single-worker mode to heavy
 // oversharding.
 var psiEngineGrid = []engine.Options{
-	{Sequential: true},
+	{Workers: 1}, // inline, default shard count
 	{Workers: 1, Shards: 1},
 	{Workers: 2, Shards: 5},
 	{Workers: 4, Shards: 16},

@@ -62,17 +62,16 @@ func EnginePaddedParity(sc Scale) (*Result, error) {
 }
 
 // RelayDeliveryComparison measures the two relay executions of the same
-// inner protocol against each other and against a mask-only baseline:
-// for each balanced Π₂ instance it runs the sinkless message solver (a)
-// as native constant-bandwidth port machines over the slot-routed relay
-// plane, (b) forced onto gather machines flooding knowledge vectors, and
-// (c) a mask-only simulation session over the same routes. Both relay
-// executions produce byte-identical labelings (checked here); the words
-// columns are sender-counted payload words — the native/gather words
-// ratio is the bandwidth win of constant-size inner machines, and the
-// rounds columns show the sessions' physical lengths honestly (the
-// native lockstep can be longer than the gather fast path on tiny
-// instances even while moving a fraction of the words).
+// inner protocol against each other: for each balanced Π₂ instance it
+// runs the sinkless message solver (a) as native constant-bandwidth port
+// machines over the slot-routed relay plane and (b) forced onto gather
+// machines flooding knowledge vectors. Both relay executions produce
+// byte-identical labelings (checked here); the words columns are
+// sender-counted payload words — the native/gather words ratio is the
+// bandwidth win of constant-size inner machines, and the rounds columns
+// show the sessions' physical lengths honestly (the native lockstep can
+// be longer than the gather fast path on tiny instances even while
+// moving a fraction of the words).
 func RelayDeliveryComparison(sc Scale) (*Result, error) {
 	var rows [][]string
 	for _, base := range sc.paddedBases() {
@@ -98,11 +97,6 @@ func RelayDeliveryComparison(sc Scale) (*Result, error) {
 		if solver.LabelingChecksum(nd.Out) != solver.LabelingChecksum(gd.Out) {
 			return nil, fmt.Errorf("base %d: native and gather labelings differ", base)
 		}
-		scope := core.GadScope(inst.G, inst.In)
-		sim, err := core.RunSimulation(eng, inst.G, scope, gd.Virtual, gd.InnerCost.Rounds(), gd.Dilation)
-		if err != nil {
-			return nil, err
-		}
 		ratio := "n/a"
 		if nd.Engine.RelayWords > 0 {
 			ratio = fmt.Sprintf("%.1f", float64(gd.Engine.RelayWords)/float64(nd.Engine.RelayWords))
@@ -111,13 +105,13 @@ func RelayDeliveryComparison(sc Scale) (*Result, error) {
 			fmt.Sprint(inst.G.NumNodes()), fmt.Sprint(base),
 			fmt.Sprint(nd.Engine.Relay.Rounds), fmt.Sprint(nd.Engine.RelayWords),
 			fmt.Sprint(gd.Engine.Relay.Rounds), fmt.Sprint(gd.Engine.RelayWords),
-			fmt.Sprint(sim.Stats.Rounds), ratio,
+			ratio,
 		})
 	}
 	return &Result{
 		ID:    "E-E2",
-		Title: "Relay executions: native port machines vs gather flooding vs mask baseline",
-		Table: measure.Table([]string{"N", "base n", "native rounds", "native words", "gather rounds", "gather words", "mask rounds", "gather/native words"}, rows),
+		Title: "Relay executions: native port machines vs gather flooding",
+		Table: measure.Table([]string{"N", "base n", "native rounds", "native words", "gather rounds", "gather words", "gather/native words"}, rows),
 		Notes: []string{
 			"native machines move O(1) words per virtual edge per protocol round, slot-routed host to port",
 			"gather machines flood component-sized knowledge vectors every physical round",

@@ -1,8 +1,6 @@
 package lcl
 
 import (
-	"errors"
-
 	"locallab/internal/graph"
 	"locallab/internal/local"
 )
@@ -24,14 +22,9 @@ type SolverSession interface {
 // SessionSolver is the optional capability of solvers that can pin a
 // reusable session to one graph. Callers that run the same instance
 // repeatedly — the serving layer's session pool — probe for it with a
-// type assertion and fall back to per-call Solve when it is absent or
-// NewSolverSession reports ErrNoSession.
+// type assertion and fall back to per-call Solve when it is absent. An
+// error from NewSolverSession is a real failure (e.g. a graph the solver
+// does not run on), not a request to fall back.
 type SessionSolver interface {
 	NewSolverSession(g *graph.Graph) (SolverSession, error)
 }
-
-// ErrNoSession reports that a SessionSolver cannot pin a reusable
-// session under its current configuration (e.g. an injected sequential
-// oracle engine, whose boxed path has no typed session); callers fall
-// back to per-call Solve.
-var ErrNoSession = errors.New("lcl: no reusable session for this configuration")

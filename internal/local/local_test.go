@@ -1,8 +1,10 @@
 package local
 
 import (
+	"errors"
 	"testing"
 
+	"locallab/internal/engine"
 	"locallab/internal/graph"
 )
 
@@ -10,39 +12,30 @@ import (
 // eccentricity-many rounds. Used to validate the synchronous runtime.
 type floodMachine struct {
 	best   int64
-	degree int
 	target int64
-	known  bool
 }
 
-func (m *floodMachine) Init(info NodeInfo) {
-	m.best = info.ID
-	m.degree = info.Degree
-	m.known = false
-}
+func (m *floodMachine) Init(info NodeInfo) { m.best = info.ID }
 
-func (m *floodMachine) Round(recv []Message) ([]Message, bool) {
-	changed := false
-	for _, r := range recv {
-		if r == nil {
-			continue
-		}
-		v := r.(int64)
-		if v > m.best {
-			m.best = v
-			changed = true
-		}
+func (m *floodMachine) Round(recv, send []int64) bool {
+	for _, v := range recv {
+		m.best = max(m.best, v)
 	}
-	send := make([]Message, m.degree)
 	for p := range send {
 		send[p] = m.best
 	}
 	// Terminate when the value equals the known global target.
-	if m.best == m.target {
-		return send, true
+	return m.best == m.target
+}
+
+func floodMachines(g *graph.Graph, target int64) ([]floodMachine, []TypedMachine[int64]) {
+	machines := make([]floodMachine, g.NumNodes())
+	typed := make([]TypedMachine[int64], g.NumNodes())
+	for v := range machines {
+		machines[v].target = target
+		typed[v] = &machines[v]
 	}
-	_ = changed
-	return send, false
+	return machines, typed
 }
 
 func TestRunFloodsMaxID(t *testing.T) {
@@ -52,37 +45,41 @@ func TestRunFloodsMaxID(t *testing.T) {
 	}
 	var target int64
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if g.ID(v) > target {
-			target = g.ID(v)
+		target = max(target, g.ID(v))
+	}
+	for _, e := range []*engine.Engine{nil, engine.New(engine.Options{Workers: 1}), engine.New(engine.Options{Workers: 3, Shards: 5})} {
+		machines, typed := floodMachines(g, target)
+		st, err := RunStatsTyped(e, g, typed, 0, false, 100)
+		if err != nil {
+			t.Fatalf("run %+v: %v", e.Options(), err)
 		}
-	}
-	machines := make([]Machine, g.NumNodes())
-	for v := range machines {
-		machines[v] = &floodMachine{target: target}
-	}
-	rounds, err := Run(g, machines, 0, false, 100)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	// On an 11-cycle the max ID needs at most 6 hops to reach everyone.
-	if rounds > 7 {
-		t.Errorf("flooding took %d rounds, want <= 7", rounds)
-	}
-	for v, m := range machines {
-		if got := m.(*floodMachine).best; got != target {
-			t.Errorf("node %d learned %d, want %d", v, got, target)
+		// On an 11-cycle the max ID needs at most 6 hops to reach everyone.
+		if st.Rounds > 7 {
+			t.Errorf("%+v: flooding took %d rounds, want <= 7", e.Options(), st.Rounds)
+		}
+		if want := int64(st.Rounds-1) * int64(g.NumPorts()); st.Deliveries != want {
+			t.Errorf("%+v: deliveries = %d, want %d", e.Options(), st.Deliveries, want)
+		}
+		for v, m := range machines {
+			if m.best != target {
+				t.Errorf("%+v: node %d learned %d, want %d", e.Options(), v, m.best, target)
+			}
 		}
 	}
 }
 
 func TestRunRoundLimit(t *testing.T) {
 	g, _ := graph.NewCycle(5, 0)
-	machines := make([]Machine, g.NumNodes())
-	for v := range machines {
-		machines[v] = &floodMachine{target: -1} // unreachable target: never done
+	_, typed := floodMachines(g, -1) // unreachable target: never done
+	st, err := RunStatsTyped(nil, g, typed, 0, false, 3)
+	if !errors.Is(err, ErrRoundLimit) {
+		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
-	if _, err := Run(g, machines, 0, false, 3); err == nil {
-		t.Fatal("expected round-limit error")
+	if st.Rounds != 3 {
+		t.Fatalf("rounds = %d, want 3", st.Rounds)
+	}
+	if _, err := RunStatsTyped(nil, g, typed[:2], 0, false, 3); err == nil || errors.Is(err, ErrRoundLimit) {
+		t.Fatalf("machine count mismatch: err = %v, want a wrapped validation error", err)
 	}
 }
 

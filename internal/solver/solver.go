@@ -36,7 +36,6 @@ package solver
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -214,8 +213,8 @@ func (e Entry) CheckFamily(family string) error {
 // every Run. Solvers exposing the lcl.SessionSolver capability get their
 // typed engine session pinned to the graph here, so repeated Runs reuse
 // the session's message planes and worker pool through Reset instead of
-// rebuilding them; solvers without the capability (or whose
-// configuration yields lcl.ErrNoSession) re-solve on the cached graph.
+// rebuilding them; solvers without the capability re-solve on the cached
+// graph.
 // stats, when non-nil, is sampled after each solve to record the
 // engine's execution profile.
 func lclPrepare(req Request, s lcl.Solver, p lcl.Problem, stats func() engine.Stats) (Prepared, error) {
@@ -229,13 +228,11 @@ func lclPrepare(req Request, s lcl.Solver, p lcl.Problem, stats func() engine.St
 	var release func()
 	if ss, ok := s.(lcl.SessionSolver); ok {
 		sess, err := ss.NewSolverSession(g)
-		switch {
-		case err == nil:
-			solve = sess.Solve
-			release = sess.Close
-		case !errors.Is(err, lcl.ErrNoSession):
+		if err != nil {
 			return nil, err
 		}
+		solve = sess.Solve
+		release = sess.Close
 	}
 	run := func() (*Outcome, error) {
 		in := lcl.NewLabeling(g)

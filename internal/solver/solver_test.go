@@ -122,7 +122,7 @@ func TestCheckFamily(t *testing.T) {
 func TestPaddedEntryReportsEngineStats(t *testing.T) {
 	entry, _ := ByName("pi2-det")
 	var first *Outcome
-	for _, opts := range []engine.Options{{Workers: 1}, {Workers: 4, Shards: 16}, {Sequential: true}} {
+	for _, opts := range []engine.Options{{Workers: 1}, {Workers: 4, Shards: 16}, {Workers: 2, Shards: 5}} {
 		o, err := entry.Run(Request{Family: PaddedFamily, N: 12, Seed: 1, Engine: engine.New(opts)})
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
