@@ -200,6 +200,34 @@ func BenchmarkVerifyPaddedLevel2(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyPaddedLevel3 verifies a Π₃ tower output (the perfbench
+// tower-pi3 cell shape: base 4, balanced, 1440 nodes): constraint checks
+// at the outer level, then the reconstructed virtual graph one level
+// down. Each iteration builds a fresh problem tower, so its decoded
+// projections are not cached and every op pays the full decode, as
+// verifying a new output does.
+func BenchmarkVerifyPaddedLevel3(b *testing.B) {
+	inst, err := core.BuildInstance(3, core.InstanceOptions{BaseNodes: 4, Seed: 3, Balanced: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lvl, err := core.NewLevel(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, _, err := lvl.Det.Solve(inst.G, inst.In, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prime := core.NewPiPrime(core.NewPiPrime(sinkless.Problem{}, core.LevelDelta(2)), core.LevelDelta(3))
+		if err := core.VerifyPadded(inst.G, prime, inst.In, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCyclePotential(b *testing.B) {
 	g, err := graph.NewRandomRegular(4096, 3, 7, false)
 	if err != nil {

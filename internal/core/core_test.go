@@ -56,7 +56,12 @@ func TestSigmaListRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Contains(1) || got.Contains(2) || !got.Contains(3) {
+	tbl := newLabelTable()
+	ids, err := tbl.sigma(tbl.intern(mustEncode(t, sl)), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ids.contains(1) || ids.contains(2) || !ids.contains(3) {
 		t.Error("S membership broken")
 	}
 	if got.IV != "iv" || got.IE[2] != "e3" {

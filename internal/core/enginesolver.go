@@ -174,21 +174,17 @@ func (s *EnginePaddedSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64)
 // SolveDetailed runs the engine-backed pipeline and returns diagnostics,
 // including the measured engine profile in Detail.Engine.
 func (s *EnginePaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, seed int64) (*Detail, error) {
-	gadIn, err := GadInputs(g, in)
+	dec, err := decodeInputs(g, in)
 	if err != nil {
 		return nil, fmt.Errorf("engine padded solve: %w", err)
 	}
-	piIn, err := PiInputs(g, in)
-	if err != nil {
-		return nil, fmt.Errorf("engine padded solve: %w", err)
-	}
-	scope := GadScope(g, in)
+	scope := dec.scope
 	n := g.NumNodes()
 	cost := local.NewCost(n)
 
 	// Step 1: Ψ by real message exchange on the engine.
 	vf := &errorproof.Verifier{Delta: s.Delta, Scope: scope}
-	psiOut, psiCost, psiStats, err := vf.RunEngine(s.Engine, g, gadIn, n)
+	psiOut, psiCost, psiStats, err := vf.RunEngine(s.Engine, g, dec.gad, n)
 	if err != nil {
 		return nil, fmt.Errorf("engine padded solve verifier: %w", err)
 	}
@@ -196,7 +192,7 @@ func (s *EnginePaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, see
 
 	// Steps 2-3: port validity and virtual contraction, shared code with
 	// the sequential oracle.
-	plan, err := planPadded(g, gadIn, piIn, scope, psiOut, s.Delta)
+	plan, err := planPadded(g, dec, psiOut, s.Delta)
 	if err != nil {
 		return nil, err
 	}

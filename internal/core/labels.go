@@ -77,18 +77,32 @@ func Compose(parts ...lcl.Label) (lcl.Label, error) {
 
 // Split unpacks a composite label into exactly n parts.
 func Split(l lcl.Label, n int) ([]lcl.Label, error) {
-	var ss []string
-	if err := json.Unmarshal([]byte(l), &ss); err != nil {
-		return nil, fmt.Errorf("split label %q: %w", l, err)
+	ss, err := splitParts(l)
+	if err != nil {
+		return nil, err
 	}
 	if len(ss) != n {
-		return nil, fmt.Errorf("split label: got %d parts, want %d", len(ss), n)
+		return nil, partCountErr(len(ss), n)
 	}
 	out := make([]lcl.Label, n)
 	for i, s := range ss {
 		out[i] = lcl.Label(s)
 	}
 	return out, nil
+}
+
+// splitParts decodes a composite label into its parts, whatever their
+// number; the error is the one Split reports.
+func splitParts(l lcl.Label) ([]string, error) {
+	var ss []string
+	if err := json.Unmarshal([]byte(l), &ss); err != nil {
+		return nil, fmt.Errorf("split label %q: %w", l, err)
+	}
+	return ss, nil
+}
+
+func partCountErr(got, want int) error {
+	return fmt.Errorf("split label: got %d parts, want %d", got, want)
 }
 
 // Input label layout of Π′:
@@ -166,14 +180,4 @@ func DecodeSigmaList(l lcl.Label, delta int) (*SigmaList, error) {
 		prev = p
 	}
 	return &sl, nil
-}
-
-// Contains reports whether physical port i lies in S.
-func (sl *SigmaList) Contains(i int) bool {
-	for _, p := range sl.S {
-		if p == i {
-			return true
-		}
-	}
-	return false
 }

@@ -177,18 +177,51 @@ func (m *sinklessNative) Finish(out *lcl.Labeling) error {
 }
 
 // natMsg is one physical hop's worth of slot records: the changed slots
-// a node forwards to one neighbor this round. Fixed-size arrays keep the
-// round loop allocation-free; n bounds the live prefix.
+// a node forwards to one neighbor this round, n records from recs[at] of
+// the session's natPlane. Like the gather relay's payloads, the records
+// are a read-only view of the sender's double-buffered storage, so the
+// message the engine copies through every port slot every round — almost
+// always empty — is two integers instead of a record array.
 type natMsg struct {
-	n    uint8
-	slot [maxNatSlots]uint8
-	val  [maxNatSlots]uint64
+	n  uint8
+	at int32
+}
+
+// natRecord is one forwarded slot: the slot identifier on the receiving
+// side and the slot's word.
+type natRecord struct {
+	slot uint8
+	val  uint64
+}
+
+// natPlane is the record storage of one native session. Every physical
+// port slot owns a lane of two halves, each as wide as the number of slots
+// its node routes through that port: a sender writes its round-r records
+// into the half of r's parity, which its receivers read in round r+1
+// while it fills the other half.
+type natPlane struct {
+	recs  []natRecord
+	lanes []natLane // by port slot (graph.PortOffsets)
+}
+
+// natLane locates one port slot's records: the even half starts at at,
+// the odd half follows it.
+type natLane struct {
+	at, width int32
 }
 
 // natMachine is the per-physical-node transport of the native relay
 // plane: a slot table plus a static route per slot. Host nodes
 // additionally run the gadget's PortMachine every L-th round.
 type natMachine struct {
+	// host is the gadget's hosted port machine on the node hosting it,
+	// nil everywhere else.
+	host *natHost
+	// plane is the session's record storage; the node's lanes start at
+	// port slot off.
+	plane *natPlane
+	off   int32
+
 	// nslots is 2·deg(vi) for nodes of a valid gadget, 0 elsewhere.
 	nslots int32
 	// route[s] is the outgoing physical port of slot s (-1: this node is
@@ -201,20 +234,21 @@ type natMachine struct {
 	vals  [maxNatSlots]uint64
 	fresh [maxNatSlots]bool
 
-	// L is the lockstep super-round length; host marks the node hosting
-	// the gadget's machine.
-	L      int32
-	host   bool
-	pm     PortMachine
-	pmInfo VirtualNodeInfo
-	recvW  []uint64
-	sendW  []uint64
-	pmDone bool
-
+	// L is the lockstep super-round length.
+	L     int32
 	round int32
 	// sent counts payload words handed to the transport (one per
 	// record), the native plane's bandwidth tally.
 	sent int64
+}
+
+// natHost is a hosted port machine with its word buffers. Only the few
+// host nodes carry one, which keeps the per-node transport state small.
+type natHost struct {
+	pm           PortMachine
+	info         VirtualNodeInfo
+	recvW, sendW []uint64
+	done         bool
 }
 
 var _ engine.TypedMachine[natMsg] = (*natMachine)(nil)
@@ -222,13 +256,13 @@ var _ engine.TypedMachine[natMsg] = (*natMachine)(nil)
 func (m *natMachine) Init(engine.NodeInfo) {
 	m.round = 0
 	m.sent = 0
-	m.pmDone = false
 	for s := range m.vals {
 		m.vals[s] = 0
 		m.fresh[s] = false
 	}
-	if m.pm != nil {
-		m.pm.Init(m.pmInfo)
+	if h := m.host; h != nil {
+		h.done = false
+		h.pm.Init(h.info)
 	}
 }
 
@@ -237,50 +271,52 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 	// Merge incoming records. A record only arrives when its value
 	// differs from what this node holds (senders forward on change), but
 	// the guard keeps re-deliveries idempotent. Records are validated
-	// before use: a malformed count is clamped to the record array and a
-	// slot outside this node's table is dropped — legitimate transport
-	// never produces either (relabel always targets a live slot of the
-	// receiver), so the checks only matter under fault injection, where
+	// before use: a malformed count is clamped to the slot-table width, a
+	// message reaching outside the record plane is dropped, and so is a
+	// slot outside this node's table — legitimate transport never
+	// produces any of these (a message names its sender's lane, relabel
+	// always targets a live slot of the receiver), so the checks only
+	// matter under fault injection, where
 	// corrupt deliveries must degrade, never panic (FuzzNativeSlotRewrite
 	// pins this).
 	if m.round > 1 {
-		for p := range recv {
-			in := &recv[p]
-			nrec := int(in.n)
-			if nrec > maxNatSlots {
-				nrec = maxNatSlots
+		recs := m.plane.recs
+		for _, in := range recv {
+			nrec := min(int(in.n), maxNatSlots)
+			if nrec == 0 || in.at < 0 || int(in.at) > len(recs)-nrec {
+				continue
 			}
-			for i := 0; i < nrec; i++ {
-				s := in.slot[i]
-				if int32(s) >= m.nslots {
+			for _, rec := range recs[in.at : int(in.at)+nrec] {
+				if int32(rec.slot) >= m.nslots {
 					continue
 				}
-				if m.vals[s] != in.val[i] {
-					m.vals[s] = in.val[i]
-					m.fresh[s] = true
+				if m.vals[rec.slot] != rec.val {
+					m.vals[rec.slot] = rec.val
+					m.fresh[rec.slot] = true
 				}
 			}
 		}
 	}
 	// Hosts run one protocol round per super-round: by round k·L+1 every
 	// IN slot holds the neighbor's round-(k-1) word.
-	if m.host && (m.round-1)%m.L == 0 {
-		for p := range m.recvW {
-			m.recvW[p] = m.vals[2*p+1]
+	if h := m.host; h != nil && (m.round-1)%m.L == 0 {
+		for p := range h.recvW {
+			h.recvW[p] = m.vals[2*p+1]
 		}
-		m.pmDone = m.pm.Round(m.recvW, m.sendW)
-		for p := range m.sendW {
+		h.done = h.pm.Round(h.recvW, h.sendW)
+		for p := range h.sendW {
 			s := 2 * p
-			if m.vals[s] != m.sendW[p] {
-				m.vals[s] = m.sendW[p]
+			if m.vals[s] != h.sendW[p] {
+				m.vals[s] = h.sendW[p]
 				m.fresh[s] = true
 			}
 		}
 	}
 	// Forward changed slots along their routes.
 	for p := range send {
-		send[p].n = 0
+		send[p] = natMsg{}
 	}
+	half := m.round & 1
 	for s := int32(0); s < m.nslots; s++ {
 		if !m.fresh[s] {
 			continue
@@ -291,15 +327,18 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 			continue
 		}
 		out := &send[r]
-		out.slot[out.n] = m.relabel[s]
-		out.val[out.n] = m.vals[s]
+		if out.n == 0 {
+			ln := m.plane.lanes[m.off+int32(r)]
+			out.at = ln.at + half*ln.width
+		}
+		m.plane.recs[out.at+int32(out.n)] = natRecord{slot: m.relabel[s], val: m.vals[s]}
 		out.n++
 		m.sent++
 	}
-	if !m.host {
+	if m.host == nil {
 		return true
 	}
-	return m.pmDone
+	return m.host.done
 }
 
 // RunRelayNative executes the inner algorithm as native constant-
@@ -368,6 +407,8 @@ func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 	hostDist := make([][]int32, vg.NumVirtualNodes())
 	hosts := make([]graph.NodeID, vg.NumVirtualNodes())
 
+	bfs := newScopedBFS(g, scope)
+	var ecc []int32 // per component node, its maximum distance to a Port node
 	for ci, nodes := range vg.Comps {
 		if !vg.Valid[ci] || vg.VirtOf[ci] < 0 {
 			continue
@@ -401,35 +442,38 @@ func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 		// to its active Port nodes (ties: lowest node index, which is
 		// deterministic because Comps lists nodes in BFS order from the
 		// lowest index).
-		dists := make([]map[graph.NodeID]int32, dv)
+		ecc = ecc[:0]
+		for range nodes {
+			ecc = append(ecc, 0)
+		}
 		for p := 0; p < dv; p++ {
-			dists[p] = scopedDistances(g, scope, portNode[p])
+			bfs.run(portNode[p])
+			for i, v := range nodes {
+				ecc[i] = max(ecc[i], bfs.dist[v])
+			}
 		}
 		host := nodes[0]
 		bestEcc := int32(-1)
-		for _, v := range nodes {
-			ecc := int32(0)
-			for p := 0; p < dv; p++ {
-				if d := dists[p][v]; d > ecc {
-					ecc = d
-				}
-			}
-			if bestEcc < 0 || ecc < bestEcc || (ecc == bestEcc && v < host) {
-				host, bestEcc = v, ecc
+		for i, v := range nodes {
+			if bestEcc < 0 || ecc[i] < bestEcc || (ecc[i] == bestEcc && v < host) {
+				host, bestEcc = v, ecc[i]
 			}
 		}
 		hosts[vi] = host
-		hd := make([]int32, dv)
-		for p := 0; p < dv; p++ {
-			hd[p] = dists[p][host]
-		}
-		hostDist[vi] = hd
 
 		// Slot routes. The BFS parent tree from the host carries OUT
 		// slots down to the Port nodes and IN slots back up; the Port
 		// node rewrites OUT_p across the port edge as the far side's
 		// IN slot.
-		parent, parentPort, childPort := scopedTree(g, scope, host)
+		bfs.run(host)
+		parent, parentPort, childPort := bfs.parent, bfs.parentPort, bfs.childPort
+		// Distances are symmetric: the tree search from the host also
+		// yields its distance to every Port node.
+		hd := make([]int32, dv)
+		for p := 0; p < dv; p++ {
+			hd[p] = max(bfs.dist[portNode[p]], 0)
+		}
+		hostDist[vi] = hd
 		for _, v := range nodes {
 			m := &machines[v]
 			m.nslots = int32(2 * dv)
@@ -454,15 +498,16 @@ func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 		}
 
 		// The host runs the gadget's machine.
-		hm := &machines[host]
-		hm.host = true
-		hm.pm = mk(vi)
-		hm.pmInfo = VirtualNodeInfo{
-			Node: vi, ID: vg.H.ID(vi), Degree: dv,
-			Words: table.Words(), Seed: seed, Table: table,
+		hm := &natHost{
+			pm: mk(vi),
+			info: VirtualNodeInfo{
+				Node: vi, ID: vg.H.ID(vi), Degree: dv,
+				Words: table.Words(), Seed: seed, Table: table,
+			},
+			recvW: make([]uint64, dv),
+			sendW: make([]uint64, dv),
 		}
-		hm.recvW = make([]uint64, dv)
-		hm.sendW = make([]uint64, dv)
+		machines[host].host = hm
 		pms[vi] = hm.pm
 	}
 
@@ -484,58 +529,28 @@ func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 			machines[host].L = superLen
 		}
 	}
+	attachNatPlane(g, machines)
 	return machines, pms, superLen, nil
 }
 
-// scopedDistances BFS-computes distances from start within the scoped
-// subgraph.
-func scopedDistances(g *graph.Graph, scope func(graph.EdgeID) bool, start graph.NodeID) map[graph.NodeID]int32 {
-	dist := map[graph.NodeID]int32{start: 0}
-	queue := []graph.NodeID{start}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, h := range g.Halves(x) {
-			if !scope(h.Edge) {
-				continue
-			}
-			y := g.Edge(h.Edge).Other(h.Side).Node
-			if _, ok := dist[y]; !ok {
-				dist[y] = dist[x] + 1
-				queue = append(queue, y)
+// attachNatPlane sizes every port slot's lane to the slots its node
+// routes through that port and hands the machines the shared plane.
+func attachNatPlane(g *graph.Graph, machines []natMachine) {
+	off := g.PortOffsets()
+	plane := &natPlane{lanes: make([]natLane, g.NumPorts())}
+	for v := range machines {
+		m := &machines[v]
+		m.plane, m.off = plane, off[v]
+		for s := int32(0); s < m.nslots; s++ {
+			if r := m.route[s]; r >= 0 {
+				plane.lanes[m.off+int32(r)].width++
 			}
 		}
 	}
-	return dist
-}
-
-// scopedTree BFS-builds the parent tree from root within the scoped
-// subgraph: parent[v] is v's tree parent, parentPort[v] the port at v
-// toward it, childPort[v] the port at parent[v] back toward v.
-func scopedTree(g *graph.Graph, scope func(graph.EdgeID) bool, root graph.NodeID) (
-	parent map[graph.NodeID]graph.NodeID, parentPort, childPort map[graph.NodeID]int32) {
-
-	parent = map[graph.NodeID]graph.NodeID{root: root}
-	parentPort = map[graph.NodeID]int32{}
-	childPort = map[graph.NodeID]int32{}
-	queue := []graph.NodeID{root}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for p, h := range g.Halves(x) {
-			if !scope(h.Edge) {
-				continue
-			}
-			ed := g.Edge(h.Edge)
-			y := ed.Other(h.Side).Node
-			if _, ok := parent[y]; ok {
-				continue
-			}
-			parent[y] = x
-			parentPort[y] = ed.Other(h.Side).Port
-			childPort[y] = int32(p)
-			queue = append(queue, y)
-		}
+	total := int32(0)
+	for i := range plane.lanes {
+		plane.lanes[i].at = total
+		total += 2 * plane.lanes[i].width
 	}
-	return parent, parentPort, childPort
+	plane.recs = make([]natRecord, total)
 }

@@ -138,14 +138,16 @@ func BuildPadded(base *graph.Graph, baseIn *lcl.Labeling, opts PadOptions) (*Pad
 	}
 	var gadHalves []labeledHalf
 	var gadEdges []graph.EdgeID
-	nodeLabels := make(map[graph.NodeID]lcl.Label, total)
+	nodeLabels := make([]lcl.Label, total)
 	var nextID int64 = 1
 
-	// compose is Compose in sticky-error form for this construction loop;
-	// the first failure is surfaced once, after assembly.
+	// compose is Compose in sticky-error form for this construction loop,
+	// rendering each distinct tuple once; the first failure is surfaced
+	// once, after assembly.
+	labels := newLabelTable()
 	var composeErr error
 	compose := func(parts ...lcl.Label) lcl.Label {
-		lab, err := Compose(parts...)
+		lab, err := labels.composeLabels(parts...)
 		if err != nil && composeErr == nil {
 			composeErr = err
 		}
@@ -228,11 +230,8 @@ func BuildPadded(base *graph.Graph, baseIn *lcl.Labeling, opts PadOptions) (*Pad
 		return nil, fmt.Errorf("build padded: %w", err)
 	}
 	in := lcl.NewLabeling(g)
-	for v, lab := range nodeLabels {
-		in.Node[v] = lab
-	}
-	for i, ne := range gadEdges {
-		_ = i
+	copy(in.Node, nodeLabels)
+	for _, ne := range gadEdges {
 		in.Edge[ne] = compose("", MarkGadEdge)
 	}
 	for _, lh := range gadHalves {
@@ -266,23 +265,70 @@ func BuildPadded(base *graph.Graph, baseIn *lcl.Labeling, opts PadOptions) (*Pad
 	return inst, nil
 }
 
-// EdgeClass decodes an edge's class mark; it errors on non-composite
-// labels.
-func EdgeClass(in *lcl.Labeling, e graph.EdgeID) (lcl.Label, error) {
-	parts, err := Split(in.Edge[e], edgeParts)
+// padInputs is Π′'s composite input labeling split into its layers
+// (Definition 3): the gadget layer with its parsed node inputs, the Π
+// layer, and the GadEdge scope.
+type padInputs struct {
+	gad, pi *lcl.Labeling
+	nodes   *gadget.NodeInputs // parsed node inputs of gad
+	scope   func(graph.EdgeID) bool
+}
+
+// decodeInputs splits every composite input label, each distinct label
+// once. Its error is the one GadInputs and PiInputs report.
+func decodeInputs(g *graph.Graph, in *lcl.Labeling) (*padInputs, error) {
+	gad, pi, err := newLabelTable().project(g, in)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return parts[1], nil
+	// Every edge label split, so the class marks are exactly gad.Edge.
+	classes := make([]bool, g.NumEdges())
+	for e, cls := range gad.Edge {
+		classes[e] = cls == MarkGadEdge
+	}
+	return &padInputs{
+		gad:   gad,
+		pi:    pi,
+		nodes: gadget.ParseNodeInputs(gad),
+		scope: func(e graph.EdgeID) bool { return classes[e] },
+	}, nil
+}
+
+// project splits the composite input labeling into its gadget layer
+// (part 1) and its Π layer (part 0). The first undecodable label, in
+// node, edge, half order, is the error.
+func (t *labelTable) project(g *graph.Graph, in *lcl.Labeling) (gad, pi *lcl.Labeling, err error) {
+	gad, pi = lcl.NewLabeling(g), lcl.NewLabeling(g)
+	layers := []struct {
+		kind    string
+		src     []lcl.Label
+		n       int
+		gad, pi []lcl.Label
+	}{
+		{"node", in.Node, nodeParts, gad.Node, pi.Node},
+		{"edge", in.Edge, edgeParts, gad.Edge, pi.Edge},
+		{"half", in.Half, halfParts, gad.Half, pi.Half},
+	}
+	for _, ly := range layers {
+		for i, l := range ly.src {
+			parts, err := t.split(l, ly.n)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s %d: %w", ly.kind, i, err)
+			}
+			ly.pi[i], ly.gad[i] = t.label(parts[0]), t.label(parts[1])
+		}
+	}
+	return gad, pi, nil
 }
 
 // GadScope returns the Scope predicate selecting gadget edges of the
 // instance labeling (used by the Ψ machinery and Π′ constraints).
 func GadScope(g *graph.Graph, in *lcl.Labeling) func(graph.EdgeID) bool {
+	t := newLabelTable()
 	classes := make([]bool, g.NumEdges())
-	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
-		cls, err := EdgeClass(in, e)
-		classes[e] = err == nil && cls == MarkGadEdge
+	for e := range classes {
+		parts, err := t.split(in.Edge[e], edgeParts)
+		classes[e] = err == nil && t.label(parts[1]) == MarkGadEdge
 	}
 	return func(e graph.EdgeID) bool { return classes[e] }
 }
@@ -290,54 +336,12 @@ func GadScope(g *graph.Graph, in *lcl.Labeling) func(graph.EdgeID) bool {
 // GadInputs projects the composite input labeling onto the gadget layer
 // (node labels, half labels) so the Section-4 checkers can run on it.
 func GadInputs(g *graph.Graph, in *lcl.Labeling) (*lcl.Labeling, error) {
-	proj := lcl.NewLabeling(g)
-	for v := range in.Node {
-		parts, err := Split(in.Node[v], nodeParts)
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", v, err)
-		}
-		proj.Node[v] = parts[1]
-	}
-	for e := range in.Edge {
-		parts, err := Split(in.Edge[e], edgeParts)
-		if err != nil {
-			return nil, fmt.Errorf("edge %d: %w", e, err)
-		}
-		proj.Edge[e] = parts[1]
-	}
-	for i := range in.Half {
-		parts, err := Split(in.Half[i], halfParts)
-		if err != nil {
-			return nil, fmt.Errorf("half %d: %w", i, err)
-		}
-		proj.Half[i] = parts[1]
-	}
-	return proj, nil
+	gad, _, err := newLabelTable().project(g, in)
+	return gad, err
 }
 
 // PiInputs projects the composite input labeling onto the Π layer.
 func PiInputs(g *graph.Graph, in *lcl.Labeling) (*lcl.Labeling, error) {
-	proj := lcl.NewLabeling(g)
-	for v := range in.Node {
-		parts, err := Split(in.Node[v], nodeParts)
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", v, err)
-		}
-		proj.Node[v] = parts[0]
-	}
-	for e := range in.Edge {
-		parts, err := Split(in.Edge[e], edgeParts)
-		if err != nil {
-			return nil, fmt.Errorf("edge %d: %w", e, err)
-		}
-		proj.Edge[e] = parts[0]
-	}
-	for i := range in.Half {
-		parts, err := Split(in.Half[i], halfParts)
-		if err != nil {
-			return nil, fmt.Errorf("half %d: %w", i, err)
-		}
-		proj.Half[i] = parts[0]
-	}
-	return proj, nil
+	_, pi, err := newLabelTable().project(g, in)
+	return pi, err
 }

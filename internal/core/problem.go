@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"locallab/internal/errorproof"
-	"locallab/internal/gadget"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
 )
@@ -58,20 +57,57 @@ func StarCheckable(prob lcl.Problem) bool {
 	return ok && sc.StarCheckable()
 }
 
-// projIn caches the layer projections of a composite input labeling.
+// projIn caches the decoded composite input labeling.
 type projIn struct {
-	gad   *lcl.Labeling
-	pi    *lcl.Labeling
-	scope func(graph.EdgeID) bool
-	err   error
+	*padInputs
+	err error
 }
 
-// projOut caches the decoded composite output labeling.
+// projOut caches the decoded composite output labeling. Its label table
+// is filled when the entry is built and only read afterwards; the
+// hypothetical-star verdicts are memoized per Σlist (node checks) and
+// per Σlist/port pair (edge checks) as the checks ask for them.
 type projOut struct {
-	sigma   []lcl.Label // Σlist part per node
+	labels  *labelTable
+	sigma   []labelID // Σlist part per node (noLabel when undecodable)
 	portErr []lcl.Label
 	psi     *lcl.Labeling // Ψ node outputs (projected)
 	errs    []error       // per-node decode errors
+
+	starNode verdicts[labelID]
+	starEdge verdicts[starEdgeKey]
+}
+
+// verdicts memoizes the results of a pure check by key. The lock is never
+// held while a check runs (checks call into the inner problem); two
+// goroutines missing the same key both compute the same verdict.
+type verdicts[K comparable] struct {
+	mu sync.Mutex
+	m  map[K]error
+}
+
+func (vs *verdicts[K]) get(k K, check func() error) error {
+	vs.mu.Lock()
+	err, ok := vs.m[k]
+	vs.mu.Unlock()
+	if ok {
+		return err
+	}
+	err = check()
+	vs.mu.Lock()
+	if vs.m == nil {
+		vs.m = make(map[K]error)
+	}
+	vs.m[k] = err
+	vs.mu.Unlock()
+	return err
+}
+
+// starEdgeKey names one hypothetical edge: the Σlists of its endpoints
+// and the physical ports it leaves them by.
+type starEdgeKey struct {
+	u, v   labelID
+	pu, pv int
 }
 
 func (p *PiPrime) inputs(g *graph.Graph, in *lcl.Labeling) *projIn {
@@ -87,13 +123,7 @@ func (p *PiPrime) inputs(g *graph.Graph, in *lcl.Labeling) *projIn {
 		p.inCache = make(map[*lcl.Labeling]*projIn)
 	}
 	pr := &projIn{}
-	pr.gad, pr.err = GadInputs(g, in)
-	if pr.err == nil {
-		pr.pi, pr.err = PiInputs(g, in)
-	}
-	if pr.err == nil {
-		pr.scope = GadScope(g, in)
-	}
+	pr.padInputs, pr.err = decodeInputs(g, in)
 	p.inCache[in] = pr
 	return pr
 }
@@ -111,24 +141,36 @@ func (p *PiPrime) outputs(g *graph.Graph, out *lcl.Labeling) *projOut {
 		p.outCache = make(map[*lcl.Labeling]*projOut)
 	}
 	n := g.NumNodes()
+	t := newLabelTable()
 	pr := &projOut{
-		sigma:   make([]lcl.Label, n),
+		labels:  t,
+		sigma:   make([]labelID, n),
 		portErr: make([]lcl.Label, n),
 		psi:     lcl.NewLabeling(g),
 		errs:    make([]error, n),
 	}
 	for v := 0; v < n; v++ {
-		parts, err := Split(out.Node[v], outNodeParts)
+		parts, err := t.split(out.Node[v], outNodeParts)
 		if err != nil {
+			pr.sigma[v] = noLabel
 			pr.errs[v] = err
 			continue
 		}
 		pr.sigma[v] = parts[0]
-		pr.portErr[v] = parts[1]
-		pr.psi.Node[v] = parts[2]
+		pr.portErr[v] = t.label(parts[1])
+		pr.psi.Node[v] = t.label(parts[2])
+		// Decode the Σlist now, so the table is complete before any
+		// check reads it.
+		t.sigma(parts[0], p.Delta)
 	}
 	p.outCache[out] = pr
 	return pr
+}
+
+// sigmaAt returns node v's decoded Σlist; v's output label must have
+// decoded.
+func (pr *projOut) sigmaAt(v graph.NodeID, delta int) (*sigmaIDs, error) {
+	return pr.labels.sigma(pr.sigma[v], delta)
 }
 
 // CheckNode implements lcl.Problem.
@@ -141,7 +183,7 @@ func (p *PiPrime) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeI
 	if pout.errs[v] != nil {
 		return lcl.Violation(p.Name(), "node", int(v), "composite output: %v", pout.errs[v])
 	}
-	gd, err := gadget.ParseNodeInput(pin.gad.Node[v])
+	gd, err := pin.nodes.Of(pin.gad, v)
 	if err != nil {
 		return lcl.Violation(p.Name(), "node", int(v), "gadget input: %v", err)
 	}
@@ -164,7 +206,7 @@ func (p *PiPrime) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeI
 	}
 
 	// Constraint 2: ΨG's node constraint at v.
-	psi := &errorproof.Psi{Delta: p.Delta, Scope: pin.scope}
+	psi := &errorproof.Psi{Delta: p.Delta, Scope: pin.scope, Inputs: pin.nodes}
 	if err := psi.CheckNode(g, pin.gad, pout.psi, v); err != nil {
 		return err
 	}
@@ -187,33 +229,34 @@ func (p *PiPrime) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeI
 	if errorproof.IsErrorLabel(pout.psi.Node[v]) {
 		return nil
 	}
-	sl, err := DecodeSigmaList(pout.sigma[v], p.Delta)
+	sl, err := pout.sigmaAt(v, p.Delta)
 	if err != nil {
 		return lcl.Violation(p.Name(), "node", int(v), "Σlist: %v", err)
 	}
+	lab := pout.labels.label
 	// Bullet 1: S membership mirrors NoPortErr at ports.
 	if gd.Port > 0 {
-		if sl.Contains(gd.Port) != (pe == NoPortErr) {
-			return lcl.Violation(p.Name(), "node", int(v), "port %d: S membership %v vs label %q", gd.Port, sl.Contains(gd.Port), pe)
+		if sl.contains(gd.Port) != (pe == NoPortErr) {
+			return lcl.Violation(p.Name(), "node", int(v), "port %d: S membership %v vs label %q", gd.Port, sl.contains(gd.Port), pe)
 		}
 	}
 	// Bullet 2: Port1 carries the virtual node's input.
-	if gd.Port == 1 && lcl.Label(sl.IV) != pin.pi.Node[v] {
-		return lcl.Violation(p.Name(), "node", int(v), "Σlist IV %q differs from Port1 input %q", sl.IV, pin.pi.Node[v])
+	if gd.Port == 1 && lab(sl.IV) != pin.pi.Node[v] {
+		return lcl.Violation(p.Name(), "node", int(v), "Σlist IV %q differs from Port1 input %q", lab(sl.IV), pin.pi.Node[v])
 	}
 	// Bullet 3: faithful copies of the port edge's Π-inputs.
-	if gd.Port > 0 && sl.Contains(gd.Port) {
+	if gd.Port > 0 && sl.contains(gd.Port) {
 		for _, h := range g.Halves(v) {
 			if pin.scope(h.Edge) {
 				continue
 			}
-			if lcl.Label(sl.IE[gd.Port-1]) != pin.pi.Edge[h.Edge] {
+			if ie := lab(sl.IE[gd.Port-1]); ie != pin.pi.Edge[h.Edge] {
 				return lcl.Violation(p.Name(), "node", int(v), "Σlist IE[%d] %q differs from port edge input %q",
-					gd.Port, sl.IE[gd.Port-1], pin.pi.Edge[h.Edge])
+					gd.Port, ie, pin.pi.Edge[h.Edge])
 			}
-			if lcl.Label(sl.IB[gd.Port-1]) != pin.pi.HalfOf(h) {
+			if ib := lab(sl.IB[gd.Port-1]); ib != pin.pi.HalfOf(h) {
 				return lcl.Violation(p.Name(), "node", int(v), "Σlist IB[%d] %q differs from port half input %q",
-					gd.Port, sl.IB[gd.Port-1], pin.pi.HalfOf(h))
+					gd.Port, ib, pin.pi.HalfOf(h))
 			}
 		}
 	}
@@ -221,7 +264,8 @@ func (p *PiPrime) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeI
 	// constraint (checked on a hypothetical star for star-checkable Π;
 	// otherwise VerifyPadded validates the reconstructed virtual graph).
 	if StarCheckable(p.Inner) {
-		if err := p.starNodeCheck(sl); err != nil {
+		starCheck := func() error { return p.starNodeCheck(pout.labels, sl) }
+		if err := pout.starNode.get(pout.sigma[v], starCheck); err != nil {
 			return lcl.Violation(p.Name(), "node", int(v), "virtual node constraint: %v", err)
 		}
 	}
@@ -265,8 +309,8 @@ func (p *PiPrime) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.EdgeI
 	}
 
 	// Port edges: constraints 4 and 6.
-	gu, errU := gadget.ParseNodeInput(pin.gad.Node[u])
-	gv, errV := gadget.ParseNodeInput(pin.gad.Node[v])
+	gu, errU := pin.nodes.Of(pin.gad, u)
+	gv, errV := pin.nodes.Of(pin.gad, v)
 	if errU != nil || errV != nil {
 		// Unparseable inputs already trip the node-side Ψ constraint.
 		return nil
@@ -299,20 +343,23 @@ func (p *PiPrime) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.EdgeI
 	if pout.portErr[u] != NoPortErr || pout.portErr[v] != NoPortErr {
 		return nil
 	}
-	slU, errSU := DecodeSigmaList(pout.sigma[u], p.Delta)
-	slV, errSV := DecodeSigmaList(pout.sigma[v], p.Delta)
+	slU, errSU := pout.sigmaAt(u, p.Delta)
+	slV, errSV := pout.sigmaAt(v, p.Delta)
 	if errSU != nil || errSV != nil {
 		return lcl.Violation(p.Name(), "edge", int(e), "Σlist undecodable at a valid port edge")
 	}
+	lab := pout.labels.label
 	i, j := gu.Port, gv.Port
 	if slU.IE[i-1] != slV.IE[j-1] {
-		return lcl.Violation(p.Name(), "edge", int(e), "virtual edge inputs differ: %q vs %q", slU.IE[i-1], slV.IE[j-1])
+		return lcl.Violation(p.Name(), "edge", int(e), "virtual edge inputs differ: %q vs %q", lab(slU.IE[i-1]), lab(slV.IE[j-1]))
 	}
 	if slU.OE[i-1] != slV.OE[j-1] {
-		return lcl.Violation(p.Name(), "edge", int(e), "virtual edge outputs differ: %q vs %q", slU.OE[i-1], slV.OE[j-1])
+		return lcl.Violation(p.Name(), "edge", int(e), "virtual edge outputs differ: %q vs %q", lab(slU.OE[i-1]), lab(slV.OE[j-1]))
 	}
 	if StarCheckable(p.Inner) {
-		if err := p.starEdgeCheck(slU, i, slV, j); err != nil {
+		k := starEdgeKey{u: pout.sigma[u], v: pout.sigma[v], pu: i, pv: j}
+		starCheck := func() error { return p.starEdgeCheck(pout.labels, slU, i, slV, j) }
+		if err := pout.starEdge.get(k, starCheck); err != nil {
 			return lcl.Violation(p.Name(), "edge", int(e), "virtual edge constraint: %v", err)
 		}
 	}
@@ -321,7 +368,7 @@ func (p *PiPrime) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.EdgeI
 
 // starNodeCheck materializes the hypothetical star of constraint 5's last
 // bullet and runs Π's node constraint at its center.
-func (p *PiPrime) starNodeCheck(sl *SigmaList) error {
+func (p *PiPrime) starNodeCheck(t *labelTable, sl *sigmaIDs) error {
 	deg := len(sl.S)
 	b := graph.NewBuilder(deg+1, deg)
 	center := b.Node(1)
@@ -335,22 +382,22 @@ func (p *PiPrime) starNodeCheck(sl *SigmaList) error {
 	}
 	in := lcl.NewLabeling(star)
 	out := lcl.NewLabeling(star)
-	in.Node[center] = lcl.Label(sl.IV)
-	out.Node[center] = lcl.Label(sl.OV)
+	in.Node[center] = t.label(sl.IV)
+	out.Node[center] = t.label(sl.OV)
 	for k, port := range sl.S {
 		e := graph.EdgeID(k)
-		in.Edge[e] = lcl.Label(sl.IE[port-1])
-		out.Edge[e] = lcl.Label(sl.OE[port-1])
+		in.Edge[e] = t.label(sl.IE[port-1])
+		out.Edge[e] = t.label(sl.OE[port-1])
 		h := graph.Half{Edge: e, Side: graph.SideU} // center side
-		in.SetHalf(h, lcl.Label(sl.IB[port-1]))
-		out.SetHalf(h, lcl.Label(sl.OB[port-1]))
+		in.SetHalf(h, t.label(sl.IB[port-1]))
+		out.SetHalf(h, t.label(sl.OB[port-1]))
 	}
 	return p.Inner.CheckNode(star, in, out, center)
 }
 
 // starEdgeCheck materializes the hypothetical edge of constraint 6's last
 // bullet and runs Π's edge constraint on it.
-func (p *PiPrime) starEdgeCheck(slU *SigmaList, i int, slV *SigmaList, j int) error {
+func (p *PiPrime) starEdgeCheck(t *labelTable, slU *sigmaIDs, i int, slV *sigmaIDs, j int) error {
 	b := graph.NewBuilder(2, 1)
 	a := b.Node(1)
 	c := b.Node(2)
@@ -361,15 +408,15 @@ func (p *PiPrime) starEdgeCheck(slU *SigmaList, i int, slV *SigmaList, j int) er
 	}
 	in := lcl.NewLabeling(pair)
 	out := lcl.NewLabeling(pair)
-	in.Node[a] = lcl.Label(slU.IV)
-	in.Node[c] = lcl.Label(slV.IV)
-	out.Node[a] = lcl.Label(slU.OV)
-	out.Node[c] = lcl.Label(slV.OV)
-	in.Edge[e] = lcl.Label(slU.IE[i-1])
-	out.Edge[e] = lcl.Label(slU.OE[i-1])
-	in.SetHalf(graph.Half{Edge: e, Side: graph.SideU}, lcl.Label(slU.IB[i-1]))
-	out.SetHalf(graph.Half{Edge: e, Side: graph.SideU}, lcl.Label(slU.OB[i-1]))
-	in.SetHalf(graph.Half{Edge: e, Side: graph.SideV}, lcl.Label(slV.IB[j-1]))
-	out.SetHalf(graph.Half{Edge: e, Side: graph.SideV}, lcl.Label(slV.OB[j-1]))
+	in.Node[a] = t.label(slU.IV)
+	in.Node[c] = t.label(slV.IV)
+	out.Node[a] = t.label(slU.OV)
+	out.Node[c] = t.label(slV.OV)
+	in.Edge[e] = t.label(slU.IE[i-1])
+	out.Edge[e] = t.label(slU.OE[i-1])
+	in.SetHalf(graph.Half{Edge: e, Side: graph.SideU}, t.label(slU.IB[i-1]))
+	out.SetHalf(graph.Half{Edge: e, Side: graph.SideU}, t.label(slU.OB[i-1]))
+	in.SetHalf(graph.Half{Edge: e, Side: graph.SideV}, t.label(slV.IB[j-1]))
+	out.SetHalf(graph.Half{Edge: e, Side: graph.SideV}, t.label(slV.OB[j-1]))
 	return p.Inner.CheckEdge(pair, in, out, e)
 }

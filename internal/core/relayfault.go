@@ -17,9 +17,10 @@ import (
 //
 // Only the gather execution is faultable: with a plan installed the
 // solver skips the native port-machine fast path (the native plane's
-// natMsg records are multi-word and its robustness is pinned separately
-// by FuzzNativeSlotRewrite), so the faults land on the knowledge-word
-// payloads the flattened tower's inner levels actually ride.
+// natMsg messages are views into the session's record plane and its
+// robustness is pinned separately by FuzzNativeSlotRewrite), so the
+// faults land on the knowledge-word payloads the flattened tower's inner
+// levels actually ride.
 
 // relayCodec is the adversary's word view of a relay payload: the first
 // knowledge word. Encode of a silent port is 0; Decode yields a

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"locallab/internal/errorproof"
-	"locallab/internal/gadget"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
 	"locallab/internal/local"
@@ -71,29 +70,24 @@ func (s *PaddedSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl
 
 // SolveDetailed runs the algorithm and returns diagnostics.
 func (s *PaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, seed int64) (*Detail, error) {
-	gadIn, err := GadInputs(g, in)
+	dec, err := decodeInputs(g, in)
 	if err != nil {
 		return nil, fmt.Errorf("padded solve: %w", err)
 	}
-	piIn, err := PiInputs(g, in)
-	if err != nil {
-		return nil, fmt.Errorf("padded solve: %w", err)
-	}
-	scope := GadScope(g, in)
 	n := g.NumNodes()
 	cost := local.NewCost(n)
 
 	// Step 1: the verifier V solves ΨG on every gadget (Definition 2),
 	// run centrally with faithful round accounting.
-	vf := &errorproof.Verifier{Delta: s.Delta, Scope: scope}
-	psiOut, psiCost, err := vf.Run(g, gadIn, n)
+	vf := &errorproof.Verifier{Delta: s.Delta, Scope: dec.scope}
+	psiOut, psiCost, err := vf.Run(g, dec.gad, n)
 	if err != nil {
 		return nil, fmt.Errorf("padded solve verifier: %w", err)
 	}
 	cost.Merge(psiCost)
 
 	// Steps 2-3 are shared with the engine-backed solver.
-	plan, err := planPadded(g, gadIn, piIn, scope, psiOut, s.Delta)
+	plan, err := planPadded(g, dec, psiOut, s.Delta)
 	if err != nil {
 		return nil, err
 	}
@@ -150,20 +144,19 @@ type paddedPlan struct {
 
 // planPadded runs steps 2-3 from the Ψ outputs: port validity and the
 // virtual contraction.
-func planPadded(g *graph.Graph, gadIn, piIn *lcl.Labeling, scope func(graph.EdgeID) bool,
-	psiOut *lcl.Labeling, delta int) (*paddedPlan, error) {
-
+func planPadded(g *graph.Graph, dec *padInputs, psiOut *lcl.Labeling, delta int) (*paddedPlan, error) {
 	n := g.NumNodes()
+	scope := dec.scope
 
 	// Step 2: port-validity labels (constraints 3 and 4).
 	portErr := make([]lcl.Label, n)
 	compValid, compOf := scopedValidity(g, scope, psiOut.Node)
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		portErr[v] = portValidity(g, gadIn, scope, compValid, compOf, v)
+		portErr[v] = portValidity(g, dec, compValid, compOf, v)
 	}
 
 	// Step 3: contract valid gadgets into the virtual graph.
-	vg, err := BuildVirtual(g, gadIn, piIn, scope, psiOut.Node, portErr, delta)
+	vg, err := buildVirtual(g, dec, psiOut.Node, portErr, delta)
 	if err != nil {
 		return nil, fmt.Errorf("padded solve: %w", err)
 	}
@@ -172,12 +165,14 @@ func planPadded(g *graph.Graph, gadIn, piIn *lcl.Labeling, scope func(graph.Edge
 	// maximum is the dilation d that the charged cost model uses.
 	compEcc := make([]int, len(vg.Comps))
 	dilation := 0
+	bfs := newScopedBFS(g, scope)
 	for ci, nodes := range vg.Comps {
 		compEcc[ci] = -1
 		if !vg.Valid[ci] {
 			continue
 		}
-		ecc := scopedEccentricity(g, scope, nodes[0])
+		bfs.run(nodes[0])
+		ecc := bfs.eccentricity()
 		compEcc[ci] = ecc
 		if ecc > dilation {
 			dilation = ecc
@@ -188,7 +183,7 @@ func planPadded(g *graph.Graph, gadIn, piIn *lcl.Labeling, scope func(graph.Edge
 		compValid: compValid,
 		compOf:    compOf,
 		vg:        vg,
-		piIn:      piIn,
+		piIn:      dec.pi,
 		psiNode:   psiOut.Node,
 		scope:     scope,
 		dilation:  dilation,
@@ -246,8 +241,12 @@ func assemblePadded(g *graph.Graph, plan *paddedPlan, virtOut *lcl.Labeling,
 func expandVirtual(g *graph.Graph, piIn *lcl.Labeling, scope func(graph.EdgeID) bool,
 	portErr []lcl.Label, psiNode []lcl.Label, vg *VirtualGraph, virtOut *lcl.Labeling, delta int) (*lcl.Labeling, error) {
 
+	// Node labels are composed through one table: a few distinct
+	// (Σlist, portErr, Ψ) tuples cover every node.
+	labels := newLabelTable()
+	noSigma := labels.intern("")
 	out := lcl.NewLabeling(g)
-	sigmaOf := make([]lcl.Label, len(vg.Comps))
+	sigmaOf := make([]labelID, len(vg.Comps))
 	for ci := range vg.Comps {
 		if !vg.Valid[ci] || vg.VirtOf[ci] < 0 {
 			continue
@@ -260,19 +259,19 @@ func expandVirtual(g *graph.Graph, piIn *lcl.Labeling, scope func(graph.EdgeID) 
 		if err != nil {
 			return nil, fmt.Errorf("padded solve: %w", err)
 		}
-		sigmaOf[ci] = enc
+		sigmaOf[ci] = labels.intern(enc)
 	}
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		ci := vg.CompOf[v]
-		sigma := lcl.Label("")
+		sigma := noSigma
 		if ci >= 0 && vg.Valid[ci] {
 			sigma = sigmaOf[ci]
 		}
-		lab, err := Compose(sigma, portErr[v], psiNode[v])
+		id, err := labels.compose(sigma, labels.intern(portErr[v]), labels.intern(psiNode[v]))
 		if err != nil {
 			return nil, fmt.Errorf("padded solve: %w", err)
 		}
-		out.Node[v] = lab
+		out.Node[v] = labels.label(id)
 	}
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 		if scope(e) {
@@ -328,10 +327,9 @@ func scopedValidity(g *graph.Graph, scope func(graph.EdgeID) bool, psi []lcl.Lab
 // node per the Lemma-4 algorithm. The decision is constant-radius: the
 // node's own port structure, its partner across the unique port edge, and
 // the component validity of both (which every node knows after Ψ).
-func portValidity(g *graph.Graph, gadIn *lcl.Labeling, scope func(graph.EdgeID) bool,
-	compValid []bool, compOf []int, v graph.NodeID) lcl.Label {
-
-	gd, err := gadget.ParseNodeInput(gadIn.Node[v])
+func portValidity(g *graph.Graph, dec *padInputs, compValid []bool, compOf []int, v graph.NodeID) lcl.Label {
+	scope := dec.scope
+	gd, err := dec.nodes.Of(dec.gad, v)
 	if err != nil || gd.Port == 0 {
 		return NoPortErr
 	}
@@ -345,7 +343,7 @@ func portValidity(g *graph.Graph, gadIn *lcl.Labeling, scope func(graph.EdgeID) 
 		return PortErr2
 	}
 	u := g.Edge(portEdges[0].Edge).Other(portEdges[0].Side).Node
-	gu, err := gadget.ParseNodeInput(gadIn.Node[u])
+	gu, err := dec.nodes.Of(dec.gad, u)
 	if err != nil || gu.Port == 0 {
 		return PortErr1
 	}
@@ -412,11 +410,13 @@ func sigmaFor(g *graph.Graph, piIn *lcl.Labeling, scope func(graph.EdgeID) bool,
 // (within the gadget subgraph) over valid gadgets.
 func maxGadgetEccentricity(g *graph.Graph, scope func(graph.EdgeID) bool, vg *VirtualGraph) int {
 	maxEcc := 0
+	bfs := newScopedBFS(g, scope)
 	for ci, nodes := range vg.Comps {
 		if !vg.Valid[ci] {
 			continue
 		}
-		ecc := scopedEccentricity(g, scope, nodes[0])
+		bfs.run(nodes[0])
+		ecc := bfs.eccentricity()
 		if ecc > maxEcc {
 			maxEcc = ecc
 		}
@@ -424,28 +424,66 @@ func maxGadgetEccentricity(g *graph.Graph, scope func(graph.EdgeID) bool, vg *Vi
 	return maxEcc
 }
 
-// scopedEccentricity BFS-computes the eccentricity of start within the
-// scoped subgraph.
-func scopedEccentricity(g *graph.Graph, scope func(graph.EdgeID) bool, start graph.NodeID) int {
-	dist := map[graph.NodeID]int{start: 0}
-	queue := []graph.NodeID{start}
-	ecc := 0
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, h := range g.Halves(x) {
-			if !scope(h.Edge) {
+// scopedBFS runs breadth-first searches within the scoped subgraph over
+// dense per-node arrays that every search reuses: a search resets only
+// the nodes the previous one reached.
+type scopedBFS struct {
+	g     *graph.Graph
+	scope func(graph.EdgeID) bool
+	// dist[v] is v's distance from the last search's root, -1 when the
+	// search did not reach v. For reached v ≠ root, parent[v] is v's tree
+	// parent, parentPort[v] the port at v toward it, and childPort[v] the
+	// port at parent[v] back toward v.
+	dist                  []int32
+	parent                []graph.NodeID
+	parentPort, childPort []int32
+	order                 []graph.NodeID // nodes reached, in search order
+}
+
+func newScopedBFS(g *graph.Graph, scope func(graph.EdgeID) bool) *scopedBFS {
+	n := g.NumNodes()
+	b := &scopedBFS{
+		g: g, scope: scope,
+		dist:       make([]int32, n),
+		parent:     make([]graph.NodeID, n),
+		parentPort: make([]int32, n),
+		childPort:  make([]int32, n),
+	}
+	for v := range b.dist {
+		b.dist[v] = -1
+	}
+	return b
+}
+
+// run searches from root.
+func (b *scopedBFS) run(root graph.NodeID) {
+	for _, v := range b.order {
+		b.dist[v] = -1
+	}
+	b.order = append(b.order[:0], root)
+	b.dist[root] = 0
+	b.parent[root] = root
+	for i := 0; i < len(b.order); i++ {
+		x := b.order[i]
+		for p, h := range b.g.Halves(x) {
+			if !b.scope(h.Edge) {
 				continue
 			}
-			y := g.Edge(h.Edge).Other(h.Side).Node
-			if _, ok := dist[y]; !ok {
-				dist[y] = dist[x] + 1
-				if dist[y] > ecc {
-					ecc = dist[y]
-				}
-				queue = append(queue, y)
+			end := b.g.Edge(h.Edge).Other(h.Side)
+			y := end.Node
+			if b.dist[y] >= 0 {
+				continue
 			}
+			b.dist[y] = b.dist[x] + 1
+			b.parent[y] = x
+			b.parentPort[y] = end.Port
+			b.childPort[y] = int32(p)
+			b.order = append(b.order, y)
 		}
 	}
-	return ecc
+}
+
+// eccentricity returns the largest distance the last search reached.
+func (b *scopedBFS) eccentricity() int {
+	return int(b.dist[b.order[len(b.order)-1]])
 }

@@ -38,57 +38,50 @@ func VerifyPadded(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) error {
 
 // ReconstructVirtual rebuilds the virtual graph H together with the inner
 // input and output labelings from a Π′ instance and its output labeling.
+// It reads the labelings through p's decoded projections, which the
+// constraint checks of the same verification already built.
 func ReconstructVirtual(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) (*VirtualGraph, *lcl.Labeling, *lcl.Labeling, error) {
-	gadIn, err := GadInputs(g, in)
-	if err != nil {
-		return nil, nil, nil, err
+	pin := p.inputs(g, in)
+	if pin.err != nil {
+		return nil, nil, nil, pin.err
 	}
-	piIn, err := PiInputs(g, in)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	scope := GadScope(g, in)
-	n := g.NumNodes()
-	psi := make([]lcl.Label, n)
-	portErr := make([]lcl.Label, n)
-	sigma := make([]lcl.Label, n)
-	for v := 0; v < n; v++ {
-		parts, err := Split(out.Node[v], outNodeParts)
+	pout := p.outputs(g, out)
+	for v, err := range pout.errs {
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("node %d output: %w", v, err)
 		}
-		sigma[v], portErr[v], psi[v] = parts[0], parts[1], parts[2]
 	}
-	vg, err := BuildVirtual(g, gadIn, piIn, scope, psi, portErr, p.Delta)
+	vg, err := buildVirtual(g, pin.padInputs, pout.psi.Node, pout.portErr, p.Delta)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	if vg.NumVirtualNodes() == 0 {
 		return vg, nil, nil, nil
 	}
+	lab := pout.labels.label
 	virtOut := lcl.NewLabeling(vg.H)
 	for vi, ci := range vg.CompOfVirt {
 		rep := vg.Comps[ci][0]
-		sl, err := DecodeSigmaList(sigma[rep], p.Delta)
+		sl, err := pout.sigmaAt(rep, p.Delta)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("component %d Σlist: %w", ci, err)
 		}
-		virtOut.Node[vi] = lcl.Label(sl.OV)
+		virtOut.Node[vi] = lab(sl.OV)
 		for i := 1; i <= p.Delta; i++ {
 			pn := vg.PortNode[ci][i-1]
-			if pn < 0 || portErr[pn] != NoPortErr {
+			if pn < 0 || pout.portErr[pn] != NoPortErr {
 				continue
 			}
 			for _, h := range g.Halves(pn) {
-				if scope(h.Edge) {
+				if pin.scope(h.Edge) {
 					continue
 				}
 				ve, ok := vg.VEdgeOf[h.Edge]
 				if !ok {
 					continue
 				}
-				virtOut.Edge[ve] = lcl.Label(sl.OE[i-1])
-				virtOut.SetHalf(graph.Half{Edge: ve, Side: h.Side}, lcl.Label(sl.OB[i-1]))
+				virtOut.Edge[ve] = lab(sl.OE[i-1])
+				virtOut.SetHalf(graph.Half{Edge: ve, Side: h.Side}, lab(sl.OB[i-1]))
 			}
 		}
 	}

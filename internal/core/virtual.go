@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"locallab/internal/errorproof"
-	"locallab/internal/gadget"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
 )
@@ -35,11 +34,11 @@ type VirtualGraph struct {
 	In *lcl.Labeling
 }
 
-// BuildVirtual reconstructs the virtual graph from the instance inputs,
-// the Ψ node outputs, and the port-validity labels. H is nil when no
-// valid gadget exists.
-func BuildVirtual(g *graph.Graph, gadIn, piIn *lcl.Labeling, scope func(graph.EdgeID) bool,
-	psi []lcl.Label, portErr []lcl.Label, delta int) (*VirtualGraph, error) {
+// buildVirtual reconstructs the virtual graph from the decoded instance
+// inputs, the Ψ node outputs, and the port-validity labels. H is nil when
+// no valid gadget exists.
+func buildVirtual(g *graph.Graph, dec *padInputs, psi []lcl.Label, portErr []lcl.Label, delta int) (*VirtualGraph, error) {
+	piIn, scope := dec.pi, dec.scope
 
 	vg := &VirtualGraph{
 		CompOf:  make([]int, g.NumNodes()),
@@ -88,7 +87,7 @@ func BuildVirtual(g *graph.Graph, gadIn, piIn *lcl.Labeling, scope func(graph.Ed
 			if psi[v] != errorproof.LabGadOk {
 				valid = false
 			}
-			gd, err := gadget.ParseNodeInput(gadIn.Node[v])
+			gd, err := dec.nodes.Of(dec.gad, v)
 			if err == nil && gd.Port >= 1 && gd.Port <= delta && ports[gd.Port-1] < 0 {
 				ports[gd.Port-1] = v
 			}

@@ -14,21 +14,16 @@ import (
 // returns the plan (for tests that drive the virtual layer directly).
 func buildPlan(tb testing.TB, g *graph.Graph, in *lcl.Labeling) *paddedPlan {
 	tb.Helper()
-	gadIn, err := GadInputs(g, in)
+	dec, err := decodeInputs(g, in)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	piIn, err := PiInputs(g, in)
+	vf := &errorproof.Verifier{Delta: 3, Scope: dec.scope}
+	psiOut, _, err := vf.Run(g, dec.gad, g.NumNodes())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	scope := GadScope(g, in)
-	vf := &errorproof.Verifier{Delta: 3, Scope: scope}
-	psiOut, _, err := vf.Run(g, gadIn, g.NumNodes())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	plan, err := planPadded(g, gadIn, piIn, scope, psiOut, 3)
+	plan, err := planPadded(g, dec, psiOut, 3)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -213,7 +213,7 @@ func psiMaxRounds(n int) int { return 2*n + 16 }
 // buildPsiMachines derives the per-node configs from the input labeling.
 func buildPsiMachines(vf *Verifier, g *graph.Graph, in *lcl.Labeling) []psiMachine {
 	n := g.NumNodes()
-	ck := &gadget.Checker{Delta: vf.Delta, Scope: vf.Scope}
+	ck := &gadget.Checker{Delta: vf.Delta, Scope: vf.Scope, Inputs: gadget.ParseNodeInputs(in)}
 	machines := make([]psiMachine, n)
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		cfg := psiConfig{
@@ -223,7 +223,7 @@ func buildPsiMachines(vf *Verifier, g *graph.Graph, in *lcl.Labeling) []psiMachi
 			parent: -1,
 			rchild: -1,
 		}
-		ni, err := gadget.ParseNodeInput(in.Node[v])
+		ni, err := ck.Inputs.Of(in, v)
 		if err == nil && ni.Center {
 			cfg.center = true
 			cfg.downPort = make([]int32, vf.Delta)

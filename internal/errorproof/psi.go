@@ -72,6 +72,9 @@ func IsErrorLabel(l lcl.Label) bool {
 type Psi struct {
 	Delta int
 	Scope func(graph.EdgeID) bool
+	// Inputs optionally carries the parsed node inputs of the input
+	// labeling (see gadget.Checker.Inputs).
+	Inputs *gadget.NodeInputs
 }
 
 var _ lcl.Problem = &Psi{}
@@ -80,7 +83,7 @@ var _ lcl.Problem = &Psi{}
 func (p *Psi) Name() string { return "psi-gadget-errorproof" }
 
 func (p *Psi) checker() *gadget.Checker {
-	return &gadget.Checker{Delta: p.Delta, Scope: p.Scope}
+	return &gadget.Checker{Delta: p.Delta, Scope: p.Scope, Inputs: p.Inputs}
 }
 
 // CheckNode implements lcl.Problem: constraints 1 and 2 (label well-
@@ -123,7 +126,7 @@ func (p *Psi) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeID) e
 	// are resolved inside pointerRule by returning allowed=nil plus a
 	// sentinel; handle the Up case explicitly here.
 	if lab == PtrUp {
-		ni, perr := gadget.ParseNodeInput(in.Node[v])
+		ni, perr := p.Inputs.Of(in, v)
 		if perr == nil {
 			if j, okd := ParseErrDown(tl); okd && j != ni.Index {
 				return nil

@@ -41,7 +41,7 @@ func (vf *Verifier) Run(g *graph.Graph, in *lcl.Labeling, nUpper int) (*lcl.Labe
 	out := lcl.NewLabeling(g)
 	cost := local.NewCost(g.NumNodes())
 	radius := vf.Radius(nUpper)
-	ck := &gadget.Checker{Delta: vf.Delta, Scope: vf.Scope}
+	ck := &gadget.Checker{Delta: vf.Delta, Scope: vf.Scope, Inputs: gadget.ParseNodeInputs(in)}
 
 	bad := make([]bool, g.NumNodes())
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {

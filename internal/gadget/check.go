@@ -18,6 +18,10 @@ type Checker struct {
 	// Scope reports whether an edge belongs to the gadget structure;
 	// nil means every edge does.
 	Scope func(graph.EdgeID) bool
+	// Inputs, when parsed from the labeling being checked, supplies the
+	// parsed node inputs; otherwise (or when nil) every lookup parses the
+	// label.
+	Inputs *NodeInputs
 }
 
 // inScope reports whether the edge participates in gadget constraints.
@@ -25,15 +29,14 @@ func (c *Checker) inScope(e graph.EdgeID) bool {
 	return c.Scope == nil || c.Scope(e)
 }
 
-// scopedHalves lists v's half-edges on gadget edges.
-func (c *Checker) scopedHalves(g *graph.Graph, v graph.NodeID) []graph.Half {
-	var out []graph.Half
+// appendScoped appends v's half-edges on gadget edges to dst.
+func (c *Checker) appendScoped(dst []graph.Half, g *graph.Graph, v graph.NodeID) []graph.Half {
 	for _, h := range g.Halves(v) {
 		if c.inScope(h.Edge) {
-			out = append(out, h)
+			dst = append(dst, h)
 		}
 	}
-	return out
+	return dst
 }
 
 // structErr tags a violation of the gadget structure at a node.
@@ -45,11 +48,14 @@ func structErr(v graph.NodeID, format string, args ...interface{}) error {
 // from node v. It returns nil exactly when v's constant-radius
 // neighborhood is consistent with a valid gadget.
 func (c *Checker) CheckNode(g *graph.Graph, in *lcl.Labeling, v graph.NodeID) error {
-	ni, err := ParseNodeInput(in.Node[v])
+	ni, err := c.Inputs.Of(in, v)
 	if err != nil {
 		return structErr(v, "unparseable node input: %v", err)
 	}
-	halves := c.scopedHalves(g, v)
+	// A gadget node has at most max(Δ, 5) gadget edges; the buffer keeps
+	// the common case off the heap.
+	var buf [8]graph.Half
+	halves := c.appendScoped(buf[:0], g, v)
 
 	// Constraint 1a (node-edge checkable form, Section 4.6): the
 	// distance-2 coloring must be locally proper; self-loops and parallel
@@ -85,7 +91,7 @@ func (c *Checker) checkColors(g *graph.Graph, in *lcl.Labeling, v graph.NodeID, 
 		if u == v {
 			return structErr(v, "self-loop on gadget edge %d", h.Edge)
 		}
-		un, err := ParseNodeInput(in.Node[u])
+		un, err := c.Inputs.Of(in, u)
 		if err != nil {
 			return structErr(v, "neighbor %d unparseable: %v", u, err)
 		}
@@ -112,7 +118,7 @@ func (c *Checker) checkCenter(g *graph.Graph, in *lcl.Labeling, v graph.NodeID, 
 			return structErr(v, "center half label %q is not Down(1..Δ)", in.HalfOf(h))
 		}
 		u := g.Edge(h.Edge).Other(h.Side).Node
-		un, err := ParseNodeInput(in.Node[u])
+		un, err := c.Inputs.Of(in, u)
 		if err != nil {
 			return structErr(v, "root %d unparseable: %v", u, err)
 		}
@@ -157,7 +163,7 @@ func (c *Checker) checkSubgadgetNode(g *graph.Graph, in *lcl.Labeling, v graph.N
 		lab := in.HalfOf(h)
 		opp := in.HalfOf(g.OppositeHalf(h))
 		u := g.Edge(h.Edge).Other(h.Side).Node
-		un, err := ParseNodeInput(in.Node[u])
+		un, err := c.Inputs.Of(in, u)
 		if err != nil {
 			return structErr(v, "neighbor %d unparseable: %v", u, err)
 		}
@@ -277,8 +283,8 @@ func (c *Checker) checkSubgadgetNode(g *graph.Graph, in *lcl.Labeling, v graph.N
 
 // nodeHas reports whether node u has an in-scope half labeled lab.
 func (c *Checker) nodeHas(g *graph.Graph, in *lcl.Labeling, u graph.NodeID, lab lcl.Label) bool {
-	for _, h := range c.scopedHalves(g, u) {
-		if in.HalfOf(h) == lab {
+	for _, h := range g.Halves(u) {
+		if c.inScope(h.Edge) && in.HalfOf(h) == lab {
 			return true
 		}
 	}
@@ -292,8 +298,8 @@ func (c *Checker) follow(g *graph.Graph, in *lcl.Labeling, v graph.NodeID, labs 
 	cur := v
 	for _, lab := range labs {
 		found := false
-		for _, h := range c.scopedHalves(g, cur) {
-			if in.HalfOf(h) == lab {
+		for _, h := range g.Halves(cur) {
+			if c.inScope(h.Edge) && in.HalfOf(h) == lab {
 				cur = g.Edge(h.Edge).Other(h.Side).Node
 				found = true
 				break

@@ -1,6 +1,7 @@
 package gadget
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -134,6 +135,43 @@ func TestEveryCorruptionIsCaught(t *testing.T) {
 	// The original must remain untouched and valid.
 	if err := Validate(gd.G, gd.In, gd.Delta); err != nil {
 		t.Fatalf("original gadget mutated by corruption run: %v", err)
+	}
+}
+
+// TestParsedNodeInputsMatchChecker: a Checker reading pre-parsed node
+// inputs gives every node of every standard corruption the same verdict
+// and message as one parsing each label afresh, and a NodeInputs parsed
+// from another labeling is never consulted.
+func TestParsedNodeInputsMatchChecker(t *testing.T) {
+	gd, err := BuildUniform(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	stale := ParseNodeInputs(gd.In)
+	for _, c := range StandardCorruptions(gd, rng) {
+		g, in, err := c.Apply(gd)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		parsed := ParseNodeInputs(in)
+		plain := &Checker{Delta: gd.Delta}
+		cached := &Checker{Delta: gd.Delta, Inputs: parsed}
+		other := &Checker{Delta: gd.Delta, Inputs: stale}
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			ni, err := ParseNodeInput(in.Node[v])
+			gotNI, gotErr := parsed.Of(in, v)
+			if gotNI != ni || (gotErr == nil) != (err == nil) || (err != nil && gotErr.Error() != err.Error()) {
+				t.Fatalf("%s node %d: parsed %+v/%v, want %+v/%v", c.Name, v, gotNI, gotErr, ni, err)
+			}
+			want := fmt.Sprint(plain.CheckNode(g, in, v))
+			if got := fmt.Sprint(cached.CheckNode(g, in, v)); got != want {
+				t.Fatalf("%s node %d: cached checker %q, plain %q", c.Name, v, got, want)
+			}
+			if got := fmt.Sprint(other.CheckNode(g, in, v)); got != want {
+				t.Fatalf("%s node %d: checker with another labeling's inputs %q, plain %q", c.Name, v, got, want)
+			}
+		}
 	}
 }
 

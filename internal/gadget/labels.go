@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"locallab/internal/graph"
 	"locallab/internal/lcl"
 )
 
@@ -113,4 +114,43 @@ func ParseNodeInput(l lcl.Label) (NodeInput, error) {
 		}
 	}
 	return ni, nil
+}
+
+// NodeInputs is the parsed node-input layer of one labeling. Each
+// distinct label is parsed once, so a constant-size alphabet costs a
+// constant number of parses however large the graph. The labeling must
+// not change while its NodeInputs is in use.
+type NodeInputs struct {
+	src *lcl.Labeling
+	idx []int32 // per node: its label's slot in ni and err
+	ni  []NodeInput
+	err []error
+}
+
+// ParseNodeInputs parses every node input label of in.
+func ParseNodeInputs(in *lcl.Labeling) *NodeInputs {
+	p := &NodeInputs{src: in, idx: make([]int32, len(in.Node))}
+	slot := make(map[lcl.Label]int32)
+	for v, l := range in.Node {
+		k, ok := slot[l]
+		if !ok {
+			k = int32(len(p.ni))
+			slot[l] = k
+			ni, err := ParseNodeInput(l)
+			p.ni, p.err = append(p.ni, ni), append(p.err, err)
+		}
+		p.idx[v] = k
+	}
+	return p
+}
+
+// Of returns node v's parsed input label in `in`: from p when p was parsed
+// from in, otherwise (p nil, or parsed from another labeling) by parsing
+// the label afresh.
+func (p *NodeInputs) Of(in *lcl.Labeling, v graph.NodeID) (NodeInput, error) {
+	if p != nil && p.src == in {
+		k := p.idx[v]
+		return p.ni[k], p.err[k]
+	}
+	return ParseNodeInput(in.Node[v])
 }
