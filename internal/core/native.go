@@ -112,7 +112,8 @@ func nativeFactoryFor(inner lcl.Solver, vg *VirtualGraph) NativeFactory {
 // evolution is byte-identical to the message solver's.
 type sinklessNative struct {
 	info   VirtualNodeInfo
-	proto  *sinkless.Protocol
+	rng    engine.NodeRNG
+	proto  sinkless.Protocol
 	nbrID  []int64
 	recvW  []sinkless.Wire
 	sendW  []sinkless.Wire
@@ -126,7 +127,7 @@ var _ PortMachine = (*sinklessNative)(nil)
 // Init implements PortMachine.
 func (m *sinklessNative) Init(info VirtualNodeInfo) {
 	m.info = info
-	m.proto = sinkless.NewProtocol(info.ID, info.Degree, engine.DeriveRNG(info.Seed, info.ID))
+	m.proto.Init(info.ID, info.Degree, m.rng.Derive(info.Seed, info.ID))
 	H := info.Table.vg.H
 	m.nbrID = make([]int64, info.Degree)
 	for p := 0; p < info.Degree; p++ {

@@ -168,8 +168,11 @@ type Session[M any] struct {
 
 	seed       int64
 	randomized bool
-	phase      int
-	rounds     int
+	// rngs is the per-node random-source slab, allocated by the first
+	// randomized Reset and reseeded in place by every later one.
+	rngs   []NodeRNG
+	phase  int
+	rounds int
 
 	// itc, when non-nil, observes and may rewrite every delivered
 	// message (see Interceptor). The nil check happens once per shard,
@@ -311,14 +314,15 @@ func (s *Session[M]) runShard(i int) {
 
 func (s *Session[M]) initShard(i int) {
 	for v := s.shardLo[i]; v < s.shardLo[i+1]; v++ {
+		id := s.g.ID(graph.NodeID(v))
 		var rng *rand.Rand
 		if s.randomized {
-			rng = DeriveRNG(s.seed, s.g.ID(graph.NodeID(v)))
+			rng = s.rngs[v].Derive(s.seed, id)
 		}
 		s.machines[v].Init(NodeInfo{
 			N:      s.n,
 			Delta:  s.delta,
-			ID:     s.g.ID(graph.NodeID(v)),
+			ID:     id,
 			Degree: s.g.Degree(graph.NodeID(v)),
 			RNG:    rng,
 		})
@@ -374,6 +378,9 @@ func (s *Session[M]) SetInterceptor(itc Interceptor[M]) { s.itc = itc }
 func (s *Session[M]) Reset(masterSeed int64, randomized bool) {
 	s.seed = masterSeed
 	s.randomized = randomized
+	if randomized && s.rngs == nil {
+		s.rngs = make([]NodeRNG, s.n)
+	}
 	s.rounds = 0
 	clear(s.recv)
 	clear(s.send)

@@ -37,8 +37,9 @@
 //     identical for every Workers/Shards setting, for the pooled and
 //     inline modes, and to RunReference.
 //   - Seed-pinned randomness: per-node RNGs derive from
-//     (master seed, node identifier) via DeriveRNG, never from worker or
-//     shard state.
+//     (master seed, node identifier), never from worker or shard state.
+//     Sessions reseed a per-node NodeRNG slab (rng.go) whose streams
+//     equal DeriveRNG's, which RunReference uses.
 //   - 0 allocs/op steady state: after Session setup, Step allocates
 //     nothing (and well-behaved typed machines keep the machine side at
 //     zero too).
@@ -67,17 +68,6 @@ type NodeInfo struct {
 // ErrRoundLimit is returned when machines do not all terminate within
 // the round budget.
 var ErrRoundLimit = errors.New("round limit exceeded")
-
-// DeriveRNG returns the private random source of the node with the given
-// identifier under the given master seed. SplitMix64 scrambling keeps
-// per-node streams decorrelated.
-func DeriveRNG(masterSeed, nodeIdentifier int64) *rand.Rand {
-	z := uint64(masterSeed) + 0x9e3779b97f4a7c15*uint64(nodeIdentifier+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
-}
 
 // Options configures an Engine and the Cores built from it.
 type Options struct {

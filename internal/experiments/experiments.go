@@ -11,11 +11,11 @@ import (
 
 	"locallab/internal/coloring"
 	"locallab/internal/core"
+	"locallab/internal/engine"
 	"locallab/internal/errorproof"
 	"locallab/internal/gadget"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 	"locallab/internal/measure"
 	"locallab/internal/sinkless"
 )
@@ -792,13 +792,13 @@ func countPhase1Sinks(g *graph.Graph, seed int64) int {
 		h   graph.Half
 	}
 	claims := make([]claim, g.NumNodes())
+	var node engine.NodeRNG
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		d := g.Degree(v)
 		if d == 0 {
 			continue
 		}
-		rng := local.DeriveRNG(seed, g.ID(v))
-		claims[v] = claim{has: true, h: g.HalfAt(v, int32(rng.Intn(d)))}
+		claims[v] = claim{has: true, h: g.HalfAt(v, int32(node.Derive(seed, g.ID(v)).Intn(d)))}
 	}
 	outDeg := make([]int, g.NumNodes())
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {

@@ -12,13 +12,13 @@
 //     formulation; solvers in this repository charge the maximal radius
 //     they inspect, which is their round complexity.
 //
-// Randomized algorithms draw per-node randomness from DeriveRNG, so entire
+// Randomized algorithms draw per-node randomness from the engine's
+// seed-pinned streams (engine.DeriveRNG and engine.NodeRNG), so entire
 // executions are reproducible from a single master seed.
 package local
 
 import (
 	"fmt"
-	"math/rand"
 
 	"locallab/internal/engine"
 	"locallab/internal/graph"
@@ -72,13 +72,6 @@ func (c *Cost) Histogram() map[int]int {
 		h[r]++
 	}
 	return h
-}
-
-// DeriveRNG returns the private random source of the node with the given
-// identifier under the given master seed. SplitMix64 scrambling keeps
-// per-node streams decorrelated.
-func DeriveRNG(masterSeed, nodeIdentifier int64) *rand.Rand {
-	return engine.DeriveRNG(masterSeed, nodeIdentifier)
 }
 
 // AdaptiveRadius drives the standard doubling schedule of view-gathering

@@ -198,22 +198,6 @@ func TestAdaptiveRadiusUndecidedError(t *testing.T) {
 	}
 }
 
-func TestDeriveRNGDeterminism(t *testing.T) {
-	a := DeriveRNG(42, 7).Int63()
-	b := DeriveRNG(42, 7).Int63()
-	if a != b {
-		t.Error("same seed and id should give identical streams")
-	}
-	c := DeriveRNG(42, 8).Int63()
-	if a == c {
-		t.Error("different node ids should give different streams")
-	}
-	d := DeriveRNG(43, 7).Int63()
-	if a == d {
-		t.Error("different master seeds should give different streams")
-	}
-}
-
 func TestAdaptiveRadius(t *testing.T) {
 	g, err := graph.NewPath(20, 1)
 	if err != nil {

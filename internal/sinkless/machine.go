@@ -2,7 +2,6 @@ package sinkless
 
 import (
 	"fmt"
-	"math/rand"
 
 	"locallab/internal/engine"
 	"locallab/internal/graph"
@@ -41,17 +40,17 @@ type smMsg struct {
 
 // smTyped is the per-node state machine of the protocol above,
 // exchanging smMsg values through the engine core's flat planes. Round
-// writes into the engine-owned send plane, and the only mutable per-port
-// scratch (granted) is allocated once in Init, so the steady-state round
-// loop allocates nothing. The root determinism grid pins its labelings
-// and rounds to a fixed table for every engine geometry, and the
-// in-package reference test pins it to engine.RunReference.
+// writes into the engine-owned send plane, and Init reuses the per-port
+// state (out, granted) whenever its capacity fits, so repeated
+// randomized runs of one session allocate nothing at all. The root
+// determinism grid pins its labelings and rounds to a fixed table for
+// every engine geometry, and the in-package reference test pins it to
+// engine.RunReference.
 type smTyped struct {
-	info    engine.NodeInfo
-	rng     *rand.Rand
+	info    engine.NodeInfo // info.RNG is the node's random source
+	own     *engine.NodeRNG // deterministic-mode source, made on first use
 	round   int
-	claimP  int // claimed port
-	nbrID   []int64
+	claimP  int    // claimed port
 	out     []bool // out[p]: edge at port p currently leaves this node
 	granted []bool // granted[p]: this round released the edge at port p
 	reqPort int    // port requested this iteration (-1 none)
@@ -62,21 +61,34 @@ var _ engine.TypedMachine[smMsg] = (*smTyped)(nil)
 
 func (m *smTyped) Init(info engine.NodeInfo) {
 	m.info = info
-	m.rng = info.RNG
-	if m.rng == nil {
+	if m.info.RNG == nil {
 		// Deterministic fallback keeps the machine usable in tests that
-		// run the runtime in deterministic mode.
-		m.rng = rand.New(rand.NewSource(info.ID))
+		// run the runtime in deterministic mode: the stream of
+		// rand.NewSource(info.ID), reseeded in place.
+		if m.own == nil {
+			m.own = new(engine.NodeRNG)
+		}
+		m.info.RNG = m.own.Seed(info.ID)
 	}
 	m.round = 0
-	m.nbrID = make([]int64, info.Degree)
-	m.out = make([]bool, info.Degree)
-	m.granted = make([]bool, info.Degree)
+	m.out = reuse(m.out, info.Degree)
+	m.granted = reuse(m.granted, info.Degree)
 	m.reqPort = -1
 	m.sinkFor = 0
 	if info.Degree > 0 {
-		m.claimP = m.rng.Intn(info.Degree)
+		m.claimP = m.info.RNG.Intn(info.Degree)
 	}
+}
+
+// reuse returns s resized to n zeroed elements, reallocating only when
+// its capacity is short.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (m *smTyped) outDeg() int {
@@ -104,11 +116,6 @@ func (m *smTyped) Round(recv, send []smMsg) bool {
 		return deg == 0
 	}
 	if round == 1 {
-		// Record all neighbor identifiers first: self-loop port pairing
-		// needs the complete table.
-		for p := 0; p < deg; p++ {
-			m.nbrID[p] = recv[p].ID
-		}
 		// Resolve every edge locally and symmetrically.
 		for p := 0; p < deg; p++ {
 			mine := p == m.claimP
@@ -123,7 +130,7 @@ func (m *smTyped) Round(recv, send []smMsg) bool {
 				// Self-loops (ID == own ID) stay "out" on the lower port
 				// by convention, giving the node an out-edge.
 				if recv[p].ID == m.info.ID {
-					m.out[p] = p < m.oppositeLoopPort(p)
+					m.out[p] = p < m.oppositeLoopPort(recv, p)
 				} else {
 					m.out[p] = m.info.ID > recv[p].ID
 				}
@@ -176,23 +183,30 @@ func (m *smTyped) Round(recv, send []smMsg) bool {
 	return round >= 3 && !anySinkNearby
 }
 
-// oppositeLoopPort finds the other port of a self-loop given one side.
-// With the message-only interface the machine cannot see edge identities,
-// so it pairs loop ports in ascending order, which matches both sides'
-// computation.
-func (m *smTyped) oppositeLoopPort(p int) int {
-	var loops []int
-	for q := 0; q < m.info.Degree; q++ {
-		if m.nbrID[q] == m.info.ID {
-			loops = append(loops, q)
+// oppositeLoopPort finds the other port of a self-loop given one side,
+// from the first round's announcements in recv (a loop port hears the
+// node's own identifier). With the message-only interface the machine
+// cannot see edge identities, so it pairs loop ports in ascending order
+// (the first with the second, the third with the fourth, …), which
+// matches both sides' computation. An unpaired last loop port maps to
+// itself.
+func (m *smTyped) oppositeLoopPort(recv []smMsg, p int) int {
+	rank := 0 // loop ports below p
+	for q := 0; q < p; q++ {
+		if recv[q].ID == m.info.ID {
+			rank++
 		}
 	}
-	for i := 0; i+1 < len(loops); i += 2 {
-		if loops[i] == p {
-			return loops[i+1]
+	if rank%2 == 1 {
+		for q := p - 1; q >= 0; q-- {
+			if recv[q].ID == m.info.ID {
+				return q
+			}
 		}
-		if loops[i+1] == p {
-			return loops[i]
+	}
+	for q := p + 1; q < m.info.Degree; q++ {
+		if recv[q].ID == m.info.ID {
+			return q
 		}
 	}
 	return p
@@ -209,7 +223,7 @@ func (m *smTyped) shouldGrant(p int) bool {
 	case m.outDeg() >= 2:
 		return true
 	case m.outDeg() == 1:
-		return m.rng.Intn(2) == 0
+		return m.info.RNG.Intn(2) == 0
 	default:
 		return false
 	}
@@ -228,7 +242,7 @@ func (m *smTyped) pickTarget(recv []smMsg) int {
 		}
 	}
 	if m.sinkFor > 4 || best < 0 {
-		return m.rng.Intn(m.info.Degree)
+		return m.info.RNG.Intn(m.info.Degree)
 	}
 	return best
 }
@@ -274,11 +288,12 @@ func (s *MessageSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lc
 	return sess.Solve(in, seed)
 }
 
-// msgFinish assembles the half-edge orientation labeling and cost.
-func msgFinish(g *graph.Graph, outs [][]bool, rounds int) (*lcl.Labeling, *local.Cost, error) {
+// msgFinish assembles the half-edge orientation labeling and cost from
+// the machines' final port orientations.
+func msgFinish(g *graph.Graph, machines []smTyped, rounds int) (*lcl.Labeling, *local.Cost, error) {
 	out := lcl.NewLabeling(g)
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		for p, o := range outs[v] {
+		for p, o := range machines[v].out {
 			h := g.HalfAt(v, int32(p))
 			if o {
 				out.SetHalf(h, LabelOut)
@@ -335,12 +350,8 @@ func (ms *MsgSession) Solve(_ *lcl.Labeling, seed int64) (*lcl.Labeling, *local.
 	if err != nil {
 		return nil, nil, fmt.Errorf("message solver: %w", err)
 	}
-	outs := make([][]bool, len(ms.machines))
-	for v := range ms.machines {
-		outs[v] = ms.machines[v].out
-	}
 	ms.s.LastStats = stats
-	return msgFinish(ms.g, outs, stats.Rounds)
+	return msgFinish(ms.g, ms.machines, stats.Rounds)
 }
 
 // Close releases the pinned engine session's worker pool.

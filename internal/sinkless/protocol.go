@@ -76,15 +76,15 @@ type Protocol struct {
 	m smTyped
 }
 
-// NewProtocol builds the protocol state for a node with the given
-// identifier, degree, and private random source. The source must be the
-// node's seed-pinned stream (engine.DeriveRNG) for runs to reproduce the
+// Init (re)starts the protocol state for a node with the given
+// identifier, degree, and private random source, reusing p's per-port
+// state. The source must be the node's seed-pinned stream
+// (engine.DeriveRNG, or engine.NodeRNG.Derive) for runs to reproduce the
 // engine execution; a nil rng falls back to the deterministic
 // identifier-seeded source the typed machine uses in deterministic mode.
-func NewProtocol(id int64, degree int, rng *rand.Rand) *Protocol {
-	p := &Protocol{}
+// The zero Protocol is ready for Init.
+func (p *Protocol) Init(id int64, degree int, rng *rand.Rand) {
 	p.m.Init(engine.NodeInfo{ID: id, Degree: degree, RNG: rng})
-	return p
 }
 
 // Step runs one protocol round: recv holds the neighbors' previous-round

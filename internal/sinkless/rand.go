@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
 	"locallab/internal/local"
@@ -41,16 +42,17 @@ func (s *RandSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.L
 		return nil, nil, err
 	}
 
-	// Phase 1 (one round): random out-claims, canonical resolution.
+	// Phase 1 (one round): random out-claims, canonical resolution. One
+	// source, reseeded per node, yields every node's private stream.
 	claims := make(map[graph.NodeID]graph.Half, n)
+	var node engine.NodeRNG
 	for vi := 0; vi < n; vi++ {
 		v := graph.NodeID(vi)
 		d := g.Degree(v)
 		if d == 0 {
 			continue
 		}
-		rng := local.DeriveRNG(seed, g.ID(v))
-		claims[v] = g.HalfAt(v, int32(rng.Intn(d)))
+		claims[v] = g.HalfAt(v, int32(node.Derive(seed, g.ID(v)).Intn(d)))
 		cost.Charge(v, 1)
 	}
 	outSide := make([]graph.Side, g.NumEdges())
