@@ -171,6 +171,7 @@ func BenchmarkEnginePaddedSolveLevel2(b *testing.B) {
 		b.Run(map[int]string{1: "workers1", 4: "workers4"}[workers], func(b *testing.B) {
 			s := core.NewEnginePaddedSolver(sinkless.NewDetSolver(), 3,
 				engine.New(engine.Options{Workers: workers}))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := s.Solve(inst.G, inst.In, 0); err != nil {
@@ -178,6 +179,66 @@ func BenchmarkEnginePaddedSolveLevel2(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPreparedPaddedLevel2 is BenchmarkEnginePaddedSolveLevel2 on a
+// held cell: the solve is prepared once (decoded input, Ψ configs, plan,
+// relay machines and sessions), and every op is one Run — both engine
+// sessions end to end plus a fresh assembly. Its B/op next to the
+// one-shot benchmark's is what preparing a cell saves.
+func BenchmarkPreparedPaddedLevel2(b *testing.B) {
+	inst, err := core.BuildInstance(2, core.InstanceOptions{BaseNodes: 32, Seed: 3, Balanced: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		b.Run(map[int]string{1: "workers1", 4: "workers4"}[workers], func(b *testing.B) {
+			s := core.NewEnginePaddedSolver(sinkless.NewDetSolver(), 3,
+				engine.New(engine.Options{Workers: workers}))
+			benchPrepared(b, s, inst)
+		})
+	}
+}
+
+// BenchmarkPreparedTowerPi3 runs a held Π₃ tower cell (pi3-det, base 4,
+// 1 engine worker — the perfbench tower-pi3 cell shape). Only the outer
+// level is prepared: the nested per-component solves reconstruct new
+// graphs on every Run and stay one-shot.
+func BenchmarkPreparedTowerPi3(b *testing.B) {
+	inst, err := core.BuildInstance(3, core.InstanceOptions{BaseNodes: 4, Seed: 3, Balanced: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lvl, err := core.NewLevel(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	det, _, err := lvl.EngineSolvers(engine.New(engine.Options{Workers: 1}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPrepared(b, det, inst)
+}
+
+// benchPrepared prepares s on inst, runs it once to build the plan, and
+// times Runs.
+func benchPrepared(b *testing.B, s *core.EnginePaddedSolver, inst *core.Instance) {
+	b.Helper()
+	p, err := s.Prepare(inst.G, inst.In)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Run(0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Run(0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -168,6 +168,8 @@ func runCell(gd *gadget.Gadget, eng engine.Options, f adversary.Fault, seed int6
 			return cell, err
 		}
 	}
+	// The fault runner and the Ψ check read one parse of the node inputs.
+	vf.Inputs = gadget.ParseNodeInputs(in)
 	fr, err := vf.RunEngineUnderFaults(g, in, g.NumNodes(), eng, plan)
 	if err != nil {
 		return cell, err
@@ -177,7 +179,7 @@ func runCell(gd *gadget.Gadget, eng engine.Options, f adversary.Fault, seed int6
 	cell.Deliveries = fr.Deliveries
 	cell.Checksum = fmt.Sprintf("%016x", solver.LabelingChecksum(fr.Out))
 
-	psiOK := lcl.Verify(g, &errorproof.Psi{Delta: gd.Delta}, in, fr.Out) == nil
+	psiOK := lcl.Verify(g, &errorproof.Psi{Delta: gd.Delta, Inputs: vf.Inputs}, in, fr.Out) == nil
 	if f.Delivery() {
 		cell.Verdict = deliveryVerdict(g, fr, psiOK)
 		return cell, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"locallab/internal/engine"
@@ -33,7 +34,7 @@ func newRelaySession(tb testing.TB, opts engine.Options) *engine.Session[relayMs
 	scope := GadScope(inst.G, inst.In)
 	table := NewFactTable(d.Virtual)
 	machines, _ := buildRelayMachines(inst.G, scope, d.Virtual, table,
-		GatherFactory(sinkless.NewDetSolver()), d.Dilation, nil, 5)
+		GatherFactory(sinkless.NewDetSolver()), d.Dilation, nil)
 	pinned := make([]pinnedRelay, len(machines))
 	typed := make([]engine.TypedMachine[relayMsg], len(machines))
 	for v := range machines {
@@ -115,7 +116,7 @@ func newNativeSession(tb testing.TB, opts engine.Options) *engine.Session[natMsg
 	if mk == nil {
 		tb.Fatal("no native factory for the message solver")
 	}
-	machines, _, _, err := buildNativeMachines(inst.G, scope, d.Virtual, table, mk, 5)
+	machines, _, _, err := buildNativeMachines(inst.G, scope, d.Virtual, table, mk)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -166,5 +167,58 @@ func BenchmarkNativeMachineSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess.Step()
+	}
+}
+
+// bytesPerRun averages the bytes f allocates over runs calls.
+func bytesPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestPreparedPaddedAllocs pins what holding a padded cell saves: a Run
+// of a prepared pi2-rand-native base-48 solve (1 engine worker) — which
+// still executes the Ψ and native relay sessions end to end and
+// assembles a fresh output — allocates at most half the bytes of a
+// one-shot solve of the same instance, which also decodes the input,
+// builds the Ψ configs, plans and builds the relay.
+func TestPreparedPaddedAllocs(t *testing.T) {
+	inst, err := BuildInstance(2, InstanceOptions{BaseNodes: 48, Seed: 1, Balanced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() *EnginePaddedSolver {
+		return NewEnginePaddedSolver(sinkless.NewMessageSolver(), LevelDelta(2), engine.New(engine.Options{Workers: 1}))
+	}
+	p, err := mk().Prepare(inst.G, inst.In)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	// The first Run builds the plan and the relay; later Runs reuse them.
+	if _, err := p.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(0)
+	held := bytesPerRun(8, func() {
+		seed++
+		if _, err := p.Run(seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	oneShot := bytesPerRun(8, func() {
+		seed++
+		if _, err := mk().SolveDetailed(inst.G, inst.In, seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("held Run %d B, one-shot solve %d B", held, oneShot)
+	if 2*held > oneShot {
+		t.Fatalf("held Run allocates %d B, more than half of a one-shot solve's %d B", held, oneShot)
 	}
 }

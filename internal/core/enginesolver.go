@@ -172,44 +172,115 @@ func (s *EnginePaddedSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64)
 }
 
 // SolveDetailed runs the engine-backed pipeline and returns diagnostics,
-// including the measured engine profile in Detail.Engine.
+// including the measured engine profile in Detail.Engine. It is the
+// one-shot form of Prepare: prepare, one Run, Close.
 func (s *EnginePaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, seed int64) (*Detail, error) {
+	p, err := s.Prepare(g, in)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return p.Run(seed)
+}
+
+// PreparedPadded is an engine-backed padded solve prepared on one
+// instance. In the Lemma-4 pipeline only the inner simulation (step 4)
+// reads the seed: the decoded Π′ input, every node's Ψ config, port
+// validity, the contraction into H and the relay machines are fixed by
+// (g, in). Prepare builds the Ψ machines and their engine session; the
+// first Run builds the rest from its Ψ outputs and keeps it. Every Run
+// still executes both message-passing sessions end to end, so
+// Detail.Engine reports that Run's own profile, and every later Run
+// checks its Ψ outputs against the ones the plan was built from.
+//
+// A PreparedPadded is not safe for concurrent use. It reads the solver
+// it was prepared from — the inner on every Run, ForceGather and the
+// relay fault plan on the first — so that solver must not change
+// between Runs. Detail.Virtual is the held virtual graph, shared by
+// every Run's Detail. Close releases the engine sessions.
+type PreparedPadded struct {
+	s       *EnginePaddedSolver
+	g       *graph.Graph
+	psi     *errorproof.Session
+	psiCost *local.Cost
+	radius  int
+
+	// dec is the decoded input until the first Run's plan consumes it.
+	dec *padInputs
+	// plan and relay are built by the first successful plan step; relay
+	// is nil when no gadget is valid.
+	plan  *paddedPlan
+	relay relayExec
+	// itc is the relay fault plan's interceptor, reset before every run.
+	itc *adversary.Interceptor[relayMsg]
+}
+
+// relayExec is a prepared relay session: gather (gatherRelay) or native
+// (nativeRelay).
+type relayExec interface {
+	run(seed int64) (*RelayRun, error)
+	close()
+}
+
+// Prepare decodes the Π′ input and builds the Ψ verifier machines with
+// their engine session on (g, in). Run executes the prepared solve.
+func (s *EnginePaddedSolver) Prepare(g *graph.Graph, in *lcl.Labeling) (*PreparedPadded, error) {
 	dec, err := decodeInputs(g, in)
 	if err != nil {
 		return nil, fmt.Errorf("engine padded solve: %w", err)
 	}
-	scope := dec.scope
 	n := g.NumNodes()
-	cost := local.NewCost(n)
-
-	// Step 1: Ψ by real message exchange on the engine.
-	vf := &errorproof.Verifier{Delta: s.Delta, Scope: scope}
-	psiOut, psiCost, psiStats, err := vf.RunEngine(s.Engine, g, dec.gad, n)
+	vf := &errorproof.Verifier{Delta: s.Delta, Scope: dec.scope, Inputs: dec.nodes}
+	psi, err := vf.NewSession(s.Engine, g, dec.gad, n)
 	if err != nil {
 		return nil, fmt.Errorf("engine padded solve verifier: %w", err)
 	}
-	cost.Merge(psiCost)
+	radius := vf.Radius(n)
+	psiCost := local.NewCost(n)
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		psiCost.Charge(v, radius)
+	}
+	return &PreparedPadded{s: s, g: g, psi: psi, psiCost: psiCost, radius: radius, dec: dec}, nil
+}
 
-	// Steps 2-3: port validity and virtual contraction, shared code with
-	// the sequential oracle.
-	plan, err := planPadded(g, dec, psiOut, s.Delta)
+// Close releases the engine sessions. The PreparedPadded must not be
+// used after.
+func (p *PreparedPadded) Close() {
+	p.psi.Close()
+	if p.relay != nil {
+		p.relay.close()
+	}
+}
+
+// Run executes the prepared solve under seed.
+func (p *PreparedPadded) Run(seed int64) (*Detail, error) {
+	s, g := p.s, p.g
+	n := g.NumNodes()
+
+	// Step 1: Ψ by real message exchange on the engine.
+	psiStats, err := p.psi.Run()
 	if err != nil {
+		return nil, fmt.Errorf("engine padded solve verifier: %w", err)
+	}
+	if p.plan == nil {
+		if err := p.build(); err != nil {
+			return nil, err
+		}
+	} else if err := p.checkPsi(); err != nil {
 		return nil, err
 	}
+	plan := p.plan
+	cost := local.NewCost(n)
+	cost.Merge(p.psiCost)
 
-	// Step 4: the inner algorithm runs over the relay plane. Inners with a
-	// native constant-bandwidth protocol (nativeFactoryFor) run as port
-	// machines — O(1) words per virtual edge per protocol round, slot-
-	// routed host-to-port transport (native.go); everything else falls
-	// back to gather machines flooding knowledge vectors (relay.go). Both
-	// pin per-virtual-node RNG streams by virtual identifier, so every
-	// worker/shard geometry — and both executions — produce the same
-	// bytes.
+	// Step 4: the inner algorithm runs over the relay plane prepared by
+	// build. Both executions pin per-virtual-node RNG streams by virtual
+	// identifier, so every worker/shard geometry — and both executions —
+	// produce the same bytes.
 	stats := EngineRunStats{Psi: psiStats, Depth: 1}
 	var virtOut *lcl.Labeling
 	innerCost := local.NewCost(plan.vg.NumVirtualNodes())
-	if plan.vg.NumVirtualNodes() > 0 {
-		table := NewFactTable(plan.vg)
+	if p.relay != nil {
 		// Flattened tower: when the inner solver is itself engine-backed,
 		// each gather machine's decision function runs a nested engine
 		// session on its reconstructed component — the recursion is
@@ -219,25 +290,11 @@ func (s *EnginePaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, see
 		if nested != nil {
 			nested.resetAccum()
 		}
-		// A delivery-fault plan (SetRelayFault) installs an adversary
-		// interceptor on the relay session and pins the gather execution,
-		// whose knowledge-word payloads are the plane the plan's codec
-		// rewrites.
-		var itc engine.Interceptor[relayMsg]
-		if s.relayPlan != nil {
-			if s.relayPlan.Slots() != g.NumPorts() {
-				return nil, fmt.Errorf("engine padded solve: relay fault plan covers %d slots, graph has %d ports",
-					s.relayPlan.Slots(), g.NumPorts())
-			}
-			itc = adversary.NewInterceptor(s.relayPlan, relayCodec())
+		if p.itc != nil {
+			p.itc.Reset()
 		}
-		var relay *RelayRun
-		if nmk := nativeFactoryFor(s.Inner, plan.vg); nmk != nil && !s.ForceGather && s.relayPlan == nil {
-			relay, err = RunRelayNative(s.Engine, g, scope, plan.vg, table, nmk, seed)
-			stats.RelayNative = true
-		} else {
-			relay, err = RunRelay(s.Engine, g, scope, plan.vg, table, GatherFactory(s.Inner), plan.dilation, plan.compEcc, seed, itc)
-		}
+		_, stats.RelayNative = p.relay.(*nativeRelay)
+		relay, err := p.relay.run(seed)
 		if err != nil {
 			return nil, fmt.Errorf("engine padded solve: %w", err)
 		}
@@ -262,15 +319,81 @@ func (s *EnginePaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, see
 	if stats.Inner != nil {
 		simRounds += stats.Inner.Rounds()
 	}
-	d, err := assemblePadded(g, plan, virtOut, innerCost, psiCost, cost, s.Delta,
+	d, err := assemblePadded(g, plan, virtOut, innerCost, p.psiCost, cost, s.Delta,
 		func(graph.NodeID, int) int { return simRounds })
 	if err != nil {
 		return nil, err
 	}
-	d.PsiRadius = vf.Radius(n)
+	d.PsiRadius = p.radius
 	d.Engine = &stats
 	s.LastStats = stats
 	s.accum.fold(&stats)
 	s.accumRuns++
 	return d, nil
+}
+
+// build runs steps 2-3 on the first Run's Ψ outputs — port validity and
+// the virtual contraction, shared code with the sequential oracle — and
+// prepares the relay execution: native port machines when the inner has
+// a constant-bandwidth protocol on H (nativeFactoryFor), gather machines
+// flooding knowledge vectors otherwise. Nothing is kept unless every
+// step succeeds.
+func (p *PreparedPadded) build() error {
+	s, g := p.s, p.g
+	psiNode := make([]lcl.Label, g.NumNodes())
+	for v := range psiNode {
+		psiNode[v] = p.psi.Output(graph.NodeID(v))
+	}
+	plan, err := planPadded(g, p.dec, psiNode, s.Delta)
+	if err != nil {
+		return err
+	}
+	var relay relayExec
+	var itc *adversary.Interceptor[relayMsg]
+	if plan.vg.NumVirtualNodes() > 0 {
+		table := NewFactTable(plan.vg)
+		// A delivery-fault plan (SetRelayFault) installs an adversary
+		// interceptor on the relay session and pins the gather execution,
+		// whose knowledge-word payloads are the plane the plan's codec
+		// rewrites.
+		if s.relayPlan != nil {
+			if s.relayPlan.Slots() != g.NumPorts() {
+				return fmt.Errorf("engine padded solve: relay fault plan covers %d slots, graph has %d ports",
+					s.relayPlan.Slots(), g.NumPorts())
+			}
+			itc = adversary.NewInterceptor(s.relayPlan, relayCodec())
+		}
+		var nmk NativeFactory
+		if !s.ForceGather && itc == nil {
+			nmk = nativeFactoryFor(s.Inner, plan.vg)
+		}
+		if nmk != nil {
+			relay, err = newNativeRelay(s.Engine, g, plan.scope, plan.vg, table, nmk)
+		} else {
+			var gr *gatherRelay
+			gr, err = newGatherRelay(s.Engine, g, plan.scope, plan.vg, table, GatherFactory(s.Inner), plan.dilation, plan.compEcc)
+			if err == nil && itc != nil {
+				gr.itc = itc
+			}
+			relay = gr
+		}
+		if err != nil {
+			return fmt.Errorf("engine padded solve: %w", err)
+		}
+	}
+	p.plan, p.relay, p.itc, p.dec = plan, relay, itc, nil
+	return nil
+}
+
+// checkPsi compares the last Ψ execution with the outputs the plan was
+// built from. The fixpoint is deterministic on a fixed instance, so a
+// difference means the prepared state no longer describes the instance:
+// the Run fails rather than solving on a stale plan.
+func (p *PreparedPadded) checkPsi() error {
+	for v, want := range p.plan.psiNode {
+		if got := p.psi.Output(graph.NodeID(v)); got != want {
+			return fmt.Errorf("engine padded solve verifier: node %d Ψ output %q differs from the prepared plan's %q", v, got, want)
+		}
+	}
+	return nil
 }

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 	"locallab/internal/sinkless"
 )
 
@@ -129,13 +129,19 @@ func (m *sinklessNative) Init(info VirtualNodeInfo) {
 	m.info = info
 	m.proto.Init(info.ID, info.Degree, m.rng.Derive(info.Seed, info.ID))
 	H := info.Table.vg.H
-	m.nbrID = make([]int64, info.Degree)
+	// A held machine is re-initialized every run: its buffers are
+	// reused, and Step overwrites every send word.
+	if cap(m.nbrID) < info.Degree {
+		m.nbrID = make([]int64, info.Degree)
+		m.recvW = make([]sinkless.Wire, info.Degree)
+		m.sendW = make([]sinkless.Wire, info.Degree)
+	}
+	m.nbrID = m.nbrID[:info.Degree]
+	m.recvW, m.sendW = m.recvW[:info.Degree], m.sendW[:info.Degree]
 	for p := 0; p < info.Degree; p++ {
 		nbr, _ := H.NeighborAt(info.Node, int32(p))
 		m.nbrID[p] = H.ID(nbr)
 	}
-	m.recvW = make([]sinkless.Wire, info.Degree)
-	m.sendW = make([]sinkless.Wire, info.Degree)
 	m.calls = 0
 	m.rounds = 0
 	m.done = false
@@ -232,8 +238,11 @@ type natMachine struct {
 	route   [maxNatSlots]int8
 	relabel [maxNatSlots]uint8
 
-	vals  [maxNatSlots]uint64
-	fresh [maxNatSlots]bool
+	// vals is the slot table, nslots words of the plane's slot slab;
+	// bit s of fresh marks slot s as changed since it was last
+	// forwarded.
+	vals  []uint64
+	fresh uint16
 
 	// L is the lockstep super-round length.
 	L     int32
@@ -248,7 +257,8 @@ type natMachine struct {
 type natHost struct {
 	pm           PortMachine
 	info         VirtualNodeInfo
-	recvW, sendW []uint64
+	recvW, sendW []uint64 // views of words, info.Degree wide
+	words        [2 * maxNativePorts]uint64
 	done         bool
 }
 
@@ -257,10 +267,8 @@ var _ engine.TypedMachine[natMsg] = (*natMachine)(nil)
 func (m *natMachine) Init(engine.NodeInfo) {
 	m.round = 0
 	m.sent = 0
-	for s := range m.vals {
-		m.vals[s] = 0
-		m.fresh[s] = false
-	}
+	clear(m.vals)
+	m.fresh = 0
 	if h := m.host; h != nil {
 		h.done = false
 		h.pm.Init(h.info)
@@ -293,7 +301,7 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 				}
 				if m.vals[rec.slot] != rec.val {
 					m.vals[rec.slot] = rec.val
-					m.fresh[rec.slot] = true
+					m.fresh |= 1 << rec.slot
 				}
 			}
 		}
@@ -309,7 +317,7 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 			s := 2 * p
 			if m.vals[s] != h.sendW[p] {
 				m.vals[s] = h.sendW[p]
-				m.fresh[s] = true
+				m.fresh |= 1 << s
 			}
 		}
 	}
@@ -318,11 +326,8 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 		send[p] = natMsg{}
 	}
 	half := m.round & 1
-	for s := int32(0); s < m.nslots; s++ {
-		if !m.fresh[s] {
-			continue
-		}
-		m.fresh[s] = false
+	for f := m.fresh; f != 0; f &= f - 1 {
+		s := bits.TrailingZeros16(f)
 		r := m.route[s]
 		if r < 0 {
 			continue
@@ -336,66 +341,97 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 		out.n++
 		m.sent++
 	}
+	m.fresh = 0
 	if m.host == nil {
 		return true
 	}
 	return m.host.done
 }
 
-// RunRelayNative executes the inner algorithm as native constant-
-// bandwidth machines over the slot-routed relay plane. The labeling it
-// produces is byte-identical to running the inner protocol directly on
-// H (and therefore to the sequential oracle), while the session moves
-// only changed per-port words instead of knowledge vectors.
-func RunRelayNative(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable, mk NativeFactory, seed int64) (*RelayRun, error) {
+// nativeRelay is a prepared native relay: the per-node transport
+// machines, the hosted port machines, and the engine session that
+// executes them. Only the seed changes between runs, and it reaches the
+// port machines through the hosts' VirtualNodeInfo. A run executes the
+// inner algorithm as native constant-bandwidth machines over the
+// slot-routed relay plane: its labeling is byte-identical to running
+// the inner protocol directly on H (and therefore to the sequential
+// oracle), while the session moves only changed per-port words instead
+// of knowledge vectors.
+type nativeRelay struct {
+	vg        *VirtualGraph
+	machines  []natMachine
+	hosts     []natHost // by virtual node
+	sess      *engine.Session[natMsg]
+	maxRounds int
+}
 
-	nv := vg.NumVirtualNodes()
-	if nv == 0 {
+func newNativeRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID) bool,
+	vg *VirtualGraph, table *FactTable, mk NativeFactory) (*nativeRelay, error) {
+
+	if vg.NumVirtualNodes() == 0 {
 		return nil, fmt.Errorf("run native relay: no valid gadgets")
 	}
-	machines, pms, superLen, err := buildNativeMachines(g, scope, vg, table, mk, seed)
+	machines, hosts, superLen, err := buildNativeMachines(g, scope, vg, table, mk)
 	if err != nil {
 		return nil, fmt.Errorf("run native relay: %w", err)
 	}
-	n := g.NumNodes()
-	typed := make([]engine.TypedMachine[natMsg], n)
+	typed := make([]engine.TypedMachine[natMsg], len(machines))
 	for v := range machines {
 		typed[v] = &machines[v]
 	}
-	maxRounds := int(superLen)*nativeMaxVMRounds + 1
-	stats, err := local.RunStatsTyped(eng, g, typed, seed, false, maxRounds)
+	sess, err := engine.NewCore[natMsg](eng.Options()).NewSession(g, typed)
 	if err != nil {
 		return nil, fmt.Errorf("run native relay: %w", err)
 	}
-	run := &RelayRun{Out: lcl.NewLabeling(vg.H), Rounds: make([]int, nv), Stats: stats}
-	for v := range machines {
-		run.Words += machines[v].sent
+	return &nativeRelay{
+		vg: vg, machines: machines, hosts: hosts, sess: sess,
+		maxRounds: int(superLen)*nativeMaxVMRounds + 1,
+	}, nil
+}
+
+// run executes the native session under seed.
+func (r *nativeRelay) run(seed int64) (*RelayRun, error) {
+	for vi := range r.hosts {
+		r.hosts[vi].info.Seed = seed
+	}
+	stats, err := r.sess.Run(seed, false, r.maxRounds)
+	if err != nil {
+		return nil, fmt.Errorf("run native relay: %w", err)
+	}
+	nv := r.vg.NumVirtualNodes()
+	run := &RelayRun{Out: lcl.NewLabeling(r.vg.H), Rounds: make([]int, nv), Stats: stats}
+	for v := range r.machines {
+		run.Words += r.machines[v].sent
 	}
 	// Every machine decodes its own node: no component decomposition to
 	// share, unlike the gather machines' full-knowledge Finish.
 	for vi := 0; vi < nv; vi++ {
-		if pms[vi] == nil {
+		pm := r.hosts[vi].pm
+		if pm == nil {
 			return nil, fmt.Errorf("run native relay: virtual node %d has no hosted machine", vi)
 		}
-		run.Rounds[vi] = pms[vi].Rounds()
-		if err := pms[vi].Finish(run.Out); err != nil {
+		run.Rounds[vi] = pm.Rounds()
+		if err := pm.Finish(run.Out); err != nil {
 			return nil, fmt.Errorf("run native relay: %w", err)
 		}
 	}
 	return run, nil
 }
 
+func (r *nativeRelay) close() { r.sess.Close() }
+
 // buildNativeMachines derives the per-physical-node transport plan: host
 // placement, slot routes, the crossing relabels, and the lockstep
 // super-round length L measured from the realized host-to-port
-// distances.
+// distances. The hosted machines live in one slab indexed by virtual
+// node; their VirtualNodeInfo carries seed 0 until a run writes its
+// seed.
 func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable, mk NativeFactory, seed int64) ([]natMachine, []PortMachine, int32, error) {
+	vg *VirtualGraph, table *FactTable, mk NativeFactory) ([]natMachine, []natHost, int32, error) {
 
 	n := g.NumNodes()
 	machines := make([]natMachine, n)
-	pms := make([]PortMachine, vg.NumVirtualNodes())
+	hosts := make([]natHost, vg.NumVirtualNodes())
 
 	// Invert the port-edge map: virtual edge -> physical port edge.
 	peOf := make(map[graph.EdgeID]graph.EdgeID, len(vg.VEdgeOf))
@@ -404,9 +440,9 @@ func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 	}
 
 	// hostDist[vi][p] is the realized distance from vi's host to the Port
-	// node carrying virtual port p; hosts[vi] is the host node.
+	// node carrying virtual port p; hostOf[vi] is the host node.
 	hostDist := make([][]int32, vg.NumVirtualNodes())
-	hosts := make([]graph.NodeID, vg.NumVirtualNodes())
+	hostOf := make([]graph.NodeID, vg.NumVirtualNodes())
 
 	bfs := newScopedBFS(g, scope)
 	var ecc []int32 // per component node, its maximum distance to a Port node
@@ -460,7 +496,7 @@ func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 				host, bestEcc = v, ecc[i]
 			}
 		}
-		hosts[vi] = host
+		hostOf[vi] = host
 
 		// Slot routes. The BFS parent tree from the host carries OUT
 		// slots down to the Port nodes and IN slots back up; the Port
@@ -499,17 +535,16 @@ func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 		}
 
 		// The host runs the gadget's machine.
-		hm := &natHost{
+		hm := &hosts[vi]
+		*hm = natHost{
 			pm: mk(vi),
 			info: VirtualNodeInfo{
 				Node: vi, ID: vg.H.ID(vi), Degree: dv,
-				Words: table.Words(), Seed: seed, Table: table,
+				Words: table.Words(), Table: table,
 			},
-			recvW: make([]uint64, dv),
-			sendW: make([]uint64, dv),
 		}
+		hm.recvW, hm.sendW = hm.words[:dv:dv], hm.words[maxNativePorts:maxNativePorts+dv:maxNativePorts+dv]
 		machines[host].host = hm
-		pms[vi] = hm.pm
 	}
 
 	// Lockstep length: a word produced at one boundary must cross its
@@ -525,23 +560,32 @@ func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 			}
 		}
 	}
-	for vi, host := range hosts {
-		if pms[vi] != nil {
-			machines[host].L = superLen
+	for vi := range hosts {
+		if hosts[vi].pm != nil {
+			machines[hostOf[vi]].L = superLen
 		}
 	}
 	attachNatPlane(g, machines)
-	return machines, pms, superLen, nil
+	return machines, hosts, superLen, nil
 }
 
 // attachNatPlane sizes every port slot's lane to the slots its node
-// routes through that port and hands the machines the shared plane.
+// routes through that port, hands the machines the shared plane, and
+// carves their slot tables from one slab.
 func attachNatPlane(g *graph.Graph, machines []natMachine) {
 	off := g.PortOffsets()
 	plane := &natPlane{lanes: make([]natLane, g.NumPorts())}
+	slots := 0
+	for v := range machines {
+		slots += int(machines[v].nslots)
+	}
+	vals := make([]uint64, slots)
 	for v := range machines {
 		m := &machines[v]
 		m.plane, m.off = plane, off[v]
+		if m.nslots > 0 {
+			m.vals, vals = vals[:m.nslots:m.nslots], vals[m.nslots:]
+		}
 		for s := int32(0); s < m.nslots; s++ {
 			if r := m.route[s]; r >= 0 {
 				plane.lanes[m.off+int32(r)].width++

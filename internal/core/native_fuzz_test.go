@@ -27,7 +27,7 @@ func FuzzNativeSlotRewrite(f *testing.F) {
 	table := NewFactTable(plan.vg)
 	scope := GadScope(inst.G, inst.In)
 	machines, _, _, err := buildNativeMachines(inst.G, scope, plan.vg, table,
-		func(graph.NodeID) PortMachine { return &sinklessNative{} }, 1)
+		func(graph.NodeID) PortMachine { return &sinklessNative{} })
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // The payload relay plane: the physical realization of the inner
@@ -46,12 +45,15 @@ type relayMsg struct {
 }
 
 // relayMachine floods knowledge payloads under the dilated schedule.
+// It is kept small because a prepared relay holds one per physical node:
+// port lists and word buffers are runs of shared slabs, and the hosted
+// virtual machine sits behind a pointer on leader nodes only.
 type relayMachine struct {
-	// gad lists in-scope (gadget-edge) ports, flooded every round; virt
-	// lists ports on virtual (port) edges, crossed every crossEvery
-	// rounds (see classifyPorts).
-	gad  []int32
-	virt []int32
+	// ports lists the in-scope (gadget-edge) ports, flooded every round,
+	// then from nGad on the ports on virtual (port) edges, crossed every
+	// crossEvery rounds (see classifyPorts).
+	ports []int32
+	nGad  int32
 	// superLen is d+1.
 	superLen int32
 	// crossEvery is the node's port-crossing interval: every physical
@@ -59,19 +61,16 @@ type relayMachine struct {
 	// eccentricity + 1 (measured at plan time) — never more than
 	// superLen, which uses the worst gadget's eccentricity.
 	crossEvery int32
-	// init is the node's initial knowledge (nil outside valid gadgets).
-	init []uint64
-	// words is the current knowledge; out is the alternating send buffer
-	// (a buffer written in round r is read in round r+1 and not touched
-	// again before round r+2, so receivers never race the writer).
-	words []uint64
-	out   [2][]uint64
-	// vm is the hosted virtual machine (leader nodes only) and vmOut its
-	// send buffer.
-	vm     VirtualMachine
-	vmInfo VirtualNodeInfo
-	vmOut  []uint64
-	vmDone bool
+	// w is the payload width. buf holds the node's w-word buffers: the
+	// current knowledge, the two alternating send buffers (a buffer
+	// written in round r is read in round r+1 and not touched again
+	// before round r+2, so receivers never race the writer), and — on
+	// valid-gadget nodes only — the initial knowledge.
+	w   int32
+	buf []uint64
+	// host is the gadget's hosted virtual machine on its leader node,
+	// nil everywhere else.
+	host *relayHost
 
 	round  int32
 	stable int32
@@ -81,35 +80,51 @@ type relayMachine struct {
 	sent int64
 }
 
+// relayHost is a hosted virtual machine with its send buffer.
+type relayHost struct {
+	vm   VirtualMachine
+	info VirtualNodeInfo
+	out  []uint64
+	done bool
+}
+
+// relayBufs is the number of w-word buffers of a valid-gadget node.
+const relayBufs = 4
+
+func (m *relayMachine) words() []uint64 { return m.buf[:m.w:m.w] }
+
+// sendBuf is the send buffer of rounds with parity k.
+func (m *relayMachine) sendBuf(k int32) []uint64 {
+	lo := (1 + k) * m.w
+	return m.buf[lo : lo+m.w : lo+m.w]
+}
+
 var _ engine.TypedMachine[relayMsg] = (*relayMachine)(nil)
 
 func (m *relayMachine) Init(engine.NodeInfo) {
 	m.round = 0
 	m.stable = 0
 	m.sent = 0
-	m.vmDone = false
-	for i := range m.words {
-		m.words[i] = 0
+	words := m.words()
+	if len(m.buf) == relayBufs*int(m.w) {
+		copy(words, m.buf[3*m.w:])
+	} else {
+		clear(words)
 	}
-	if m.init != nil {
-		copy(m.words, m.init)
-	}
-	if m.vm != nil {
-		m.vm.Init(m.vmInfo)
+	if h := m.host; h != nil {
+		h.done = false
+		h.vm.Init(h.info)
 	}
 }
 
 func (m *relayMachine) Round(recv, send []relayMsg) bool {
 	m.round++
+	words := m.words()
+	gad, virt := m.ports[:m.nGad], m.ports[m.nGad:]
 	changed := false
 	if m.round > 1 {
-		for _, p := range m.gad {
-			if w := recv[p].Words; w != nil && orInto(m.words, w) {
-				changed = true
-			}
-		}
-		for _, p := range m.virt {
-			if w := recv[p].Words; w != nil && orInto(m.words, w) {
+		for _, p := range m.ports {
+			if w := recv[p].Words; w != nil && orInto(words, w) {
 				changed = true
 			}
 		}
@@ -120,20 +135,20 @@ func (m *relayMachine) Round(recv, send []relayMsg) bool {
 		m.stable++
 	}
 	boundary := (m.round-1)%m.crossEvery == 0
-	if m.vm != nil && boundary {
+	if h := m.host; h != nil && boundary {
 		// One virtual-machine round per crossing interval: the payloads
 		// that crossed the gadget's port edges have flooded to the leader
 		// by the next boundary. OR-monotone machines tolerate the faster
 		// cadence — extra calls merge nothing new.
-		m.vmDone = m.vm.Round(m.words, m.vmOut)
-		orInto(m.words, m.vmOut)
+		h.done = h.vm.Round(words, h.out)
+		orInto(words, h.out)
 	}
-	buf := m.out[m.round&1]
-	copy(buf, m.words)
+	buf := m.sendBuf(m.round & 1)
+	copy(buf, words)
 	for p := range send {
 		send[p] = relayMsg{}
 	}
-	for _, p := range m.gad {
+	for _, p := range gad {
 		send[p] = relayMsg{Words: buf}
 	}
 	// Port crossings follow the node's own gadget's measured eccentricity
@@ -142,16 +157,16 @@ func (m *relayMachine) Round(recv, send []relayMsg) bool {
 	// schedule: a machine whose words changed has stable = 0, done
 	// requires stable > superLen ≥ crossEvery, so a session can never
 	// stop with uncrossed news at a port.
-	if (m.round-1)%m.crossEvery == 0 {
-		for _, p := range m.virt {
+	if boundary {
+		for _, p := range virt {
 			send[p] = relayMsg{Words: buf}
 		}
-		m.sent += int64(len(buf) * len(m.virt))
+		m.sent += int64(len(buf) * len(virt))
 	}
-	m.sent += int64(len(buf) * len(m.gad))
+	m.sent += int64(len(buf) * len(gad))
 	done := m.round > m.superLen && m.stable > m.crossEvery
-	if m.vm != nil {
-		done = done && m.vmDone
+	if m.host != nil {
+		done = done && m.host.done
 	}
 	return done
 }
@@ -188,113 +203,182 @@ func RunRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID) bool,
 	vg *VirtualGraph, table *FactTable, mk func(vi graph.NodeID) VirtualMachine,
 	dilation int, compEcc []int, seed int64, itc engine.Interceptor[relayMsg]) (*RelayRun, error) {
 
+	r, err := newGatherRelay(eng, g, scope, vg, table, mk, dilation, compEcc)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	r.itc = itc
+	return r.run(seed)
+}
+
+// gatherRelay is a prepared gather relay: the per-node relay machines,
+// the hosted virtual machines, and the engine session that executes
+// them. Only the seed changes between runs, and it reaches the machines
+// through the hosts' VirtualNodeInfo.
+type gatherRelay struct {
+	vg        *VirtualGraph
+	machines  []relayMachine
+	hosts     []relayHost // by virtual node
+	sess      *engine.Session[relayMsg]
+	maxRounds int
+	// itc is installed on the session before every run (nil: the
+	// engine's plain delivery loop).
+	itc engine.Interceptor[relayMsg]
+}
+
+func newGatherRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID) bool,
+	vg *VirtualGraph, table *FactTable, mk func(vi graph.NodeID) VirtualMachine,
+	dilation int, compEcc []int) (*gatherRelay, error) {
+
 	nv := vg.NumVirtualNodes()
 	if nv == 0 {
 		return nil, fmt.Errorf("run relay: no valid gadgets")
 	}
-	machines, vms := buildRelayMachines(g, scope, vg, table, mk, dilation, compEcc, seed)
-	superLen := machines[0].superLen
-	n := g.NumNodes()
-	typed := make([]engine.TypedMachine[relayMsg], n)
+	machines, hosts := buildRelayMachines(g, scope, vg, table, mk, dilation, compEcc)
+	typed := make([]engine.TypedMachine[relayMsg], len(machines))
 	for v := range machines {
 		typed[v] = &machines[v]
 	}
-	// Dissemination needs at most ~2 super-rounds per virtual hop plus
-	// one super-round of stabilization detection.
-	maxRounds := int(superLen) * (2*nv + 8)
-	var stats engine.Stats
-	var err error
-	if itc == nil {
-		stats, err = local.RunStatsTyped(eng, g, typed, seed, false, maxRounds)
-	} else {
-		sess, serr := engine.NewCore[relayMsg](eng.Options()).NewSession(g, typed)
-		if serr != nil {
-			return nil, fmt.Errorf("run relay: %w", serr)
-		}
-		defer sess.Close()
-		sess.SetInterceptor(itc)
-		stats, err = sess.Run(seed, false, maxRounds)
-	}
+	sess, err := engine.NewCore[relayMsg](eng.Options()).NewSession(g, typed)
 	if err != nil {
 		return nil, fmt.Errorf("run relay: %w", err)
 	}
-	run := &RelayRun{Out: lcl.NewLabeling(vg.H), Rounds: make([]int, nv), Stats: stats}
-	for v := range machines {
-		run.Words += machines[v].sent
+	// Dissemination needs at most ~2 super-rounds per virtual hop plus
+	// one super-round of stabilization detection.
+	maxRounds := int(machines[0].superLen) * (2*nv + 8)
+	return &gatherRelay{vg: vg, machines: machines, hosts: hosts, sess: sess, maxRounds: maxRounds}, nil
+}
+
+// run executes the relay session under seed.
+func (r *gatherRelay) run(seed int64) (*RelayRun, error) {
+	for vi := range r.hosts {
+		r.hosts[vi].info.Seed = seed
 	}
-	for vi := range vms {
-		if vms[vi] == nil {
+	r.sess.SetInterceptor(r.itc)
+	stats, err := r.sess.Run(seed, false, r.maxRounds)
+	if err != nil {
+		return nil, fmt.Errorf("run relay: %w", err)
+	}
+	nv := r.vg.NumVirtualNodes()
+	run := &RelayRun{Out: lcl.NewLabeling(r.vg.H), Rounds: make([]int, nv), Stats: stats}
+	for v := range r.machines {
+		run.Words += r.machines[v].sent
+	}
+	for vi := range r.hosts {
+		vm := r.hosts[vi].vm
+		if vm == nil {
 			return nil, fmt.Errorf("run relay: virtual node %d has no hosted machine", vi)
 		}
-		run.Rounds[vi] = vms[vi].Rounds()
+		run.Rounds[vi] = vm.Rounds()
 	}
-	if err := finishComponents(vg, func(vi graph.NodeID) VirtualMachine { return vms[vi] }, run.Out); err != nil {
+	if err := finishComponents(r.vg, func(vi graph.NodeID) VirtualMachine { return r.hosts[vi].vm }, run.Out); err != nil {
 		return nil, fmt.Errorf("run relay: %w", err)
 	}
 	return run, nil
 }
+
+func (r *gatherRelay) close() { r.sess.Close() }
 
 // buildRelayMachines derives the per-physical-node relay configuration:
 // port lists, seeded knowledge, the crossing interval from the node's own
 // gadget's measured eccentricity, and the hosted virtual machine at each
 // valid gadget's leader node. compEcc holds the per-component leader
 // eccentricities measured at plan time (nil falls back to the global
-// super-round everywhere).
+// super-round everywhere). Port lists, word buffers and hosts live in
+// flat slabs; the hosts' VirtualNodeInfo carries seed 0 until a run
+// writes its seed.
 func buildRelayMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 	vg *VirtualGraph, table *FactTable, mk func(vi graph.NodeID) VirtualMachine,
-	dilation int, compEcc []int, seed int64) ([]relayMachine, []VirtualMachine) {
+	dilation int, compEcc []int) ([]relayMachine, []relayHost) {
 
 	superLen := superRoundLen(dilation)
 	n := g.NumNodes()
 	words := table.Words()
 	machines := make([]relayMachine, n)
-	vms := make([]VirtualMachine, vg.NumVirtualNodes())
+	hosts := make([]relayHost, vg.NumVirtualNodes())
+	hostedComp := func(v graph.NodeID) (int, bool) {
+		ci := vg.CompOf[v]
+		return ci, ci >= 0 && vg.Valid[ci] && vg.VirtOf[ci] >= 0
+	}
+	// Valid-gadget nodes keep a fourth buffer for their initial
+	// knowledge; every leader's host adds a send buffer.
+	slabWords := (relayBufs-1)*n + len(hosts)
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		if _, ok := hostedComp(v); ok {
+			slabWords++
+		}
+	}
+	slab := make([]uint64, slabWords*words)
+	take := func(k int) []uint64 {
+		b := slab[: k*words : k*words]
+		slab = slab[k*words:]
+		return b
+	}
+	ports := make([]int32, 0, g.NumPorts())
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		m := &machines[v]
 		m.superLen = superLen
 		m.crossEvery = superLen
-		m.words = make([]uint64, words)
-		m.out = [2][]uint64{make([]uint64, words), make([]uint64, words)}
-		ci := vg.CompOf[v]
-		if ci >= 0 && vg.Valid[ci] && vg.VirtOf[ci] >= 0 {
+		m.w = int32(words)
+		ci, ok := hostedComp(v)
+		if !ok {
+			m.buf = take(relayBufs - 1)
+		} else {
 			vi := vg.VirtOf[ci]
 			if words == 1 {
 				m.crossEvery = 1
 			} else if compEcc != nil && ci < len(compEcc) && compEcc[ci] >= 0 {
 				m.crossEvery = int32(compEcc[ci] + 1)
 			}
-			m.init = make([]uint64, words)
-			table.SeedWords(vi, m.init)
+			m.buf = take(relayBufs)
+			table.SeedWords(vi, m.buf[3*words:])
 			if vg.Comps[ci][0] == v {
 				// The leader hosts the gadget's virtual machine.
-				m.vm = mk(vi)
-				m.vmInfo = VirtualNodeInfo{
-					Node: vi, ID: vg.H.ID(vi), Degree: vg.H.Degree(vi),
-					Words: words, Seed: seed, Table: table,
+				h := &hosts[vi]
+				*h = relayHost{
+					vm: mk(vi),
+					info: VirtualNodeInfo{
+						Node: vi, ID: vg.H.ID(vi), Degree: vg.H.Degree(vi),
+						Words: words, Table: table,
+					},
+					out: take(1),
 				}
-				m.vmOut = make([]uint64, words)
-				vms[vi] = m.vm
+				m.host = h
 			}
 		}
-		m.gad, m.virt = classifyPorts(g, scope, vg, v)
+		ports, m.ports, m.nGad = classifyPorts(ports, g, scope, vg, v)
 	}
-	return machines, vms
+	return machines, hosts
 }
 
-// classifyPorts splits node v's ports into gadget-interior ports (scoped
-// edges, flooded every round) and virtual ports (port edges carrying a
-// virtual edge, crossed on the node's crossing schedule).
-func classifyPorts(g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, v graph.NodeID) (gad, virt []int32) {
+// classifyPorts appends node v's ports to the slab — gadget-interior
+// ports (scoped edges, flooded every round) first, then virtual ports
+// (port edges carrying a virtual edge, crossed on the node's crossing
+// schedule) — and returns the slab, the node's run of it (nil when
+// empty) and the number of gadget-interior ports.
+func classifyPorts(slab []int32, g *graph.Graph, scope func(graph.EdgeID) bool,
+	vg *VirtualGraph, v graph.NodeID) (rest, ports []int32, nGad int32) {
 
+	start := len(slab)
 	for p, h := range g.Halves(v) {
 		if scope(h.Edge) {
-			gad = append(gad, int32(p))
-		} else if _, ok := vg.VEdgeOf[h.Edge]; ok {
-			virt = append(virt, int32(p))
+			slab = append(slab, int32(p))
 		}
 	}
-	return gad, virt
+	nGad = int32(len(slab) - start)
+	for p, h := range g.Halves(v) {
+		if scope(h.Edge) {
+			continue
+		}
+		if _, ok := vg.VEdgeOf[h.Edge]; ok {
+			slab = append(slab, int32(p))
+		}
+	}
+	if len(slab) > start {
+		ports = slab[start:len(slab):len(slab)]
+	}
+	return slab, ports, nGad
 }
 
 // superRoundLen is the dilated super-round length d+1, floored at one

@@ -87,7 +87,7 @@ func (s *PaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, seed int6
 	cost.Merge(psiCost)
 
 	// Steps 2-3 are shared with the engine-backed solver.
-	plan, err := planPadded(g, dec, psiOut, s.Delta)
+	plan, err := planPadded(g, dec, psiOut.Node, s.Delta)
 	if err != nil {
 		return nil, err
 	}
@@ -123,15 +123,16 @@ func (s *PaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, seed int6
 // sequential oracle and the engine-backed solver build it through
 // planPadded, which is what keeps their structural decisions byte-
 // identical by construction; the inner solve itself (step 4) is the
-// one stage the two paths realize differently.
+// one stage the two paths realize differently. A prepared engine solve
+// keeps its plan across Runs, so the plan holds only what assembly and
+// the relay read.
 type paddedPlan struct {
-	portErr   []lcl.Label
-	compValid []bool
-	compOf    []int
-	vg        *VirtualGraph
-	piIn      *lcl.Labeling
-	psiNode   []lcl.Label
-	scope     func(graph.EdgeID) bool
+	portErr []lcl.Label
+	vg      *VirtualGraph
+	// sigmas[ci] is valid gadget ci's Σlist inputs (see gadgetSigma).
+	sigmas  []gadgetSigma
+	psiNode []lcl.Label
+	scope   func(graph.EdgeID) bool
 	// dilation is the measured gadget dilation d, computed once here: it
 	// drives both the relay's super-round length and the charged cost,
 	// which must agree.
@@ -142,21 +143,21 @@ type paddedPlan struct {
 	compEcc []int
 }
 
-// planPadded runs steps 2-3 from the Ψ outputs: port validity and the
-// virtual contraction.
-func planPadded(g *graph.Graph, dec *padInputs, psiOut *lcl.Labeling, delta int) (*paddedPlan, error) {
+// planPadded runs steps 2-3 from the Ψ node outputs: port validity and
+// the virtual contraction.
+func planPadded(g *graph.Graph, dec *padInputs, psi []lcl.Label, delta int) (*paddedPlan, error) {
 	n := g.NumNodes()
 	scope := dec.scope
 
 	// Step 2: port-validity labels (constraints 3 and 4).
 	portErr := make([]lcl.Label, n)
-	compValid, compOf := scopedValidity(g, scope, psiOut.Node)
+	compValid, compOf := scopedValidity(g, scope, psi)
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		portErr[v] = portValidity(g, dec, compValid, compOf, v)
 	}
 
 	// Step 3: contract valid gadgets into the virtual graph.
-	vg, err := buildVirtual(g, dec, psiOut.Node, portErr, delta)
+	vg, err := buildVirtual(g, dec, psi, portErr, delta)
 	if err != nil {
 		return nil, fmt.Errorf("padded solve: %w", err)
 	}
@@ -179,15 +180,13 @@ func planPadded(g *graph.Graph, dec *padInputs, psiOut *lcl.Labeling, delta int)
 		}
 	}
 	return &paddedPlan{
-		portErr:   portErr,
-		compValid: compValid,
-		compOf:    compOf,
-		vg:        vg,
-		piIn:      dec.pi,
-		psiNode:   psiOut.Node,
-		scope:     scope,
-		dilation:  dilation,
-		compEcc:   compEcc,
+		portErr:  portErr,
+		vg:       vg,
+		sigmas:   gadgetSigmas(g, dec.pi, scope, portErr, vg, delta),
+		psiNode:  psi,
+		scope:    scope,
+		dilation: dilation,
+		compEcc:  compEcc,
 	}, nil
 }
 
@@ -204,7 +203,7 @@ func assemblePadded(g *graph.Graph, plan *paddedPlan, virtOut *lcl.Labeling,
 	vg := plan.vg
 	scope := plan.scope
 	dilation := plan.dilation
-	out, err := expandVirtual(g, plan.piIn, scope, plan.portErr, plan.psiNode, vg, virtOut, delta)
+	out, err := expandVirtual(g, scope, plan.portErr, plan.psiNode, vg, plan.sigmas, virtOut, delta)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +216,7 @@ func assemblePadded(g *graph.Graph, plan *paddedPlan, virtOut *lcl.Labeling,
 		}
 	}
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		ci := plan.compOf[v]
+		ci := vg.CompOf[v]
 		if ci >= 0 && vg.Valid[ci] {
 			cost.Charge(v, psiCost.Radius(v)+simCharge(vg.VirtOf[ci], dilation))
 		}
@@ -238,8 +237,8 @@ func assemblePadded(g *graph.Graph, plan *paddedPlan, virtOut *lcl.Labeling,
 // virtual solution: every node of a valid gadget carries its gadget's
 // Σlist, every node its port-validity and Ψ labels, and gadget elements
 // the ψ placeholder.
-func expandVirtual(g *graph.Graph, piIn *lcl.Labeling, scope func(graph.EdgeID) bool,
-	portErr []lcl.Label, psiNode []lcl.Label, vg *VirtualGraph, virtOut *lcl.Labeling, delta int) (*lcl.Labeling, error) {
+func expandVirtual(g *graph.Graph, scope func(graph.EdgeID) bool, portErr []lcl.Label, psiNode []lcl.Label,
+	vg *VirtualGraph, sigmas []gadgetSigma, virtOut *lcl.Labeling, delta int) (*lcl.Labeling, error) {
 
 	// Node labels are composed through one table: a few distinct
 	// (Σlist, portErr, Ψ) tuples cover every node.
@@ -251,7 +250,7 @@ func expandVirtual(g *graph.Graph, piIn *lcl.Labeling, scope func(graph.EdgeID) 
 		if !vg.Valid[ci] || vg.VirtOf[ci] < 0 {
 			continue
 		}
-		sl, err := sigmaFor(g, piIn, scope, portErr, vg, ci, virtOut, delta)
+		sl, err := sigmas[ci].sigma(vg.VirtOf[ci], virtOut, delta)
 		if err != nil {
 			return nil, fmt.Errorf("padded solve: %w", err)
 		}
@@ -364,43 +363,84 @@ func portValidity(g *graph.Graph, dec *padInputs, compValid []bool, compOf []int
 	return NoPortErr
 }
 
-// sigmaFor builds the Σlist of a valid gadget from the virtual solution.
-func sigmaFor(g *graph.Graph, piIn *lcl.Labeling, scope func(graph.EdgeID) bool,
-	portErr []lcl.Label, vg *VirtualGraph, ci int, virtOut *lcl.Labeling, delta int) (*SigmaList, error) {
+// gadgetSigma is the instance-fixed half of a valid gadget's Σlist,
+// derived at plan time: S and the input labels, copied from the Π layer
+// of the gadget's Port nodes and port edges, and per port i the virtual
+// half-edge halves[i-1] its output labels are read from (edge -1: none).
+// A plan keeps these instead of the whole Π-layer labeling. err is a
+// malformed gadget's error, reported when its Σlist is assembled.
+type gadgetSigma struct {
+	in     SigmaList // S, IV, IE, IB
+	halves []graph.Half
+	err    error
+}
 
-	sl := NewSigmaList(delta)
-	virt := vg.VirtOf[ci]
-	p1 := vg.PortNode[ci][0]
-	if p1 < 0 {
-		return nil, fmt.Errorf("valid gadget without Port1 (component %d)", ci)
-	}
-	sl.IV = string(piIn.Node[p1])
-	if virtOut != nil {
-		sl.OV = string(virtOut.Node[virt])
-	}
-	for i := 1; i <= delta; i++ {
-		pn := vg.PortNode[ci][i-1]
-		if pn < 0 || portErr[pn] != NoPortErr {
+// gadgetSigmas derives the Σlist inputs of every valid gadget, indexed by
+// component.
+func gadgetSigmas(g *graph.Graph, piIn *lcl.Labeling, scope func(graph.EdgeID) bool,
+	portErr []lcl.Label, vg *VirtualGraph, delta int) []gadgetSigma {
+
+	sigmas := make([]gadgetSigma, len(vg.Comps))
+	for ci := range vg.Comps {
+		if !vg.Valid[ci] || vg.VirtOf[ci] < 0 {
 			continue
 		}
-		sl.S = append(sl.S, i)
-		// The unique port edge at pn.
-		for _, h := range g.Halves(pn) {
-			if scope(h.Edge) {
+		gs := &sigmas[ci]
+		p1 := vg.PortNode[ci][0]
+		if p1 < 0 {
+			gs.err = fmt.Errorf("valid gadget without Port1 (component %d)", ci)
+			continue
+		}
+		gs.in = SigmaList{IV: string(piIn.Node[p1]), IE: make([]string, delta), IB: make([]string, delta)}
+		gs.halves = make([]graph.Half, delta)
+		for i := range gs.halves {
+			gs.halves[i].Edge = -1
+		}
+		for i := 1; i <= delta && gs.err == nil; i++ {
+			pn := vg.PortNode[ci][i-1]
+			if pn < 0 || portErr[pn] != NoPortErr {
 				continue
 			}
-			sl.IE[i-1] = string(piIn.Edge[h.Edge])
-			sl.IB[i-1] = string(piIn.HalfOf(h))
-			ve, ok := vg.VEdgeOf[h.Edge]
-			if !ok {
-				return nil, fmt.Errorf("NoPortErr port %d of component %d has no virtual edge", i, ci)
-			}
-			if virtOut != nil {
-				sl.OE[i-1] = string(virtOut.Edge[ve])
+			gs.in.S = append(gs.in.S, i)
+			// The unique port edge at pn.
+			for _, h := range g.Halves(pn) {
+				if scope(h.Edge) {
+					continue
+				}
+				gs.in.IE[i-1] = string(piIn.Edge[h.Edge])
+				gs.in.IB[i-1] = string(piIn.HalfOf(h))
+				ve, ok := vg.VEdgeOf[h.Edge]
+				if !ok {
+					gs.err = fmt.Errorf("NoPortErr port %d of component %d has no virtual edge", i, ci)
+					break
+				}
 				// The physical U side maps to the virtual U side.
-				sl.OB[i-1] = string(virtOut.HalfOf(graph.Half{Edge: ve, Side: h.Side}))
+				gs.halves[i-1] = graph.Half{Edge: ve, Side: h.Side}
+				break
 			}
-			break
+		}
+	}
+	return sigmas
+}
+
+// sigma builds the gadget's Σlist from the virtual solution (nil: no
+// inner outputs) on virtual node virt.
+func (gs *gadgetSigma) sigma(virt graph.NodeID, virtOut *lcl.Labeling, delta int) (*SigmaList, error) {
+	if gs.err != nil {
+		return nil, gs.err
+	}
+	sl := &SigmaList{
+		S: gs.in.S, IV: gs.in.IV, IE: gs.in.IE, IB: gs.in.IB,
+		OE: make([]string, delta), OB: make([]string, delta),
+	}
+	if virtOut == nil {
+		return sl, nil
+	}
+	sl.OV = string(virtOut.Node[virt])
+	for i, h := range gs.halves {
+		if h.Edge >= 0 {
+			sl.OE[i] = string(virtOut.Edge[h.Edge])
+			sl.OB[i] = string(virtOut.HalfOf(h))
 		}
 	}
 	return sl, nil

@@ -23,7 +23,7 @@ func buildPlan(tb testing.TB, g *graph.Graph, in *lcl.Labeling) *paddedPlan {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	plan, err := planPadded(g, dec, psiOut, 3)
+	plan, err := planPadded(g, dec, psiOut.Node, 3)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -73,25 +73,32 @@ type psiMsg struct {
 // step edges, all derived from the input labeling before the run (the
 // node's constant-radius initial knowledge).
 type psiConfig struct {
-	bad    bool
-	center bool
 	// scoped lists the in-scope (gadget-edge) port indices.
 	scoped []int32
 	// Step ports (first in-scope half carrying the label, port order), -1
 	// when absent.
 	right, left, parent, rchild int32
-	hasParent                   bool
-	// downPort[i-1] is the center's port toward the root of sub-gadget i.
-	downPort []int32
+	bad, center, hasParent      bool
 }
 
-// psiMachine runs the fixpoint iteration for one node.
+// psiMachine runs the fixpoint iteration for one node. A prepared
+// verifier holds one per node, so the few center-only fields sit behind
+// a pointer.
 type psiMachine struct {
-	cfg   psiConfig
-	round int
+	cfg psiConfig
+	// down is the center's rule-5 state (nil on every other node).
+	down  *psiDown
+	round int32
 
 	anyBad, r, l, a, rc bool
-	downHit             []bool
+}
+
+// psiDown is a center's per-sub-gadget state: port[i-1] is its port
+// toward the root of sub-gadget i (-1 when absent), hit[i-1] whether
+// rule 5 fired on that port.
+type psiDown struct {
+	port []int32
+	hit  []bool
 }
 
 var _ engine.TypedMachine[psiMsg] = (*psiMachine)(nil)
@@ -100,11 +107,8 @@ func (m *psiMachine) Init(info engine.NodeInfo) {
 	m.round = 0
 	m.anyBad = m.cfg.bad
 	m.r, m.l, m.a, m.rc = false, false, false, false
-	if m.downHit == nil && len(m.cfg.downPort) > 0 {
-		m.downHit = make([]bool, len(m.cfg.downPort))
-	}
-	for i := range m.downHit {
-		m.downHit[i] = false
+	if m.down != nil {
+		clear(m.down.hit)
 	}
 }
 
@@ -139,13 +143,15 @@ func (m *psiMachine) Round(recv, send []psiMsg) bool {
 			m.rc = true
 			changed = true
 		}
-		for i, p := range m.cfg.downPort {
-			if p < 0 || m.downHit[i] {
-				continue
-			}
-			if recv[p].Lvl || recv[p].RC {
-				m.downHit[i] = true
-				changed = true
+		if d := m.down; d != nil {
+			for i, p := range d.port {
+				if p < 0 || d.hit[i] {
+					continue
+				}
+				if recv[p].Lvl || recv[p].RC {
+					d.hit[i] = true
+					changed = true
+				}
 			}
 		}
 	}
@@ -181,8 +187,8 @@ func (m *psiMachine) output() lcl.Label {
 	case !m.anyBad:
 		return LabGadOk
 	case m.cfg.center:
-		for i, p := range m.cfg.downPort {
-			if p >= 0 && m.downHit[i] {
+		for i, p := range m.down.port {
+			if p >= 0 && m.down.hit[i] {
 				return ErrDown(i + 1)
 			}
 		}
@@ -211,12 +217,30 @@ func (m *psiMachine) hasParentEdge() bool { return m.cfg.hasParent }
 func psiMaxRounds(n int) int { return 2*n + 16 }
 
 // buildPsiMachines derives the per-node configs from the input labeling.
+// Port lists live in flat slabs: every node's scoped ports in one slab
+// sized by the graph's port slots, the centers' Downᵢ state in three
+// more.
 func buildPsiMachines(vf *Verifier, g *graph.Graph, in *lcl.Labeling) []psiMachine {
 	n := g.NumNodes()
-	ck := &gadget.Checker{Delta: vf.Delta, Scope: vf.Scope, Inputs: gadget.ParseNodeInputs(in)}
+	ck := &gadget.Checker{Delta: vf.Delta, Scope: vf.Scope, Inputs: vf.nodeInputs(in)}
+	centers := 0
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		if ni, err := ck.Inputs.Of(in, v); err == nil && ni.Center {
+			centers++
+		}
+	}
+	scoped := make([]int32, 0, g.NumPorts())
+	downs := make([]psiDown, centers)
+	downPorts := make([]int32, centers*vf.Delta)
+	downHits := make([]bool, centers*vf.Delta)
+	for i := range downPorts {
+		downPorts[i] = -1
+	}
 	machines := make([]psiMachine, n)
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		cfg := psiConfig{
+		m := &machines[v]
+		cfg := &m.cfg
+		*cfg = psiConfig{
 			bad:    ck.CheckNode(g, in, v) != nil,
 			right:  -1,
 			left:   -1,
@@ -226,16 +250,16 @@ func buildPsiMachines(vf *Verifier, g *graph.Graph, in *lcl.Labeling) []psiMachi
 		ni, err := ck.Inputs.Of(in, v)
 		if err == nil && ni.Center {
 			cfg.center = true
-			cfg.downPort = make([]int32, vf.Delta)
-			for i := range cfg.downPort {
-				cfg.downPort[i] = -1
-			}
+			m.down = &downs[0]
+			*m.down = psiDown{port: downPorts[:vf.Delta:vf.Delta], hit: downHits[:vf.Delta:vf.Delta]}
+			downs, downPorts, downHits = downs[1:], downPorts[vf.Delta:], downHits[vf.Delta:]
 		}
+		start := len(scoped)
 		for p, h := range g.Halves(v) {
 			if vf.Scope != nil && !vf.Scope(h.Edge) {
 				continue
 			}
-			cfg.scoped = append(cfg.scoped, int32(p))
+			scoped = append(scoped, int32(p))
 			switch lab := in.HalfOf(h); lab {
 			case gadget.LabRight:
 				if cfg.right < 0 {
@@ -255,15 +279,62 @@ func buildPsiMachines(vf *Verifier, g *graph.Graph, in *lcl.Labeling) []psiMachi
 					cfg.rchild = int32(p)
 				}
 			default:
-				if i, ok := gadget.ParseDown(lab); ok && cfg.center && i <= vf.Delta && cfg.downPort[i-1] < 0 {
-					cfg.downPort[i-1] = int32(p)
+				if i, ok := gadget.ParseDown(lab); ok && cfg.center && i <= vf.Delta && m.down.port[i-1] < 0 {
+					m.down.port[i-1] = int32(p)
 				}
 			}
 		}
-		machines[v] = psiMachine{cfg: cfg}
+		if len(scoped) > start {
+			cfg.scoped = scoped[start:len(scoped):len(scoped)]
+		}
 	}
 	return machines
 }
+
+// Session is V prepared on one instance: every node's config — its
+// local-structure verdict and its step ports — derived once, and the
+// engine session that re-executes the fixpoint exchange on every Run.
+// Like an engine.Session it is not safe for concurrent use, and Close
+// releases its worker pool.
+type Session struct {
+	machines  []psiMachine
+	sess      *engine.Session[psiMsg]
+	maxRounds int
+}
+
+// NewSession prepares V's machines on (g, in) for the given engine.
+// nUpper is the size upper bound RunEngine takes.
+func (vf *Verifier) NewSession(eng *engine.Engine, g *graph.Graph, in *lcl.Labeling, nUpper int) (*Session, error) {
+	if nUpper < g.NumNodes() {
+		return nil, fmt.Errorf("verifier: upper bound %d below actual size %d", nUpper, g.NumNodes())
+	}
+	machines := buildPsiMachines(vf, g, in)
+	typed := make([]engine.TypedMachine[psiMsg], len(machines))
+	for v := range machines {
+		typed[v] = &machines[v]
+	}
+	sess, err := engine.NewCore[psiMsg](eng.Options()).NewSession(g, typed)
+	if err != nil {
+		return nil, fmt.Errorf("verifier engine: %w", err)
+	}
+	return &Session{machines: machines, sess: sess, maxRounds: psiMaxRounds(g.NumNodes())}, nil
+}
+
+// Run executes the fixpoint exchange from scratch and returns its engine
+// profile, which is deterministic across every worker/shard geometry.
+func (s *Session) Run() (engine.Stats, error) {
+	stats, err := s.sess.Run(0, false, s.maxRounds)
+	if err != nil {
+		return stats, fmt.Errorf("verifier engine: %w", err)
+	}
+	return stats, nil
+}
+
+// Output is node v's Ψ label as of the last Run.
+func (s *Session) Output(v graph.NodeID) lcl.Label { return s.machines[v].output() }
+
+// Close releases the engine session. The Session must not be used after.
+func (s *Session) Close() { s.sess.Close() }
 
 // RunEngine executes V on the message-passing engine: the Ψ output is
 // computed by the psiMachine fixpoint exchange above instead of
@@ -273,23 +344,20 @@ func buildPsiMachines(vf *Verifier, g *graph.Graph, in *lcl.Labeling) []psiMachi
 // message deliveries of the distributed execution, deterministic across
 // every worker/shard geometry.
 func (vf *Verifier) RunEngine(eng *engine.Engine, g *graph.Graph, in *lcl.Labeling, nUpper int) (*lcl.Labeling, *local.Cost, engine.Stats, error) {
-	if nUpper < g.NumNodes() {
-		return nil, nil, engine.Stats{}, fmt.Errorf("verifier: upper bound %d below actual size %d", nUpper, g.NumNodes())
-	}
-	machines := buildPsiMachines(vf, g, in)
-	typed := make([]engine.TypedMachine[psiMsg], len(machines))
-	for v := range machines {
-		typed[v] = &machines[v]
-	}
-	stats, err := local.RunStatsTyped(eng, g, typed, 0, false, psiMaxRounds(g.NumNodes()))
+	s, err := vf.NewSession(eng, g, in, nUpper)
 	if err != nil {
-		return nil, nil, stats, fmt.Errorf("verifier engine: %w", err)
+		return nil, nil, engine.Stats{}, err
+	}
+	defer s.Close()
+	stats, err := s.Run()
+	if err != nil {
+		return nil, nil, stats, err
 	}
 	out := lcl.NewLabeling(g)
 	cost := local.NewCost(g.NumNodes())
 	radius := vf.Radius(nUpper)
-	for v := range machines {
-		out.Node[v] = machines[v].output()
+	for v := range s.machines {
+		out.Node[v] = s.Output(graph.NodeID(v))
 		cost.Charge(graph.NodeID(v), radius)
 	}
 	return out, cost, stats, nil

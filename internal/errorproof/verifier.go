@@ -23,6 +23,18 @@ type Verifier struct {
 	Delta int
 	// Scope restricts to gadget edges in padded graphs (nil = all).
 	Scope func(graph.EdgeID) bool
+	// Inputs, when parsed from the labeling V runs on, supplies its parsed
+	// node inputs; nil parses them on every execution.
+	Inputs *gadget.NodeInputs
+}
+
+// nodeInputs returns the parsed node inputs of in: vf.Inputs when set,
+// otherwise a fresh parse.
+func (vf *Verifier) nodeInputs(in *lcl.Labeling) *gadget.NodeInputs {
+	if vf.Inputs != nil {
+		return vf.Inputs
+	}
+	return gadget.ParseNodeInputs(in)
 }
 
 // Radius returns the gathering radius used for upper bound nUpper.
@@ -41,7 +53,7 @@ func (vf *Verifier) Run(g *graph.Graph, in *lcl.Labeling, nUpper int) (*lcl.Labe
 	out := lcl.NewLabeling(g)
 	cost := local.NewCost(g.NumNodes())
 	radius := vf.Radius(nUpper)
-	ck := &gadget.Checker{Delta: vf.Delta, Scope: vf.Scope, Inputs: gadget.ParseNodeInputs(in)}
+	ck := &gadget.Checker{Delta: vf.Delta, Scope: vf.Scope, Inputs: vf.nodeInputs(in)}
 
 	bad := make([]bool, g.NumNodes())
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {

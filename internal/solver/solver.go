@@ -264,22 +264,52 @@ func lclPrepare(req Request, s lcl.Solver, p lcl.Problem, stats func() engine.St
 // paddedSolve is a bound SolveDetailed of one padded solver.
 type paddedSolve func(g *graph.Graph, in *lcl.Labeling, seed int64) (*core.Detail, error)
 
+// heldSolve binds an engine-backed padded solver to one cell: the first
+// call prepares the solve on its instance (core.EnginePaddedSolver.
+// Prepare), so construction errors still surface from Run, and every
+// call runs the prepared solve. release closes it. The cell's instance
+// never changes, so later calls ignore g and in.
+func heldSolve(s *core.EnginePaddedSolver) (paddedSolve, func()) {
+	var p *core.PreparedPadded
+	solve := func(g *graph.Graph, in *lcl.Labeling, seed int64) (*core.Detail, error) {
+		if p == nil {
+			prep, err := s.Prepare(g, in)
+			if err != nil {
+				return nil, err
+			}
+			p = prep
+		}
+		return p.Run(seed)
+	}
+	release := func() {
+		if p != nil {
+			p.Close()
+		}
+	}
+	return solve, release
+}
+
 // paddedPrepare builds a balanced level instance once — BuildInstance
 // is by far the dominant construction cost of padded cells — and returns
 // a runner executing the given padded solve on it. engineDetail selects
 // whether the Detail's engine profile (Stats, RelayWords) is recorded:
 // true for the engine-backed entries, false for the sequential oracles.
-func paddedPrepare(level int, req Request, mkSolve func(lvl *core.Level, eng *engine.Engine) (paddedSolve, error), engineDetail bool) (Prepared, error) {
+// mkSolve may return a release hook for state the solve holds across
+// Runs; Close calls it.
+func paddedPrepare(level int, req Request, mkSolve func(lvl *core.Level, eng *engine.Engine) (paddedSolve, func(), error), engineDetail bool) (Prepared, error) {
 	lvl, err := core.NewLevel(level)
 	if err != nil {
 		return nil, err
 	}
-	solve, err := mkSolve(lvl, req.Engine)
+	solve, release, err := mkSolve(lvl, req.Engine)
 	if err != nil {
 		return nil, err
 	}
 	inst, err := core.BuildInstance(level, core.InstanceOptions{BaseNodes: req.N, Seed: req.Seed, Balanced: true})
 	if err != nil {
+		if release != nil {
+			release()
+		}
 		return nil, err
 	}
 	run := func() (*Outcome, error) {
@@ -313,7 +343,7 @@ func paddedPrepare(level int, req Request, mkSolve func(lvl *core.Level, eng *en
 		}
 		return o, nil
 	}
-	return &prepared{run: run}, nil
+	return &prepared{run: run, release: release}, nil
 }
 
 // paddedOraclePrepare is the sequential Lemma-4 oracle (centralized Ψ
@@ -323,12 +353,12 @@ func paddedPrepare(level int, req Request, mkSolve func(lvl *core.Level, eng *en
 // corresponding engine entries' cell for cell.
 func paddedOraclePrepare(level int, pick func(lvl *core.Level) lcl.Solver) func(Request) (Prepared, error) {
 	return func(req Request) (Prepared, error) {
-		return paddedPrepare(level, req, func(lvl *core.Level, _ *engine.Engine) (paddedSolve, error) {
+		return paddedPrepare(level, req, func(lvl *core.Level, _ *engine.Engine) (paddedSolve, func(), error) {
 			s, ok := pick(lvl).(*core.PaddedSolver)
 			if !ok {
-				return nil, fmt.Errorf("level %d has no sequential padded solver", level)
+				return nil, nil, fmt.Errorf("level %d has no sequential padded solver", level)
 			}
-			return s.SolveDetailed, nil
+			return s.SolveDetailed, nil, nil
 		}, false)
 	}
 }
@@ -339,15 +369,18 @@ func paddedOraclePrepare(level int, pick func(lvl *core.Level) lcl.Solver) func(
 // engine. Levels above 2 flatten the Π-tower: every padding layer is its
 // own engine run, nested sessions all the way down (core.Level.
 // EngineSolvers), so the recursion never falls back to a centralized
-// sequential solve.
+// sequential solve. The cell holds its prepared top-level solve across
+// Runs (heldSolve); the nested per-component solves stay one-shot,
+// because their reconstructed graphs are new on every Run.
 func paddedEnginePrepare(level int, pick func(det, rnd *core.EnginePaddedSolver) *core.EnginePaddedSolver) func(Request) (Prepared, error) {
 	return func(req Request) (Prepared, error) {
-		return paddedPrepare(level, req, func(lvl *core.Level, eng *engine.Engine) (paddedSolve, error) {
+		return paddedPrepare(level, req, func(lvl *core.Level, eng *engine.Engine) (paddedSolve, func(), error) {
 			det, rnd, err := lvl.EngineSolvers(eng)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return pick(det, rnd).SolveDetailed, nil
+			solve, release := heldSolve(pick(det, rnd))
+			return solve, release, nil
 		}, true)
 	}
 }
@@ -360,10 +393,11 @@ func paddedEnginePrepare(level int, pick func(det, rnd *core.EnginePaddedSolver)
 // message-solver oracle.
 func paddedMessagePrepare(forceGather bool) func(Request) (Prepared, error) {
 	return func(req Request) (Prepared, error) {
-		return paddedPrepare(2, req, func(_ *core.Level, eng *engine.Engine) (paddedSolve, error) {
+		return paddedPrepare(2, req, func(_ *core.Level, eng *engine.Engine) (paddedSolve, func(), error) {
 			s := core.NewEnginePaddedSolver(sinkless.NewMessageSolver(), core.LevelDelta(2), eng)
 			s.ForceGather = forceGather
-			return s.SolveDetailed, nil
+			solve, release := heldSolve(s)
+			return solve, release, nil
 		}, true)
 	}
 }
@@ -372,8 +406,8 @@ func paddedMessagePrepare(forceGather bool) func(Request) (Prepared, error) {
 // sinkless message solver: the reference both message-solver engine
 // entries (native and forced-gather) must fingerprint identically to.
 func paddedMessageOraclePrepare(req Request) (Prepared, error) {
-	return paddedPrepare(2, req, func(_ *core.Level, _ *engine.Engine) (paddedSolve, error) {
-		return core.NewPaddedSolver(sinkless.NewMessageSolver(), core.LevelDelta(2)).SolveDetailed, nil
+	return paddedPrepare(2, req, func(_ *core.Level, _ *engine.Engine) (paddedSolve, func(), error) {
+		return core.NewPaddedSolver(sinkless.NewMessageSolver(), core.LevelDelta(2)).SolveDetailed, nil, nil
 	}, false)
 }
 
