@@ -13,7 +13,6 @@ import (
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 	"locallab/internal/scenario"
 	"locallab/internal/sinkless"
 	"locallab/internal/solver"
@@ -146,7 +145,7 @@ var twinOracleTable = []struct {
 // on it with the given engine.
 func checkTwinOracleGrid(t *testing.T, kind string, p lcl.Problem,
 	build func(n int, seed int64) (*graph.Graph, error),
-	solve func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error)) {
+	solve func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error)) {
 	t.Helper()
 	cells := 0
 	for _, c := range twinOracleTable {
@@ -187,7 +186,7 @@ func TestShardedEngineMatchesSequentialSinkless(t *testing.T) {
 		func(n int, seed int64) (*graph.Graph, error) {
 			return graph.NewRandomRegular(n, 3, seed*31+int64(n), false)
 		},
-		func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+		func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 			return (&sinkless.MessageSolver{MaxRounds: 4096, Engine: e}).Solve(g, in, seed)
 		})
 }
@@ -197,7 +196,7 @@ func TestShardedEngineMatchesSequentialSinkless(t *testing.T) {
 // grid.
 func TestShardedEngineMatchesSequentialColoring(t *testing.T) {
 	checkTwinOracleGrid(t, "cv", coloring.Three{}, graph.NewCycle,
-		func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+		func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 			return (&coloring.CVSolver{MaxRounds: 1 << 20, Engine: e}).Solve(g, in, seed)
 		})
 }
@@ -208,7 +207,7 @@ func TestShardedEngineMatchesSequentialColoring(t *testing.T) {
 // seed × size × geometry grid.
 func TestShardedEngineMatchesSequentialMIS(t *testing.T) {
 	checkTwinOracleGrid(t, "mis", coloring.MIS{}, graph.NewCycle,
-		func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+		func(e *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 			return (&coloring.MISSolver{Engine: e}).Solve(g, in, seed)
 		})
 }

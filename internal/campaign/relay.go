@@ -118,8 +118,9 @@ func runRelayCell(inst *core.Instance, eng engine.Options, f adversary.Fault, se
 	return cell, nil
 }
 
-// relaySolve runs one padded Π₂ solve over the gather relay execution,
-// with an optional delivery-fault plan installed on the relay session.
+// relaySolve runs one padded Π₂ solve over the gather relay execution
+// (pi2-det's inner has no native protocol), with an optional
+// delivery-fault plan installed on the relay session.
 // A fresh solver tower per call keeps concurrent cells independent.
 func relaySolve(inst *core.Instance, eng engine.Options, plan *adversary.Plan) (*lcl.Labeling, *core.EngineRunStats, error) {
 	lvl, err := core.NewLevel(2)
@@ -130,9 +131,6 @@ func relaySolve(inst *core.Instance, eng engine.Options, plan *adversary.Plan) (
 	if err != nil {
 		return nil, nil, err
 	}
-	// Pin the gather execution on the clean run too, so the reference
-	// and the faulted cells profile the same relay plane.
-	det.ForceGather = true
 	if err := det.SetRelayFault(plan); err != nil {
 		return nil, nil, err
 	}

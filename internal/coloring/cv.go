@@ -7,7 +7,6 @@ import (
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // reductionSchedule computes the shared width schedule from the identifier
@@ -158,7 +157,7 @@ func (s *CVSolver) Name() string { return "cycle-3coloring-cole-vishkin" }
 func (s *CVSolver) Randomized() bool { return false }
 
 // Solve implements lcl.Solver.
-func (s *CVSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (s *CVSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	sess, err := s.NewSolverSession(g)
 	if err != nil {
 		return nil, nil, err
@@ -169,7 +168,7 @@ func (s *CVSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Lab
 
 // cvFinish validates the final palette and assembles the labeling and
 // cost.
-func cvFinish(g *graph.Graph, colors []int64, rounds int) (*lcl.Labeling, *local.Cost, error) {
+func cvFinish(g *graph.Graph, colors []int64, rounds int) (*lcl.Labeling, *lcl.Cost, error) {
 	out := lcl.NewLabeling(g)
 	for v, c := range colors {
 		if c < 1 || c > 3 {
@@ -177,7 +176,7 @@ func cvFinish(g *graph.Graph, colors []int64, rounds int) (*lcl.Labeling, *local
 		}
 		out.Node[v] = ColorLabel(int(c))
 	}
-	cost := local.NewCost(g.NumNodes())
+	cost := lcl.NewCost(g.NumNodes())
 	for v := 0; v < g.NumNodes(); v++ {
 		cost.Charge(graph.NodeID(v), rounds)
 	}
@@ -220,7 +219,7 @@ func (s *CVSolver) NewSolverSession(g *graph.Graph) (lcl.SolverSession, error) {
 // Solve implements lcl.SolverSession. The input labeling is unused (the
 // problem has no input labels) and the seed is ignored by this
 // deterministic solver, exactly as in CVSolver.Solve.
-func (cs *CVSession) Solve(_ *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (cs *CVSession) Solve(_ *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	stats, err := cs.sess.Run(seed, false, cs.s.MaxRounds)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cole-vishkin runtime: %w", err)
@@ -258,7 +257,7 @@ func (s *MISSolver) Name() string { return "cycle-mis-via-coloring" }
 func (s *MISSolver) Randomized() bool { return false }
 
 // Solve implements lcl.Solver.
-func (s *MISSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (s *MISSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	if s.cv == nil {
 		s.cv = NewCVSolver()
 	}
@@ -308,12 +307,12 @@ func (TrivialSolver) Name() string { return "trivial" }
 func (TrivialSolver) Randomized() bool { return false }
 
 // Solve implements lcl.Solver.
-func (TrivialSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (TrivialSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	out := lcl.NewLabeling(g)
 	for v := range out.Node {
 		out.Node[v] = LabelOK
 	}
-	return out, local.NewCost(g.NumNodes()), nil
+	return out, lcl.NewCost(g.NumNodes()), nil
 }
 
 // GlobalOrientationSolver solves ConsistentOrientation by full gathering:
@@ -331,12 +330,12 @@ func (GlobalOrientationSolver) Name() string { return "cycle-orientation-global"
 func (GlobalOrientationSolver) Randomized() bool { return false }
 
 // Solve implements lcl.Solver.
-func (GlobalOrientationSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (GlobalOrientationSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	if err := RequireCycleGraph(g); err != nil {
 		return nil, nil, fmt.Errorf("global orientation: %w", err)
 	}
 	out := lcl.NewLabeling(g)
-	cost := local.NewCost(g.NumNodes())
+	cost := lcl.NewCost(g.NumNodes())
 	comps, _ := g.Components()
 	for _, nodes := range comps {
 		// Canonical start: minimum identifier; canonical direction: its

@@ -5,7 +5,6 @@ import (
 
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // Maximal matching labels.
@@ -92,7 +91,7 @@ func (s *MatchingSolver) Name() string { return "cycle-matching-via-coloring" }
 func (s *MatchingSolver) Randomized() bool { return false }
 
 // Solve implements lcl.Solver.
-func (s *MatchingSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (s *MatchingSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	colored, cost, err := s.cv.Solve(g, in, seed)
 	if err != nil {
 		return nil, nil, err

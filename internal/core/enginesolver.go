@@ -8,7 +8,6 @@ import (
 	"locallab/internal/errorproof"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // EngineRunStats is the measured engine profile of an engine-backed
@@ -163,7 +162,7 @@ func (s *EnginePaddedSolver) Name() string { return "padded-engine(" + s.Inner.N
 func (s *EnginePaddedSolver) Randomized() bool { return s.Inner.Randomized() }
 
 // Solve implements lcl.Solver.
-func (s *EnginePaddedSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (s *EnginePaddedSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	d, err := s.SolveDetailed(g, in, seed)
 	if err != nil {
 		return nil, nil, err
@@ -202,7 +201,7 @@ type PreparedPadded struct {
 	s       *EnginePaddedSolver
 	g       *graph.Graph
 	psi     *errorproof.Session
-	psiCost *local.Cost
+	psiCost *lcl.Cost
 	radius  int
 
 	// dec is the decoded input until the first Run's plan consumes it.
@@ -236,7 +235,7 @@ func (s *EnginePaddedSolver) Prepare(g *graph.Graph, in *lcl.Labeling) (*Prepare
 		return nil, fmt.Errorf("engine padded solve verifier: %w", err)
 	}
 	radius := vf.Radius(n)
-	psiCost := local.NewCost(n)
+	psiCost := lcl.NewCost(n)
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		psiCost.Charge(v, radius)
 	}
@@ -270,7 +269,7 @@ func (p *PreparedPadded) Run(seed int64) (*Detail, error) {
 		return nil, err
 	}
 	plan := p.plan
-	cost := local.NewCost(n)
+	cost := lcl.NewCost(n)
 	cost.Merge(p.psiCost)
 
 	// Step 4: the inner algorithm runs over the relay plane prepared by
@@ -279,7 +278,7 @@ func (p *PreparedPadded) Run(seed int64) (*Detail, error) {
 	// produce the same bytes.
 	stats := EngineRunStats{Psi: psiStats, Depth: 1}
 	var virtOut *lcl.Labeling
-	innerCost := local.NewCost(plan.vg.NumVirtualNodes())
+	innerCost := lcl.NewCost(plan.vg.NumVirtualNodes())
 	if p.relay != nil {
 		// Flattened tower: when the inner solver is itself engine-backed,
 		// each gather machine's decision function runs a nested engine

@@ -70,7 +70,7 @@ func NewLevel(i int) (*Level, error) {
 // internal/sinkless. Levels above 2 flatten the whole Π-tower onto the
 // engine: every padding layer of the recursion becomes its own engine
 // run — the gather machines' decision functions open nested sessions on
-// their reconstructed components (see engineTower) — so no level of the
+// their reconstructed components (see EngineTower) — so no level of the
 // padding recursion executes as a centralized sequential solve. Only the
 // level-1 leaf decision (the sinkless solver on the fully gathered
 // component) remains a plain function, the LOCAL model's base case.
@@ -83,10 +83,10 @@ func (l *Level) EngineSolvers(eng *engine.Engine) (det, rnd *EnginePaddedSolver,
 	if !ok {
 		return nil, nil, fmt.Errorf("level %d has no padded solver to run on the engine", l.Index)
 	}
-	return engineTower(ps, eng), engineTower(pr, eng), nil
+	return EngineTower(ps, eng), EngineTower(pr, eng), nil
 }
 
-// engineTower rebuilds a sequential PaddedSolver tower as a tower of
+// EngineTower rebuilds a sequential PaddedSolver tower as a tower of
 // EnginePaddedSolvers sharing one engine: each padding level's inner
 // solver is itself engine-backed, so a depth-k solve runs k nested
 // engine layers — the outer one on the physical instance, each inner one
@@ -96,10 +96,10 @@ func (l *Level) EngineSolvers(eng *engine.Engine) (det, rnd *EnginePaddedSolver,
 // are component-decomposable (identifier-pinned RNG streams, KnownSub's
 // preserved identifiers/port order), which is exactly the contract
 // GatherMachine.Finish relies on.
-func engineTower(ps *PaddedSolver, eng *engine.Engine) *EnginePaddedSolver {
+func EngineTower(ps *PaddedSolver, eng *engine.Engine) *EnginePaddedSolver {
 	inner := ps.Inner
 	if ip, ok := inner.(*PaddedSolver); ok {
-		inner = engineTower(ip, eng)
+		inner = EngineTower(ip, eng)
 	}
 	return NewEnginePaddedSolver(inner, ps.Delta, eng)
 }

@@ -10,7 +10,6 @@ import (
 	"locallab/internal/errorproof"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 	"locallab/internal/sinkless"
 )
 
@@ -65,7 +64,7 @@ var preparedCases = []preparedCase{
 }
 
 // sameCost reports whether two costs charge every node identically.
-func sameCost(a, b *local.Cost, n int) bool {
+func sameCost(a, b *lcl.Cost, n int) bool {
 	for v := 0; v < n; v++ {
 		if a.Radius(graph.NodeID(v)) != b.Radius(graph.NodeID(v)) {
 			return false

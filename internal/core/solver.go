@@ -6,7 +6,6 @@ import (
 	"locallab/internal/errorproof"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // PaddedSolver is the Lemma-4 algorithm for Π′: run the gadget verifier V
@@ -45,10 +44,10 @@ func (s *PaddedSolver) Randomized() bool { return s.Inner.Randomized() }
 // Detail exposes the internals of a padded solve for experiments.
 type Detail struct {
 	Out       *lcl.Labeling
-	Cost      *local.Cost
+	Cost      *lcl.Cost
 	Virtual   *VirtualGraph
 	VirtOut   *lcl.Labeling
-	InnerCost *local.Cost
+	InnerCost *lcl.Cost
 	PsiRadius int
 	Dilation  int
 	Valid     int
@@ -60,7 +59,7 @@ type Detail struct {
 }
 
 // Solve implements lcl.Solver.
-func (s *PaddedSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (s *PaddedSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	d, err := s.SolveDetailed(g, in, seed)
 	if err != nil {
 		return nil, nil, err
@@ -75,7 +74,7 @@ func (s *PaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, seed int6
 		return nil, fmt.Errorf("padded solve: %w", err)
 	}
 	n := g.NumNodes()
-	cost := local.NewCost(n)
+	cost := lcl.NewCost(n)
 
 	// Step 1: the verifier V solves ΨG on every gadget (Definition 2),
 	// run centrally with faithful round accounting.
@@ -96,7 +95,7 @@ func (s *PaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, seed int6
 	// on H. This is the sequential reference the native-machine execution
 	// (EnginePaddedSolver, relay.go) is differential-tested against.
 	var virtOut *lcl.Labeling
-	innerCost := local.NewCost(plan.vg.NumVirtualNodes())
+	innerCost := lcl.NewCost(plan.vg.NumVirtualNodes())
 	if plan.vg.NumVirtualNodes() > 0 {
 		virtOut, innerCost, err = s.Inner.Solve(plan.vg.H, plan.vg.In, seed)
 		if err != nil {
@@ -196,7 +195,7 @@ func planPadded(g *graph.Graph, dec *padInputs, psi []lcl.Label, delta int) (*pa
 // analytical (T+1)(d+1) model for the oracle, the measured relay-session
 // length for the native-machine execution.
 func assemblePadded(g *graph.Graph, plan *paddedPlan, virtOut *lcl.Labeling,
-	innerCost *local.Cost, psiCost, cost *local.Cost, delta int,
+	innerCost *lcl.Cost, psiCost, cost *lcl.Cost, delta int,
 	simCharge func(virt graph.NodeID, dilation int) int) (*Detail, error) {
 
 	n := g.NumNodes()

@@ -7,7 +7,6 @@ import (
 	"locallab/internal/gadget"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // This file implements V as a genuine message-passing algorithm on the
@@ -343,7 +342,7 @@ func (s *Session) Close() { s.sess.Close() }
 // the engine.Stats profile additionally reports the measured rounds and
 // message deliveries of the distributed execution, deterministic across
 // every worker/shard geometry.
-func (vf *Verifier) RunEngine(eng *engine.Engine, g *graph.Graph, in *lcl.Labeling, nUpper int) (*lcl.Labeling, *local.Cost, engine.Stats, error) {
+func (vf *Verifier) RunEngine(eng *engine.Engine, g *graph.Graph, in *lcl.Labeling, nUpper int) (*lcl.Labeling, *lcl.Cost, engine.Stats, error) {
 	s, err := vf.NewSession(eng, g, in, nUpper)
 	if err != nil {
 		return nil, nil, engine.Stats{}, err
@@ -354,7 +353,7 @@ func (vf *Verifier) RunEngine(eng *engine.Engine, g *graph.Graph, in *lcl.Labeli
 		return nil, nil, stats, err
 	}
 	out := lcl.NewLabeling(g)
-	cost := local.NewCost(g.NumNodes())
+	cost := lcl.NewCost(g.NumNodes())
 	radius := vf.Radius(nUpper)
 	for v := range s.machines {
 		out.Node[v] = s.Output(graph.NodeID(v))

@@ -7,7 +7,6 @@ import (
 	"locallab/internal/gadget"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // Verifier is the algorithm V of Definition 2 / Section 4.5: given an
@@ -46,12 +45,12 @@ func (vf *Verifier) Radius(nUpper int) int {
 // charged the gathering radius. The returned labeling carries Ψ output
 // labels on nodes (edges and half-edges of Ψ are untouched: the padded
 // problem writes  on port elements separately).
-func (vf *Verifier) Run(g *graph.Graph, in *lcl.Labeling, nUpper int) (*lcl.Labeling, *local.Cost, error) {
+func (vf *Verifier) Run(g *graph.Graph, in *lcl.Labeling, nUpper int) (*lcl.Labeling, *lcl.Cost, error) {
 	if nUpper < g.NumNodes() {
 		return nil, nil, fmt.Errorf("verifier: upper bound %d below actual size %d", nUpper, g.NumNodes())
 	}
 	out := lcl.NewLabeling(g)
-	cost := local.NewCost(g.NumNodes())
+	cost := lcl.NewCost(g.NumNodes())
 	radius := vf.Radius(nUpper)
 	ck := &gadget.Checker{Delta: vf.Delta, Scope: vf.Scope, Inputs: vf.nodeInputs(in)}
 

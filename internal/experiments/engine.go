@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"locallab/internal/core"
 	"locallab/internal/engine"
 	"locallab/internal/measure"
-	"locallab/internal/sinkless"
 	"locallab/internal/solver"
 )
 
@@ -64,8 +62,9 @@ func EnginePaddedParity(sc Scale) (*Result, error) {
 // RelayDeliveryComparison measures the two relay executions of the same
 // inner protocol against each other: for each balanced Π₂ instance it
 // runs the sinkless message solver (a) as native constant-bandwidth port
-// machines over the slot-routed relay plane and (b) forced onto gather
-// machines flooding knowledge vectors. Both relay executions produce
+// machines over the slot-routed relay plane (registry entry
+// pi2-rand-native) and (b) forced onto gather machines flooding
+// knowledge vectors (pi2-rand-gather). Both relay executions produce
 // byte-identical labelings (checked here); the words columns are
 // sender-counted payload words — the native/gather words ratio is the
 // bandwidth win of constant-size inner machines, and the rounds columns
@@ -73,28 +72,36 @@ func EnginePaddedParity(sc Scale) (*Result, error) {
 // be longer than the gather fast path on tiny instances even while
 // moving a fraction of the words).
 func RelayDeliveryComparison(sc Scale) (*Result, error) {
+	native, ok := solver.ByName("pi2-rand-native")
+	if !ok {
+		return nil, fmt.Errorf("pi2-rand-native missing from the solver registry")
+	}
+	gather, ok := solver.ByName("pi2-rand-gather")
+	if !ok {
+		return nil, fmt.Errorf("pi2-rand-gather missing from the solver registry")
+	}
 	var rows [][]string
 	for _, base := range sc.paddedBases() {
-		inst, err := core.BuildInstance(2, core.InstanceOptions{BaseNodes: base, Seed: int64(base), Balanced: true})
+		req := solver.Request{
+			Family: solver.PaddedFamily,
+			N:      base,
+			Seed:   int64(base),
+			Engine: engine.New(engine.Options{Workers: 1}),
+		}
+		nat, err := native.Run(req)
 		if err != nil {
 			return nil, err
 		}
-		eng := engine.New(engine.Options{Workers: 1})
-		nat := core.NewEnginePaddedSolver(sinkless.NewMessageSolver(), 3, eng)
-		nd, err := nat.SolveDetailed(inst.G, inst.In, int64(base))
-		if err != nil {
-			return nil, err
-		}
+		nd := nat.Padded
 		if !nd.Engine.RelayNative {
 			return nil, fmt.Errorf("base %d: native machines not selected", base)
 		}
-		gat := core.NewEnginePaddedSolver(sinkless.NewMessageSolver(), 3, eng)
-		gat.ForceGather = true
-		gd, err := gat.SolveDetailed(inst.G, inst.In, int64(base))
+		gat, err := gather.Run(req)
 		if err != nil {
 			return nil, err
 		}
-		if solver.LabelingChecksum(nd.Out) != solver.LabelingChecksum(gd.Out) {
+		gd := gat.Padded
+		if nat.Checksum != gat.Checksum {
 			return nil, fmt.Errorf("base %d: native and gather labelings differ", base)
 		}
 		ratio := "n/a"
@@ -102,7 +109,7 @@ func RelayDeliveryComparison(sc Scale) (*Result, error) {
 			ratio = fmt.Sprintf("%.1f", float64(gd.Engine.RelayWords)/float64(nd.Engine.RelayWords))
 		}
 		rows = append(rows, []string{
-			fmt.Sprint(inst.G.NumNodes()), fmt.Sprint(base),
+			fmt.Sprint(nat.Nodes), fmt.Sprint(base),
 			fmt.Sprint(nd.Engine.Relay.Rounds), fmt.Sprint(nd.Engine.RelayWords),
 			fmt.Sprint(gd.Engine.Relay.Rounds), fmt.Sprint(gd.Engine.RelayWords),
 			ratio,

@@ -6,7 +6,7 @@ import (
 	"math/bits"
 
 	"locallab/internal/graph"
-	"locallab/internal/local"
+	"locallab/internal/lcl"
 	"locallab/internal/measure"
 	"locallab/internal/sinkless"
 )
@@ -78,7 +78,7 @@ func AblationDoubling(sc Scale) (*Result, error) {
 		exact := cost.Rounds()
 		// Doubling schedule: each node pays the smallest power of two
 		// >= its exact radius.
-		doubled := local.NewCost(g.NumNodes())
+		doubled := lcl.NewCost(g.NumNodes())
 		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 			r := cost.Radius(v)
 			p := 1

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"locallab/internal/graph"
-	"locallab/internal/local"
 )
 
 // Label is one label value. Alphabets are constant-size sets of Labels;
@@ -133,5 +132,5 @@ type Solver interface {
 	Randomized() bool
 	// Solve computes an output labeling. seed feeds per-node randomness
 	// for randomized solvers and is ignored by deterministic ones.
-	Solve(g *graph.Graph, in *Labeling, seed int64) (*Labeling, *local.Cost, error)
+	Solve(g *graph.Graph, in *Labeling, seed int64) (*Labeling, *Cost, error)
 }

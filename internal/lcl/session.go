@@ -2,7 +2,6 @@ package lcl
 
 import (
 	"locallab/internal/graph"
-	"locallab/internal/local"
 )
 
 // SolverSession is a solver execution pinned to one graph: whatever the
@@ -15,7 +14,7 @@ import (
 // concurrent use. Close releases pinned resources; the session must not
 // be used after.
 type SolverSession interface {
-	Solve(in *Labeling, seed int64) (*Labeling, *local.Cost, error)
+	Solve(in *Labeling, seed int64) (*Labeling, *Cost, error)
 	Close()
 }
 

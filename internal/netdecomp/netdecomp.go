@@ -17,7 +17,7 @@ import (
 	"math/bits"
 
 	"locallab/internal/graph"
-	"locallab/internal/local"
+	"locallab/internal/lcl"
 )
 
 // Decomposition assigns every node a cluster and every cluster a color.
@@ -50,7 +50,7 @@ type Options struct {
 // total is their sum, O(log² n) — matching the classic deterministic
 // bound that pre-dates the polylogarithmic breakthroughs, which is all
 // the discussion section's accounting needs.
-func Build(g *graph.Graph, opts Options) (*Decomposition, *local.Cost, error) {
+func Build(g *graph.Graph, opts Options) (*Decomposition, *lcl.Cost, error) {
 	n := g.NumNodes()
 	maxR := opts.TargetRadius
 	if maxR <= 0 {
@@ -63,7 +63,7 @@ func Build(g *graph.Graph, opts Options) (*Decomposition, *local.Cost, error) {
 	for i := range dec.Cluster {
 		dec.Cluster[i] = -1
 	}
-	cost := local.NewCost(n)
+	cost := lcl.NewCost(n)
 	remaining := make(map[graph.NodeID]bool, n)
 	for v := 0; v < n; v++ {
 		remaining[graph.NodeID(v)] = true
@@ -85,7 +85,7 @@ func Build(g *graph.Graph, opts Options) (*Decomposition, *local.Cost, error) {
 
 // carvePhase greedily carves non-adjacent balls among the remaining
 // nodes. It returns the number of carved nodes.
-func carvePhase(g *graph.Graph, remaining map[graph.NodeID]bool, maxR int, dec *Decomposition, color int, cost *local.Cost) int {
+func carvePhase(g *graph.Graph, remaining map[graph.NodeID]bool, maxR int, dec *Decomposition, color int, cost *lcl.Cost) int {
 	// Deterministic seed order: ascending identifier.
 	seeds := make([]graph.NodeID, 0, len(remaining))
 	for v := range remaining {

@@ -161,26 +161,17 @@ func (sc *Scenario) validateAs(subject string) error {
 		return fmt.Errorf("%s: unknown solver %q (known: %s)",
 			subject, sc.Solver, strings.Join(SolverNames(), ", "))
 	}
-	minSize := 0
-	switch {
-	case sc.Family == PaddedFamily:
-		if !sol.Padded {
-			return fmt.Errorf("%s: solver %q does not run on padded instances", subject, sc.Solver)
-		}
-		minSize = PaddedMinSize
-	default:
+	minSize := PaddedMinSize
+	if sc.Family != PaddedFamily {
 		f, ok := graph.FamilyByName(sc.Family)
 		if !ok {
 			return fmt.Errorf("%s: unknown graph family %q (known: %s, %s)",
 				subject, sc.Family, strings.Join(graph.FamilyNames(), ", "), PaddedFamily)
 		}
-		if sol.Padded {
-			return fmt.Errorf("%s: solver %q requires family %q", subject, sc.Solver, PaddedFamily)
-		}
-		if sol.CycleOnly && sc.Family != "cycle" && sc.Family != "cycle-advid" {
-			return fmt.Errorf("%s: solver %q runs on cycles only (family %q)", subject, sc.Solver, sc.Family)
-		}
 		minSize = f.MinSize
+	}
+	if err := sol.CheckFamily(sc.Family); err != nil {
+		return fmt.Errorf("%s: %w", subject, err)
 	}
 	if len(sc.Sizes) == 0 {
 		return fmt.Errorf("%s: no sizes", subject)

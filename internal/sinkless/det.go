@@ -6,7 +6,6 @@ import (
 
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // ErrUnsolvable is returned when some connected component contains no
@@ -48,9 +47,9 @@ func (s *DetSolver) Randomized() bool { return false }
 
 // Solve implements lcl.Solver. The input labeling is ignored (sinkless
 // orientation has no inputs); seed is ignored (deterministic).
-func (s *DetSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (s *DetSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	n := g.NumNodes()
-	cost := local.NewCost(n)
+	cost := lcl.NewCost(n)
 	sc := g.ShortestCycles(s.Opts.MaxCycleLen)
 	t := g.PropagatePotential(sc)
 	for v := 0; v < n; v++ {

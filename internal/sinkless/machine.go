@@ -6,7 +6,6 @@ import (
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // This file implements the randomized sinkless-orientation algorithm as a
@@ -279,7 +278,7 @@ func (s *MessageSolver) Name() string { return MessageSolverName }
 func (s *MessageSolver) Randomized() bool { return true }
 
 // Solve implements lcl.Solver.
-func (s *MessageSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (s *MessageSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	sess, err := s.NewSolverSession(g)
 	if err != nil {
 		return nil, nil, err
@@ -290,7 +289,7 @@ func (s *MessageSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lc
 
 // msgFinish assembles the half-edge orientation labeling and cost from
 // the machines' final port orientations.
-func msgFinish(g *graph.Graph, machines []smTyped, rounds int) (*lcl.Labeling, *local.Cost, error) {
+func msgFinish(g *graph.Graph, machines []smTyped, rounds int) (*lcl.Labeling, *lcl.Cost, error) {
 	out := lcl.NewLabeling(g)
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		for p, o := range machines[v].out {
@@ -302,7 +301,7 @@ func msgFinish(g *graph.Graph, machines []smTyped, rounds int) (*lcl.Labeling, *
 			}
 		}
 	}
-	cost := local.NewCost(g.NumNodes())
+	cost := lcl.NewCost(g.NumNodes())
 	for v := 0; v < g.NumNodes(); v++ {
 		cost.Charge(graph.NodeID(v), rounds)
 	}
@@ -345,7 +344,7 @@ func (s *MessageSolver) NewSolverSession(g *graph.Graph) (lcl.SolverSession, err
 
 // Solve implements lcl.SolverSession. The input labeling is unused (the
 // problem has no input labels), exactly as in MessageSolver.Solve.
-func (ms *MsgSession) Solve(_ *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (ms *MsgSession) Solve(_ *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	stats, err := ms.sess.Run(seed, true, ms.s.MaxRounds)
 	if err != nil {
 		return nil, nil, fmt.Errorf("message solver: %w", err)

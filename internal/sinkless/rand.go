@@ -7,7 +7,6 @@ import (
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // RandSolver is the randomized sinkless-orientation solver: one round of
@@ -35,9 +34,9 @@ func (s *RandSolver) Name() string { return "sinkless-rand-shatter" }
 func (s *RandSolver) Randomized() bool { return true }
 
 // Solve implements lcl.Solver. The input labeling is ignored.
-func (s *RandSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+func (s *RandSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 	n := g.NumNodes()
-	cost := local.NewCost(n)
+	cost := lcl.NewCost(n)
 	if err := checkSolvable(g); err != nil {
 		return nil, nil, err
 	}

@@ -12,9 +12,11 @@
 // (core.EnginePaddedSolver) — including the inner algorithm as native
 // machines over the payload relay plane — honoring the same engine
 // parameters as every other message-passing entry and reporting real
-// engine.Stats delivery counts. The sequential Lemma-4 reference is
-// exposed as the pi2-*-oracle entries; their checksums must equal the
-// native entries' cell for cell.
+// engine.Stats delivery counts. Padded entries are the rows of one table
+// (paddedRows): a level, a sequential padded solver, and the plane that
+// executes it — the engine, the engine with gather machines forced, or
+// the sequential Lemma-4 oracle. Rows sharing (level, solver) must
+// fingerprint identically cell for cell.
 //
 // Invariants:
 //
@@ -45,7 +47,6 @@ import (
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 	"locallab/internal/netdecomp"
 	"locallab/internal/sinkless"
 )
@@ -104,7 +105,7 @@ type Outcome struct {
 	G    *graph.Graph
 	In   *lcl.Labeling
 	Out  *lcl.Labeling
-	Cost *local.Cost
+	Cost *lcl.Cost
 	// Padded carries the Lemma-4 diagnostics of padded entries.
 	Padded *core.Detail
 	// Instance is the padded entries' construction trail.
@@ -222,7 +223,7 @@ func lclPrepare(req Request, s lcl.Solver, p lcl.Problem, stats func() engine.St
 	if err != nil {
 		return nil, err
 	}
-	solve := func(in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
+	solve := func(in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
 		return s.Solve(g, in, seed)
 	}
 	var release func()
@@ -289,28 +290,112 @@ func heldSolve(s *core.EnginePaddedSolver) (paddedSolve, func()) {
 	return solve, release
 }
 
-// paddedPrepare builds a balanced level instance once — BuildInstance
-// is by far the dominant construction cost of padded cells — and returns
-// a runner executing the given padded solve on it. engineDetail selects
-// whether the Detail's engine profile (Stats, RelayWords) is recorded:
-// true for the engine-backed entries, false for the sequential oracles.
-// mkSolve may return a release hook for state the solve holds across
-// Runs; Close calls it.
-func paddedPrepare(level int, req Request, mkSolve func(lvl *core.Level, eng *engine.Engine) (paddedSolve, func(), error), engineDetail bool) (Prepared, error) {
-	lvl, err := core.NewLevel(level)
+// paddedPlane is where a padded row executes.
+type paddedPlane int
+
+const (
+	// planeEngine runs the whole Lemma-4 pipeline — Ψ fixpoint machines
+	// and the inner algorithm — on the sharded engine, the inner as native
+	// machines over the payload relay plane where it has a registered
+	// protocol and as gather machines otherwise. Levels above 2 flatten
+	// the Π-tower: every padding layer is its own engine run
+	// (core.EngineTower), so no layer falls back to a centralized solve.
+	planeEngine paddedPlane = iota
+	// planeGather is planeEngine with gather machines forced
+	// (EnginePaddedSolver.ForceGather): the bandwidth baseline a native
+	// inner is compared against.
+	planeGather
+	// planeOracle is the sequential Lemma-4 reference (centralized Ψ walk
+	// + one centralized inner Solve per padding level) the engine rows are
+	// differential-tested against.
+	planeOracle
+)
+
+// paddedInner names a row's sequential padded solver.
+type paddedInner int
+
+const (
+	innerDet     paddedInner = iota // the level's Det tower
+	innerRand                       // the level's Rand tower
+	innerMessage                    // padded sinkless message solver, the inner with a native protocol
+)
+
+// solver returns the sequential padded solver k names at lvl.
+func (k paddedInner) solver(lvl *core.Level) lcl.Solver {
+	switch k {
+	case innerDet:
+		return lvl.Det
+	case innerRand:
+		return lvl.Rand
+	}
+	return core.NewPaddedSolver(sinkless.NewMessageSolver(), core.LevelDelta(lvl.Index))
+}
+
+// paddedRow is one padded registry entry: a hierarchy level, the
+// sequential padded solver, and the plane that executes it. Every engine
+// and gather row is built from the very solver its oracle row runs, so
+// rows sharing (level, inner) fingerprint identically cell for cell.
+type paddedRow struct {
+	name, description string
+	level             int
+	inner             paddedInner
+	plane             paddedPlane
+}
+
+// paddedRows are the padded entries in canonical registry order.
+var paddedRows = []paddedRow{
+	{"pi2-det", "Π₂ = padded(sinkless) on the sharded engine, deterministic (Θ(log² n)); sizes are base-graph nodes", 2, innerDet, planeEngine},
+	{"pi2-rand", "Π₂ = padded(sinkless) on the sharded engine, randomized (Θ(log n·loglog n)); sizes are base-graph nodes", 2, innerRand, planeEngine},
+	{"pi3-det", "Π₃ = padded(padded(sinkless)) flattened onto the engine, deterministic (Θ(log³ n)): every padding layer its own engine run; sizes are base-graph nodes", 3, innerDet, planeEngine},
+	{"pi3-rand", "Π₃ = padded(padded(sinkless)) flattened onto the engine, randomized (Θ(log² n·loglog n)): every padding layer its own engine run; sizes are base-graph nodes", 3, innerRand, planeEngine},
+	{"pi2-rand-native", "Π₂ with the sinkless message solver as inner, run as native constant-bandwidth port machines over the relay plane", 2, innerMessage, planeEngine},
+	{"pi2-rand-gather", "Π₂ with the sinkless message solver as inner, forced onto gather machines — the bandwidth baseline for pi2-rand-native", 2, innerMessage, planeGather},
+	{"pi2-det-oracle", "Π₂ sequential Lemma-4 oracle, deterministic — reference for the native-machine pi2-det (identical checksums)", 2, innerDet, planeOracle},
+	{"pi2-rand-oracle", "Π₂ sequential Lemma-4 oracle, randomized — reference for the native-machine pi2-rand (identical checksums)", 2, innerRand, planeOracle},
+	{"pi3-det-oracle", "Π₃ sequential tower oracle, deterministic — reference for the flattened pi3-det (identical checksums)", 3, innerDet, planeOracle},
+	{"pi3-rand-oracle", "Π₃ sequential tower oracle, randomized — reference for the flattened pi3-rand (identical checksums)", 3, innerRand, planeOracle},
+	{"pi2-rand-native-oracle", "Π₂ sequential Lemma-4 oracle over the sinkless message solver — reference for pi2-rand-native and pi2-rand-gather (identical checksums)", 2, innerMessage, planeOracle},
+}
+
+// entry derives the registry Entry of a padded row.
+func (r paddedRow) entry() Entry {
+	return Entry{
+		Name:          r.name,
+		Description:   r.description,
+		DefaultFamily: PaddedFamily,
+		Padded:        true,
+		EngineAware:   r.plane != planeOracle,
+		Oracle:        r.plane == planeOracle,
+		Prepare:       r.prepare,
+	}
+}
+
+// prepare builds a balanced level instance once — BuildInstance is by
+// far the dominant construction cost of padded cells — and returns a
+// runner executing the row's solve on it. An oracle row runs its
+// sequential solver; an engine or gather row runs that solver's engine
+// tower and holds the prepared top-level solve across Runs (heldSolve),
+// recording the engine profile (Stats, RelayWords). The nested
+// per-component solves of a tower stay one-shot, because their
+// reconstructed graphs are new on every Run.
+func (r paddedRow) prepare(req Request) (Prepared, error) {
+	lvl, err := core.NewLevel(r.level)
 	if err != nil {
 		return nil, err
 	}
-	solve, release, err := mkSolve(lvl, req.Engine)
+	ps, ok := r.inner.solver(lvl).(*core.PaddedSolver)
+	if !ok {
+		return nil, fmt.Errorf("level %d has no sequential padded solver", r.level)
+	}
+	inst, err := core.BuildInstance(r.level, core.InstanceOptions{BaseNodes: req.N, Seed: req.Seed, Balanced: true})
 	if err != nil {
 		return nil, err
 	}
-	inst, err := core.BuildInstance(level, core.InstanceOptions{BaseNodes: req.N, Seed: req.Seed, Balanced: true})
-	if err != nil {
-		if release != nil {
-			release()
-		}
-		return nil, err
+	solve, release := paddedSolve(ps.SolveDetailed), func() {}
+	if r.plane != planeOracle {
+		s := core.EngineTower(ps, req.Engine)
+		s.ForceGather = r.plane == planeGather
+		solve, release = heldSolve(s)
 	}
 	run := func() (*Outcome, error) {
 		// A fresh copy of the input labeling per Run keeps repeated
@@ -329,7 +414,7 @@ func paddedPrepare(level int, req Request, mkSolve func(lvl *core.Level, eng *en
 			Edges:      inst.G.NumEdges(),
 			Rounds:     d.Cost.Rounds(),
 			Checksum:   LabelingChecksum(d.Out),
-			TowerDepth: level - 1,
+			TowerDepth: r.level - 1,
 			G:          inst.G,
 			In:         in,
 			Out:        d.Out,
@@ -337,7 +422,7 @@ func paddedPrepare(level int, req Request, mkSolve func(lvl *core.Level, eng *en
 			Padded:     d,
 			Instance:   inst,
 		}
-		if engineDetail {
+		if r.plane != planeOracle {
 			o.Stats = engine.Stats{Rounds: d.Engine.Rounds(), Deliveries: d.Engine.Deliveries()}
 			o.RelayWords = d.Engine.TotalRelayWords()
 		}
@@ -346,74 +431,9 @@ func paddedPrepare(level int, req Request, mkSolve func(lvl *core.Level, eng *en
 	return &prepared{run: run, release: release}, nil
 }
 
-// paddedOraclePrepare is the sequential Lemma-4 oracle (centralized Ψ
-// walk + one centralized inner Solve call per padding level): the
-// reference the engine entries are differential-tested against. Oracle
-// entries are not engine-aware; their checksums must equal the
-// corresponding engine entries' cell for cell.
-func paddedOraclePrepare(level int, pick func(lvl *core.Level) lcl.Solver) func(Request) (Prepared, error) {
-	return func(req Request) (Prepared, error) {
-		return paddedPrepare(level, req, func(lvl *core.Level, _ *engine.Engine) (paddedSolve, func(), error) {
-			s, ok := pick(lvl).(*core.PaddedSolver)
-			if !ok {
-				return nil, nil, fmt.Errorf("level %d has no sequential padded solver", level)
-			}
-			return s.SolveDetailed, nil, nil
-		}, false)
-	}
-}
-
-// paddedEnginePrepare runs the engine-backed hierarchy solver: the whole
-// Lemma-4 pipeline — Ψ fixpoint machines and the inner algorithm as
-// native machines over the payload relay plane — executes on the sharded
-// engine. Levels above 2 flatten the Π-tower: every padding layer is its
-// own engine run, nested sessions all the way down (core.Level.
-// EngineSolvers), so the recursion never falls back to a centralized
-// sequential solve. The cell holds its prepared top-level solve across
-// Runs (heldSolve); the nested per-component solves stay one-shot,
-// because their reconstructed graphs are new on every Run.
-func paddedEnginePrepare(level int, pick func(det, rnd *core.EnginePaddedSolver) *core.EnginePaddedSolver) func(Request) (Prepared, error) {
-	return func(req Request) (Prepared, error) {
-		return paddedPrepare(level, req, func(lvl *core.Level, eng *engine.Engine) (paddedSolve, func(), error) {
-			det, rnd, err := lvl.EngineSolvers(eng)
-			if err != nil {
-				return nil, nil, err
-			}
-			solve, release := heldSolve(pick(det, rnd))
-			return solve, release, nil
-		}, true)
-	}
-}
-
-// paddedMessagePrepare runs the engine-backed solver with the sinkless
-// message solver as inner — the inner with a native constant-bandwidth
-// protocol over the relay plane. forceGather pins the gather execution
-// of the very same inner, the bandwidth baseline the native entry is
-// compared against; both must fingerprint identically to the
-// message-solver oracle.
-func paddedMessagePrepare(forceGather bool) func(Request) (Prepared, error) {
-	return func(req Request) (Prepared, error) {
-		return paddedPrepare(2, req, func(_ *core.Level, eng *engine.Engine) (paddedSolve, func(), error) {
-			s := core.NewEnginePaddedSolver(sinkless.NewMessageSolver(), core.LevelDelta(2), eng)
-			s.ForceGather = forceGather
-			solve, release := heldSolve(s)
-			return solve, release, nil
-		}, true)
-	}
-}
-
-// paddedMessageOraclePrepare is the sequential Lemma-4 oracle over the
-// sinkless message solver: the reference both message-solver engine
-// entries (native and forced-gather) must fingerprint identically to.
-func paddedMessageOraclePrepare(req Request) (Prepared, error) {
-	return paddedPrepare(2, req, func(_ *core.Level, _ *engine.Engine) (paddedSolve, func(), error) {
-		return core.NewPaddedSolver(sinkless.NewMessageSolver(), core.LevelDelta(2)).SolveDetailed, nil, nil
-	}, false)
-}
-
 // Registry returns the unified registry in canonical order.
 func Registry() []Entry {
-	return []Entry{
+	entries := []Entry{
 		{
 			Name:          "cole-vishkin",
 			Aliases:       []string{"3coloring"},
@@ -517,95 +537,11 @@ func Registry() []Entry {
 				return &prepared{run: run}, nil
 			},
 		},
-		{
-			Name:          "pi2-det",
-			Description:   "Π₂ = padded(sinkless) on the sharded engine, deterministic (Θ(log² n)); sizes are base-graph nodes",
-			DefaultFamily: PaddedFamily,
-			Padded:        true,
-			EngineAware:   true,
-			Prepare:       paddedEnginePrepare(2, func(det, rnd *core.EnginePaddedSolver) *core.EnginePaddedSolver { return det }),
-		},
-		{
-			Name:          "pi2-rand",
-			Description:   "Π₂ = padded(sinkless) on the sharded engine, randomized (Θ(log n·loglog n)); sizes are base-graph nodes",
-			DefaultFamily: PaddedFamily,
-			Padded:        true,
-			EngineAware:   true,
-			Prepare:       paddedEnginePrepare(2, func(det, rnd *core.EnginePaddedSolver) *core.EnginePaddedSolver { return rnd }),
-		},
-		{
-			Name:          "pi3-det",
-			Description:   "Π₃ = padded(padded(sinkless)) flattened onto the engine, deterministic (Θ(log³ n)): every padding layer its own engine run; sizes are base-graph nodes",
-			DefaultFamily: PaddedFamily,
-			Padded:        true,
-			EngineAware:   true,
-			Prepare:       paddedEnginePrepare(3, func(det, rnd *core.EnginePaddedSolver) *core.EnginePaddedSolver { return det }),
-		},
-		{
-			Name:          "pi3-rand",
-			Description:   "Π₃ = padded(padded(sinkless)) flattened onto the engine, randomized (Θ(log² n·loglog n)): every padding layer its own engine run; sizes are base-graph nodes",
-			DefaultFamily: PaddedFamily,
-			Padded:        true,
-			EngineAware:   true,
-			Prepare:       paddedEnginePrepare(3, func(det, rnd *core.EnginePaddedSolver) *core.EnginePaddedSolver { return rnd }),
-		},
-		{
-			Name:          "pi2-rand-native",
-			Description:   "Π₂ with the sinkless message solver as inner, run as native constant-bandwidth port machines over the relay plane",
-			DefaultFamily: PaddedFamily,
-			Padded:        true,
-			EngineAware:   true,
-			Prepare:       paddedMessagePrepare(false),
-		},
-		{
-			Name:          "pi2-rand-gather",
-			Description:   "Π₂ with the sinkless message solver as inner, forced onto gather machines — the bandwidth baseline for pi2-rand-native",
-			DefaultFamily: PaddedFamily,
-			Padded:        true,
-			EngineAware:   true,
-			Prepare:       paddedMessagePrepare(true),
-		},
-		{
-			Name:          "pi2-det-oracle",
-			Description:   "Π₂ sequential Lemma-4 oracle, deterministic — reference for the native-machine pi2-det (identical checksums)",
-			DefaultFamily: PaddedFamily,
-			Padded:        true,
-			Oracle:        true,
-			Prepare:       paddedOraclePrepare(2, func(lvl *core.Level) lcl.Solver { return lvl.Det }),
-		},
-		{
-			Name:          "pi2-rand-oracle",
-			Description:   "Π₂ sequential Lemma-4 oracle, randomized — reference for the native-machine pi2-rand (identical checksums)",
-			DefaultFamily: PaddedFamily,
-			Padded:        true,
-			Oracle:        true,
-			Prepare:       paddedOraclePrepare(2, func(lvl *core.Level) lcl.Solver { return lvl.Rand }),
-		},
-		{
-			Name:          "pi3-det-oracle",
-			Description:   "Π₃ sequential tower oracle, deterministic — reference for the flattened pi3-det (identical checksums)",
-			DefaultFamily: PaddedFamily,
-			Padded:        true,
-			Oracle:        true,
-			Prepare:       paddedOraclePrepare(3, func(lvl *core.Level) lcl.Solver { return lvl.Det }),
-		},
-		{
-			Name:          "pi3-rand-oracle",
-			Description:   "Π₃ sequential tower oracle, randomized — reference for the flattened pi3-rand (identical checksums)",
-			DefaultFamily: PaddedFamily,
-			Padded:        true,
-			Oracle:        true,
-			Prepare:       paddedOraclePrepare(3, func(lvl *core.Level) lcl.Solver { return lvl.Rand }),
-		},
-		{
-			Name:          "pi2-rand-native-oracle",
-			Description:   "Π₂ sequential Lemma-4 oracle over the sinkless message solver — reference for pi2-rand-native and pi2-rand-gather (identical checksums)",
-			DefaultFamily: PaddedFamily,
-			Padded:        true,
-			Oracle:        true,
-			Prepare:       paddedMessageOraclePrepare,
-		},
 	}
+	for _, r := range paddedRows {
+		entries = append(entries, r.entry())
+	}
+	return entries
 }
 
 // extra holds entries added at runtime via Register, after the builtin

@@ -1,47 +1,57 @@
 package solver
 
 import (
+	"strings"
 	"testing"
 
 	"locallab/internal/engine"
 )
 
-// TestOracleEntriesMatchNativeChecksums: the sequential-oracle registry
-// entries and the native-machine engine entries must fingerprint the
-// same labelings cell for cell — the registry-level face of the
+// TestOracleEntriesMatchNativeChecksums: every engine and gather row of
+// the padded table must fingerprint the same labeling as the oracle row
+// sharing its (level, inner) — the registry-level face of the
 // native-inner differential tests.
 func TestOracleEntriesMatchNativeChecksums(t *testing.T) {
-	for _, pair := range [][2]string{
-		{"pi2-det", "pi2-det-oracle"},
-		{"pi2-rand", "pi2-rand-oracle"},
-	} {
-		native, ok := ByName(pair[0])
-		if !ok {
-			t.Fatalf("entry %q missing", pair[0])
+	req := Request{Family: PaddedFamily, N: 12, Seed: 3}
+	oracles := map[[2]int]*Outcome{}
+	for _, r := range paddedRows {
+		if r.plane != planeOracle {
+			continue
 		}
-		oracle, ok := ByName(pair[1])
-		if !ok {
-			t.Fatalf("entry %q missing", pair[1])
+		o, err := r.entry().Run(req)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
 		}
-		req := Request{Family: PaddedFamily, N: 12, Seed: 3}
-		no, err := native.Run(Request{Family: req.Family, N: req.N, Seed: req.Seed,
+		if o.Stats.Deliveries != 0 {
+			t.Fatalf("%s: oracle entry reported engine deliveries", r.name)
+		}
+		oracles[[2]int{r.level, int(r.inner)}] = o
+	}
+	for _, r := range paddedRows {
+		if r.plane == planeOracle {
+			continue
+		}
+		oo, ok := oracles[[2]int{r.level, int(r.inner)}]
+		if !ok {
+			t.Fatalf("%s: no oracle row shares its level and inner", r.name)
+		}
+		e, ok := ByName(r.name)
+		if !ok {
+			t.Fatalf("entry %q missing", r.name)
+		}
+		no, err := e.Run(Request{Family: req.Family, N: req.N, Seed: req.Seed,
 			Engine: engine.New(engine.Options{Workers: 2, Shards: 8})})
 		if err != nil {
-			t.Fatalf("%s: %v", pair[0], err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
-		oo, err := oracle.Run(req)
-		if err != nil {
-			t.Fatalf("%s: %v", pair[1], err)
+		if r.plane == planeGather && no.Padded.Engine.RelayNative {
+			t.Fatalf("%s: gather row ran native machines", r.name)
 		}
 		if no.Checksum != oo.Checksum {
-			t.Fatalf("%s checksum %016x differs from %s checksum %016x",
-				pair[0], no.Checksum, pair[1], oo.Checksum)
+			t.Fatalf("%s checksum %016x differs from its oracle's %016x", r.name, no.Checksum, oo.Checksum)
 		}
 		if no.Stats.Deliveries <= 0 {
-			t.Fatalf("%s: native entry reported no deliveries", pair[0])
-		}
-		if oo.Stats.Deliveries != 0 {
-			t.Fatalf("%s: oracle entry reported engine deliveries", pair[1])
+			t.Fatalf("%s: engine entry reported no deliveries", r.name)
 		}
 	}
 }
@@ -72,6 +82,23 @@ func TestRegistryShape(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("missing entry %q", name)
 		}
+	}
+}
+
+// TestNamesCanonicalOrder pins the builtin names and their order: they
+// feed the "(known: …)" error texts, /v1/solvers, and every report and
+// benchmark that looks entries up by name.
+func TestNamesCanonicalOrder(t *testing.T) {
+	want := []string{
+		"cole-vishkin", "mis", "matching", "orientation", "trivial",
+		"sinkless-det", "sinkless-rand", "sinkless-msg", "netdecomp",
+		"pi2-det", "pi2-rand", "pi3-det", "pi3-rand",
+		"pi2-rand-native", "pi2-rand-gather",
+		"pi2-det-oracle", "pi2-rand-oracle", "pi3-det-oracle", "pi3-rand-oracle",
+		"pi2-rand-native-oracle",
+	}
+	if got := strings.Join(Names(), ","); got != strings.Join(want, ",") {
+		t.Fatalf("Names() = %s\nwant      %s", got, strings.Join(want, ","))
 	}
 }
 

@@ -3,7 +3,7 @@
 // function of (family, n, solver, workers, shards). The analytical
 // skeleton comes from the paper's complexity landscape (the same growth
 // classes measure.Models fits experiment sweeps against, and that
-// local.Cost realizes per run); the constants are calibrated by
+// lcl.Cost realizes per run); the constants are calibrated by
 // least-squares from any locallab.report/v1 report and serialized as a
 // canonical locallab.twin/v1 artifact (TWIN_0.json at the repo root).
 //

@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"testing"
+
+	"locallab/internal/solver"
 )
 
 const (
@@ -228,6 +230,18 @@ func TestOptimalWorkers(t *testing.T) {
 	}
 	if big < small {
 		t.Fatalf("bigger cell wants fewer workers: small %d big %d", small, big)
+	}
+}
+
+// TestSolverShapesCoverRegistry: every registry name and alias has an
+// explicit growth class, so no entry silently falls back to defaultShape.
+func TestSolverShapesCoverRegistry(t *testing.T) {
+	for _, e := range solver.Registry() {
+		for _, name := range append([]string{e.Name}, e.Aliases...) {
+			if _, ok := solverShapes[name]; !ok {
+				t.Errorf("registry name %q has no entry in solverShapes", name)
+			}
+		}
 	}
 }
 

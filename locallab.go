@@ -10,8 +10,8 @@
 // implementation lives in the internal packages:
 //
 //	internal/graph       bounded-degree multigraph substrate
-//	internal/local       LOCAL-model simulator (views + message passing)
-//	internal/lcl         the ne-LCL formalism and checker
+//	internal/engine      sharded LOCAL-model message-passing runtime
+//	internal/lcl         the ne-LCL formalism, checker and locality cost
 //	internal/sinkless    sinkless orientation (Π₁) and its two solvers
 //	internal/coloring    Figure-1 baselines (Cole–Vishkin, MIS, ...)
 //	internal/gadget      the (log, Δ)-gadget family (Section 4)
@@ -37,7 +37,6 @@ import (
 	"locallab/internal/gadget"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 	"locallab/internal/measure"
 	"locallab/internal/sinkless"
 )
@@ -69,7 +68,7 @@ type (
 	// Solver computes outputs with LOCAL-model round accounting.
 	Solver = lcl.Solver
 	// Cost tracks per-node charged locality.
-	Cost = local.Cost
+	Cost = lcl.Cost
 )
 
 // Padding machinery (the paper's contribution).
