@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -192,4 +193,20 @@ func TestCVProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestColorLabelMatchesRendering: the table of small colors holds exactly
+// the bytes "c"+strconv.Itoa(k) renders, inside the table and past both
+// of its ends, and a table color costs no allocation.
+func TestColorLabelMatchesRendering(t *testing.T) {
+	for k := -1; k <= 100; k++ {
+		if got, want := ColorLabel(k), lcl.Label("c"+strconv.Itoa(k)); got != want {
+			t.Fatalf("ColorLabel(%d) = %q, want %q", k, got, want)
+		}
+	}
+	var sink lcl.Label
+	if a := testing.AllocsPerRun(100, func() { sink = ColorLabel(3) }); a != 0 {
+		t.Fatalf("ColorLabel(3) allocates %.0f times", a)
+	}
+	_ = sink
 }

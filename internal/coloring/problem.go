@@ -20,8 +20,24 @@ const (
 	Color3 lcl.Label = "c3"
 )
 
-// ColorLabel renders color k (1..3) as a label.
-func ColorLabel(k int) lcl.Label { return lcl.Label("c" + strconv.Itoa(k)) }
+// ColorLabel renders color k (1..3) as a label. Small colors come from a
+// table, so labeling a large cycle allocates no string per node.
+func ColorLabel(k int) lcl.Label {
+	if k >= 0 && k < len(colorLabels) {
+		return colorLabels[k]
+	}
+	return renderColor(k)
+}
+
+func renderColor(k int) lcl.Label { return lcl.Label("c" + strconv.Itoa(k)) }
+
+// colorLabels holds ColorLabel's rendering of colors 0..63.
+var colorLabels = func() (t [64]lcl.Label) {
+	for k := range t {
+		t[k] = renderColor(k)
+	}
+	return t
+}()
 
 // Three is the proper 3-coloring ne-LCL on cycles: every node outputs a
 // color in {1,2,3} on itself; adjacent nodes must differ.

@@ -107,10 +107,18 @@ func EngineTower(ps *PaddedSolver, eng *engine.Engine) *EnginePaddedSolver {
 // Verify validates an output of this level's problem, using the global
 // padded verifier above level 1.
 func (l *Level) Verify(g *graph.Graph, in, out *lcl.Labeling) error {
+	return l.Verifier(g, in)(out)
+}
+
+// Verifier returns Verify bound to the instance (g, in), for a caller
+// that checks many outputs of one unchanging input: above level 1 it
+// holds in's Π′ input projection (PiPrime.Verifier), and every call
+// still checks its output in full.
+func (l *Level) Verifier(g *graph.Graph, in *lcl.Labeling) func(out *lcl.Labeling) error {
 	if pp, ok := l.Problem.(*PiPrime); ok {
-		return VerifyPadded(g, pp, in, out)
+		return pp.Verifier(g, in)
 	}
-	return lcl.Verify(g, l.Problem, in, out)
+	return func(out *lcl.Labeling) error { return lcl.Verify(g, l.Problem, in, out) }
 }
 
 // MinBaseNodes is the smallest accepted base-graph size for hierarchy

@@ -25,13 +25,13 @@ const noLabel labelID = -1
 // lcl.Labeling boundary: projections hand out the table's interned
 // strings, and comparisons inside one table compare ids.
 //
-// A table lives for one solve, one padded-instance build, or one PiPrime
-// projection cache entry (which a VerifyPadded level reads). It is never
-// package-level and never shared between labelings, so its memory is
-// bounded by the labeling it decodes or renders. The decoded values it
-// hands out are shared: callers read them and never modify them. The
+// A table lives for one solve, one padded-instance build, one input
+// decode, or the output projection of one VerifyPadded level. It is
+// never package-level and never shared between labelings, so its memory
+// is bounded by the labeling it decodes or renders. The decoded values
+// it hands out are shared: callers read them and never modify them. The
 // decode that builds a table fills it completely; after that it is only
-// read, which is what lets a cached projection serve concurrent checks.
+// read.
 type labelTable struct {
 	ids      map[lcl.Label]labelID
 	entries  []labelEntry

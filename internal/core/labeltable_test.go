@@ -17,8 +17,8 @@ import (
 // values on every call, however much the label layer shares internally.
 // Corrupting one decode's parts slice or Σlist slots must not change
 // what a later decode of the same label returns — directly, through the
-// PiPrime that already cached the labeling, or through a fresh
-// VerifyPadded.
+// PiPrime that already verified the labeling, through a verifier holding
+// the input's projection, or through a fresh VerifyPadded.
 func TestDecodedLabelsDoNotAlias(t *testing.T) {
 	base := buildBase(t, 8, 17)
 	pi, err := BuildPadded(base, lcl.NewLabeling(base), PadOptions{Delta: 3, GadgetHeight: 2})
@@ -31,6 +31,10 @@ func TestDecodedLabelsDoNotAlias(t *testing.T) {
 	}
 	prime := NewPiPrime(sinkless.Problem{}, 3)
 	if err := VerifyPadded(pi.G, prime, pi.In, out); err != nil {
+		t.Fatal(err)
+	}
+	held := prime.Verifier(pi.G, pi.In)
+	if err := held(out); err != nil {
 		t.Fatal(err)
 	}
 
@@ -76,7 +80,10 @@ func TestDecodedLabelsDoNotAlias(t *testing.T) {
 		t.Fatalf("re-decoded Σlist after corrupting an earlier result: got %+v, want %+v", sl2, wantSL)
 	}
 	if err := VerifyPadded(pi.G, prime, pi.In, out); err != nil {
-		t.Fatalf("cached verification after corrupting decoded values: %v", err)
+		t.Fatalf("repeated verification after corrupting decoded values: %v", err)
+	}
+	if err := held(out); err != nil {
+		t.Fatalf("held verification after corrupting decoded values: %v", err)
 	}
 	if err := VerifyPadded(pi.G, NewPiPrime(sinkless.Problem{}, 3), pi.In, out); err != nil {
 		t.Fatalf("fresh verification after corrupting decoded values: %v", err)
@@ -84,9 +91,9 @@ func TestDecodedLabelsDoNotAlias(t *testing.T) {
 }
 
 // TestConcurrentVerifySharesProjections: goroutines verifying the same
-// labelings through one PiPrime share its cached projections and star
-// verdicts; under the race detector this pins that a built table is only
-// read.
+// labelings through one PiPrime, half of them through one verifier that
+// holds the input projection, share that projection and the PiPrime;
+// under the race detector this pins that a held projection is only read.
 func TestConcurrentVerifySharesProjections(t *testing.T) {
 	base := buildBase(t, 8, 5)
 	pi, err := BuildPadded(base, lcl.NewLabeling(base), PadOptions{Delta: 3, GadgetHeight: 2})
@@ -98,9 +105,14 @@ func TestConcurrentVerifySharesProjections(t *testing.T) {
 		t.Fatal(err)
 	}
 	prime := NewPiPrime(sinkless.Problem{}, 3)
-	errs := make(chan error, 4)
+	held := prime.Verifier(pi.G, pi.In)
+	errs := make(chan error, 6)
 	for i := 0; i < cap(errs); i++ {
-		go func() { errs <- VerifyPadded(pi.G, prime, pi.In, out) }()
+		if i%2 == 0 {
+			go func() { errs <- held(out) }()
+		} else {
+			go func() { errs <- VerifyPadded(pi.G, prime, pi.In, out) }()
+		}
 	}
 	for i := 0; i < cap(errs); i++ {
 		if err := <-errs; err != nil {
@@ -121,7 +133,7 @@ func TestLabelTableBoundedByLabeling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pout := NewPiPrime(sinkless.Problem{}, 3).outputs(pi.G, out)
+	pout := NewPiPrime(sinkless.Problem{}, 3).projectOutput(pi.G, out)
 	distinct := map[lcl.Label]bool{}
 	for _, l := range out.Node {
 		distinct[l] = true

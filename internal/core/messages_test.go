@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"locallab/internal/errorproof"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
 	"locallab/internal/sinkless"
@@ -15,24 +16,17 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestMalformedLabelMessages pins, byte for byte, the violation Π′
-// reports for each of a set of malformed labels: composite outputs that
-// are not JSON, truncated, non-UTF-8 or of the wrong arity; Σlists that
-// are garbage, mis-sized, out of range or unfaithful; malformed
-// composite inputs; and a corrupted level-3 tower output that only the
-// reconstructed virtual graph rejects. The label layer decodes through a
-// per-labeling table, and the golden holds the texts the plain codec
-// produced, so a drift in accepted inputs or error wording fails here.
-func TestMalformedLabelMessages(t *testing.T) {
-	var lines []string
-	record := func(name string, err error) {
-		msg := "<accepted>"
-		if err != nil {
-			msg = err.Error()
-		}
-		lines = append(lines, fmt.Sprintf("%s: %q", name, msg))
-	}
+// malformedOutput is one tampering of a valid Π′ output.
+type malformedOutput struct {
+	name string
+	f    func(c *lcl.Labeling)
+}
 
+// malformedOutputs builds a small padded instance, a valid output of it,
+// and the output tamperings whose violations TestMalformedLabelMessages
+// pins under "out/".
+func malformedOutputs(t *testing.T) (*PaddedInstance, *lcl.Labeling, []malformedOutput) {
+	t.Helper()
 	base := buildBase(t, 8, 17)
 	pi, err := BuildPadded(base, lcl.NewLabeling(base), PadOptions{Delta: 3, GadgetHeight: 2})
 	if err != nil {
@@ -69,10 +63,7 @@ func TestMalformedLabelMessages(t *testing.T) {
 			c.Node[v] = mustCompose(t, mustEncode(t, sl), parts[1], parts[2])
 		}
 	}
-	outCases := []struct {
-		name string
-		f    func(c *lcl.Labeling)
-	}{
+	cases := []malformedOutput{
 		{"node-garbage", func(c *lcl.Labeling) { c.Node[plain] = "garbage" }},
 		{"node-truncated", func(c *lcl.Labeling) { c.Node[plain] = c.Node[plain][:len(c.Node[plain])/2] }},
 		{"node-non-utf8", func(c *lcl.Labeling) { c.Node[plain] = "\xff\xfe" }},
@@ -152,6 +143,29 @@ func TestMalformedLabelMessages(t *testing.T) {
 		{"psi-on-port-edge", func(c *lcl.Labeling) { c.Edge[pi.PortEdges[0]] = LabPsiEdge }},
 		{"half-garbage", func(c *lcl.Labeling) { c.Half[0] = "garbage" }},
 	}
+	return pi, out, cases
+}
+
+// TestMalformedLabelMessages pins, byte for byte, the violation Π′
+// reports for each of a set of malformed labels: composite outputs that
+// are not JSON, truncated, non-UTF-8 or of the wrong arity; Σlists that
+// are garbage, mis-sized, out of range or unfaithful; malformed
+// composite inputs; and a corrupted level-3 tower output that only the
+// reconstructed virtual graph rejects. The label layer decodes through a
+// per-labeling table, and the golden holds the texts the plain codec
+// produced, so a drift in accepted inputs or error wording fails here.
+func TestMalformedLabelMessages(t *testing.T) {
+	var lines []string
+	record := func(name string, err error) {
+		msg := "<accepted>"
+		if err != nil {
+			msg = err.Error()
+		}
+		lines = append(lines, fmt.Sprintf("%s: %q", name, msg))
+	}
+
+	pi, out, outCases := malformedOutputs(t)
+	plain := pi.NodesOf[0][1]
 	prime := NewPiPrime(sinkless.Problem{}, 3)
 	for _, tc := range outCases {
 		c := out.Clone()
@@ -185,7 +199,7 @@ func TestMalformedLabelMessages(t *testing.T) {
 	}
 	bad := out.Clone()
 	bad.Node[plain] = "garbage"
-	_, _, _, err = ReconstructVirtual(pi.G, NewPiPrime(sinkless.Problem{}, 3), pi.In, bad)
+	_, _, _, err := ReconstructVirtual(pi.G, NewPiPrime(sinkless.Problem{}, 3), pi.In, bad)
 	record("reconstruct/node-garbage", err)
 
 	// Level 3: the outer Π′ is not star-checkable, so a tampered inner
@@ -249,5 +263,101 @@ func TestMalformedLabelMessages(t *testing.T) {
 		if len(gl) != len(wl) {
 			t.Errorf("got %d lines, want %d", len(gl), len(wl))
 		}
+	}
+}
+
+// TestHeldVerifierIsFullCheck: a verifier holding the input projection,
+// after one accepted output, reports for every tampered output of
+// TestMalformedLabelMessages exactly the text a cold VerifyPadded
+// reports. That includes psi-error-claim, an Error output on a valid
+// gadget structure, which the held structure verdicts must still reject.
+func TestHeldVerifierIsFullCheck(t *testing.T) {
+	pi, out, cases := malformedOutputs(t)
+	held := NewPiPrime(sinkless.Problem{}, 3).Verifier(pi.G, pi.In)
+	if err := held(out); err != nil {
+		t.Fatalf("clean output: %v", err)
+	}
+	for _, tc := range cases {
+		c := out.Clone()
+		tc.f(c)
+		cold := VerifyPadded(pi.G, NewPiPrime(sinkless.Problem{}, 3), pi.In, c)
+		if warm := held(c); fmt.Sprint(warm) != fmt.Sprint(cold) {
+			t.Errorf("out/%s: held verifier reports %v, cold VerifyPadded %v", tc.name, warm, cold)
+		}
+		if tc.name == "psi-error-claim" && (cold == nil || !strings.Contains(cold.Error(), "output Error on locally valid structure")) {
+			t.Errorf("out/%s: accepted or misreported: %v", tc.name, cold)
+		}
+	}
+	if err := held(out); err != nil {
+		t.Fatalf("clean output after tampered ones: %v", err)
+	}
+
+	// A corrupted gadget: its nodes whose structure is locally violated
+	// must output Error, which the held verdicts decide; a GadOk there is
+	// rejected with a cold verify's text.
+	base := buildBase(t, 8, 17)
+	bad, err := BuildPadded(base, lcl.NewLabeling(base), PadOptions{
+		Delta: 3, GadgetHeight: 2, CorruptGadgets: []graph.NodeID{0}, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badOut, _, err := NewPaddedSolver(sinkless.NewDetSolver(), 3).Solve(bad.G, bad.In, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held = NewPiPrime(sinkless.Problem{}, 3).Verifier(bad.G, bad.In)
+	if err := held(badOut); err != nil {
+		t.Fatalf("clean output with a corrupted gadget: %v", err)
+	}
+	tampered := 0
+	for _, v := range bad.NodesOf[0] {
+		parts, err := Split(badOut.Node[v], outNodeParts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parts[2] != errorproof.LabError {
+			continue
+		}
+		c := badOut.Clone()
+		c.Node[v] = mustCompose(t, parts[0], parts[1], errorproof.LabGadOk)
+		cold := VerifyPadded(bad.G, NewPiPrime(sinkless.Problem{}, 3), bad.In, c)
+		if cold == nil {
+			t.Fatalf("node %d: GadOk on a violated structure accepted", v)
+		}
+		if warm := held(c); fmt.Sprint(warm) != cold.Error() {
+			t.Errorf("node %d: held verifier reports %v, cold VerifyPadded %v", v, warm, cold)
+		}
+		tampered++
+	}
+	if tampered == 0 {
+		t.Fatal("the corrupted gadget has no Error node")
+	}
+}
+
+// TestVerifyRereadsMutatedOutput: verify an output, change that same
+// labeling in place, and verify it again through the same PiPrime and
+// the same held verifier. Both must judge the new contents and reject
+// with the text a fresh PiPrime reports.
+func TestVerifyRereadsMutatedOutput(t *testing.T) {
+	pi, out, _ := malformedOutputs(t)
+	prime := NewPiPrime(sinkless.Problem{}, 3)
+	held := prime.Verifier(pi.G, pi.In)
+	if err := VerifyPadded(pi.G, prime, pi.In, out); err != nil {
+		t.Fatal(err)
+	}
+	if err := held(out); err != nil {
+		t.Fatal(err)
+	}
+	out.Node[pi.NodesOf[0][1]] = "garbage"
+	want := VerifyPadded(pi.G, NewPiPrime(sinkless.Problem{}, 3), pi.In, out)
+	if want == nil || !strings.Contains(want.Error(), `composite output: split label "garbage"`) {
+		t.Fatalf("fresh PiPrime: %v", want)
+	}
+	if got := VerifyPadded(pi.G, prime, pi.In, out); fmt.Sprint(got) != want.Error() {
+		t.Errorf("same PiPrime after the change: %v, want %v", got, want)
+	}
+	if got := held(out); fmt.Sprint(got) != want.Error() {
+		t.Errorf("held verifier after the change: %v, want %v", got, want)
 	}
 }

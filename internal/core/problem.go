@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"locallab/internal/errorproof"
 	"locallab/internal/graph"
@@ -30,13 +29,13 @@ import (
 // configuration, as the formal ne-LCL definition demands). Inner
 // problems that are themselves PiPrime instances are validated globally
 // by VerifyPadded, which reconstructs the virtual graph.
+//
+// A PiPrime holds no state: every check decodes the labelings it is
+// given. VerifyPadded decodes each labeling once per call, and
+// Verifier holds one instance's input projection across calls.
 type PiPrime struct {
 	Inner lcl.Problem
 	Delta int
-
-	mu       sync.Mutex
-	inCache  map[*lcl.Labeling]*projIn
-	outCache map[*lcl.Labeling]*projOut
 }
 
 var _ lcl.Problem = (*PiPrime)(nil)
@@ -49,6 +48,18 @@ func NewPiPrime(inner lcl.Problem, delta int) *PiPrime {
 // Name implements lcl.Problem.
 func (p *PiPrime) Name() string { return "padded(" + p.Inner.Name() + ")" }
 
+// CheckNode implements lcl.Problem. Each call decodes both labelings;
+// VerifyPadded checks a whole labeling with one decode.
+func (p *PiPrime) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeID) error {
+	return (&paddedCheck{p: p}).CheckNode(g, in, out, v)
+}
+
+// CheckEdge implements lcl.Problem. Each call decodes both labelings;
+// VerifyPadded checks a whole labeling with one decode.
+func (p *PiPrime) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.EdgeID) error {
+	return (&paddedCheck{p: p}).CheckEdge(g, in, out, e)
+}
+
 // StarCheckable reports whether a problem's constraints read only the
 // immediate node/edge configuration, making hypothetical-star checking
 // valid. Problems advertise it via an optional interface.
@@ -57,49 +68,55 @@ func StarCheckable(prob lcl.Problem) bool {
 	return ok && sc.StarCheckable()
 }
 
-// projIn caches the decoded composite input labeling.
+// projIn is the decoded composite input labeling: its layers, or the
+// decode error, and the Ψ checker of constraint 2 with every node's
+// gadget-structure verdict. It depends on the input alone, so a held
+// instance builds it once (Verifier) and only reads it afterwards.
 type projIn struct {
 	*padInputs
 	err error
+	psi *errorproof.Psi
 }
 
-// projOut caches the decoded composite output labeling. Its label table
-// is filled when the entry is built and only read afterwards; the
-// hypothetical-star verdicts are memoized per Σlist (node checks) and
-// per Σlist/port pair (edge checks) as the checks ask for them.
+// projectInput decodes in and checks the gadget structure at every node.
+func (p *PiPrime) projectInput(g *graph.Graph, in *lcl.Labeling) *projIn {
+	pr := &projIn{}
+	pr.padInputs, pr.err = decodeInputs(g, in)
+	if pr.err != nil {
+		return pr
+	}
+	pr.psi = &errorproof.Psi{Delta: p.Delta, Scope: pr.scope, Inputs: pr.nodes}
+	pr.psi.Violated = pr.psi.StructureViolations(g, pr.gad)
+	return pr
+}
+
+// projOut is the decoded composite output labeling of one verify call.
+// Its label table is filled when it is built and only read afterwards;
+// the hypothetical-star verdicts are memoized per Σlist (node checks)
+// and per Σlist/port pair (edge checks) as the checks ask for them.
 type projOut struct {
 	labels  *labelTable
 	sigma   []labelID // Σlist part per node (noLabel when undecodable)
 	portErr []lcl.Label
-	psi     *lcl.Labeling // Ψ node outputs (projected)
+	psi     *lcl.Labeling // Ψ node outputs (node labels only)
 	errs    []error       // per-node decode errors
 
 	starNode verdicts[labelID]
 	starEdge verdicts[starEdgeKey]
 }
 
-// verdicts memoizes the results of a pure check by key. The lock is never
-// held while a check runs (checks call into the inner problem); two
-// goroutines missing the same key both compute the same verdict.
-type verdicts[K comparable] struct {
-	mu sync.Mutex
-	m  map[K]error
-}
+// verdicts memoizes the results of a pure check by key.
+type verdicts[K comparable] map[K]error
 
 func (vs *verdicts[K]) get(k K, check func() error) error {
-	vs.mu.Lock()
-	err, ok := vs.m[k]
-	vs.mu.Unlock()
-	if ok {
+	if err, ok := (*vs)[k]; ok {
 		return err
 	}
-	err = check()
-	vs.mu.Lock()
-	if vs.m == nil {
-		vs.m = make(map[K]error)
+	if *vs == nil {
+		*vs = make(verdicts[K])
 	}
-	vs.m[k] = err
-	vs.mu.Unlock()
+	err := check()
+	(*vs)[k] = err
 	return err
 }
 
@@ -110,43 +127,15 @@ type starEdgeKey struct {
 	pu, pv int
 }
 
-func (p *PiPrime) inputs(g *graph.Graph, in *lcl.Labeling) *projIn {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.inCache == nil {
-		p.inCache = make(map[*lcl.Labeling]*projIn)
-	}
-	if pr, ok := p.inCache[in]; ok {
-		return pr
-	}
-	if len(p.inCache) > 8 {
-		p.inCache = make(map[*lcl.Labeling]*projIn)
-	}
-	pr := &projIn{}
-	pr.padInputs, pr.err = decodeInputs(g, in)
-	p.inCache[in] = pr
-	return pr
-}
-
-func (p *PiPrime) outputs(g *graph.Graph, out *lcl.Labeling) *projOut {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.outCache == nil {
-		p.outCache = make(map[*lcl.Labeling]*projOut)
-	}
-	if pr, ok := p.outCache[out]; ok {
-		return pr
-	}
-	if len(p.outCache) > 8 {
-		p.outCache = make(map[*lcl.Labeling]*projOut)
-	}
+// projectOutput decodes every node's composite output label.
+func (p *PiPrime) projectOutput(g *graph.Graph, out *lcl.Labeling) *projOut {
 	n := g.NumNodes()
 	t := newLabelTable()
 	pr := &projOut{
 		labels:  t,
 		sigma:   make([]labelID, n),
 		portErr: make([]lcl.Label, n),
-		psi:     lcl.NewLabeling(g),
+		psi:     &lcl.Labeling{Node: make([]lcl.Label, n)},
 		errs:    make([]error, n),
 	}
 	for v := 0; v < n; v++ {
@@ -163,7 +152,6 @@ func (p *PiPrime) outputs(g *graph.Graph, out *lcl.Labeling) *projOut {
 		// check reads it.
 		t.sigma(parts[0], p.Delta)
 	}
-	p.outCache[out] = pr
 	return pr
 }
 
@@ -173,13 +161,41 @@ func (pr *projOut) sigmaAt(v graph.NodeID, delta int) (*sigmaIDs, error) {
 	return pr.labels.sigma(pr.sigma[v], delta)
 }
 
+// paddedCheck is Π′'s checker for one verification: it reads the
+// instance's input projection, held by the caller or built on first
+// use, and the output projection it builds on first use. It is never
+// shared between calls, so no output projection outlives its verify.
+type paddedCheck struct {
+	p    *PiPrime
+	pin  *projIn
+	pout *projOut
+}
+
+// Name implements lcl.Problem.
+func (c *paddedCheck) Name() string { return c.p.Name() }
+
+func (c *paddedCheck) inputs(g *graph.Graph, in *lcl.Labeling) *projIn {
+	if c.pin == nil {
+		c.pin = c.p.projectInput(g, in)
+	}
+	return c.pin
+}
+
+func (c *paddedCheck) outputs(g *graph.Graph, out *lcl.Labeling) *projOut {
+	if c.pout == nil {
+		c.pout = c.p.projectOutput(g, out)
+	}
+	return c.pout
+}
+
 // CheckNode implements lcl.Problem.
-func (p *PiPrime) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeID) error {
-	pin := p.inputs(g, in)
+func (c *paddedCheck) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeID) error {
+	p := c.p
+	pin := c.inputs(g, in)
 	if pin.err != nil {
 		return lcl.Violation(p.Name(), "node", int(v), "composite input: %v", pin.err)
 	}
-	pout := p.outputs(g, out)
+	pout := c.outputs(g, out)
 	if pout.errs[v] != nil {
 		return lcl.Violation(p.Name(), "node", int(v), "composite output: %v", pout.errs[v])
 	}
@@ -206,8 +222,7 @@ func (p *PiPrime) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeI
 	}
 
 	// Constraint 2: ΨG's node constraint at v.
-	psi := &errorproof.Psi{Delta: p.Delta, Scope: pin.scope, Inputs: pin.nodes}
-	if err := psi.CheckNode(g, pin.gad, pout.psi, v); err != nil {
+	if err := pin.psi.CheckNode(g, pin.gad, pout.psi, v); err != nil {
 		return err
 	}
 
@@ -273,12 +288,13 @@ func (p *PiPrime) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeI
 }
 
 // CheckEdge implements lcl.Problem.
-func (p *PiPrime) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.EdgeID) error {
-	pin := p.inputs(g, in)
+func (c *paddedCheck) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.EdgeID) error {
+	p := c.p
+	pin := c.inputs(g, in)
 	if pin.err != nil {
 		return lcl.Violation(p.Name(), "edge", int(e), "composite input: %v", pin.err)
 	}
-	pout := p.outputs(g, out)
+	pout := c.outputs(g, out)
 	ed := g.Edge(e)
 	u, v := ed.U.Node, ed.V.Node
 	if pout.errs[u] != nil || pout.errs[v] != nil {

@@ -13,9 +13,33 @@ import (
 // problem is not star-checkable (e.g. it is itself a PiPrime) — the
 // virtual-graph semantics: it reconstructs H and the inner labelings from
 // the Σlist labels and verifies the inner problem there, recursing
-// through padded levels.
+// through padded levels. It decodes in and out once per call.
 func VerifyPadded(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) error {
-	if err := lcl.Verify(g, p, in, out); err != nil {
+	return (&paddedCheck{p: p}).verify(g, in, out)
+}
+
+// Verifier returns VerifyPadded bound to the instance (g, in), for a
+// caller that checks many outputs of one input: it decodes in and checks
+// the gadget structure at every node once, and each call of the returned
+// function decodes and checks only its output, in full. in must not
+// change while the verifier is in use. Calls only read the held input
+// projection, so they may run concurrently.
+func (p *PiPrime) Verifier(g *graph.Graph, in *lcl.Labeling) func(out *lcl.Labeling) error {
+	var pin *projIn
+	// A mis-shaped input is left to each call's lcl.Verify to report.
+	if lcl.CheckShape(g, in) == nil {
+		pin = p.projectInput(g, in)
+	}
+	return func(out *lcl.Labeling) error {
+		return (&paddedCheck{p: p, pin: pin}).verify(g, in, out)
+	}
+}
+
+// verify is VerifyPadded through c. Nested levels verify their
+// reconstructed virtual graphs one-shot.
+func (c *paddedCheck) verify(g *graph.Graph, in, out *lcl.Labeling) error {
+	p := c.p
+	if err := lcl.Verify(g, c, in, out); err != nil {
 		return err
 	}
 	if StarCheckable(p.Inner) {
@@ -23,7 +47,7 @@ func VerifyPadded(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) error {
 		// reconstruction below would only repeat them.
 		return nil
 	}
-	vg, _, virtOut, err := ReconstructVirtual(g, p, in, out)
+	vg, _, virtOut, err := c.reconstruct(g, in, out)
 	if err != nil {
 		return fmt.Errorf("verify padded reconstruction: %w", err)
 	}
@@ -38,14 +62,19 @@ func VerifyPadded(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) error {
 
 // ReconstructVirtual rebuilds the virtual graph H together with the inner
 // input and output labelings from a Π′ instance and its output labeling.
-// It reads the labelings through p's decoded projections, which the
-// constraint checks of the same verification already built.
 func ReconstructVirtual(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) (*VirtualGraph, *lcl.Labeling, *lcl.Labeling, error) {
-	pin := p.inputs(g, in)
+	return (&paddedCheck{p: p}).reconstruct(g, in, out)
+}
+
+// reconstruct is ReconstructVirtual reading c's projections, which the
+// constraint checks of the same verification already built.
+func (c *paddedCheck) reconstruct(g *graph.Graph, in, out *lcl.Labeling) (*VirtualGraph, *lcl.Labeling, *lcl.Labeling, error) {
+	p := c.p
+	pin := c.inputs(g, in)
 	if pin.err != nil {
 		return nil, nil, nil, pin.err
 	}
-	pout := p.outputs(g, out)
+	pout := c.outputs(g, out)
 	for v, err := range pout.errs {
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("node %d output: %w", v, err)

@@ -1,6 +1,7 @@
 package errorproof
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -183,6 +184,51 @@ func TestPsiRejectsMislabeledValidity(t *testing.T) {
 	bad2.Node[gd.Center] = LabError
 	if err := lcl.Verify(gd.G, psi, in, bad2); err == nil {
 		t.Error("Error on locally valid node accepted")
+	}
+}
+
+// TestPsiViolatedKeepsTexts: a Psi reading precomputed structure
+// violations reports, node for node, exactly the texts of one that checks
+// the structure per call, on the verifier's output over every standard
+// corruption and on outputs claiming GadOk or Error everywhere.
+func TestPsiViolatedKeepsTexts(t *testing.T) {
+	gd, err := gadget.BuildUniform(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	checked := 0
+	for _, c := range gadget.StandardCorruptions(gd, rng) {
+		g, in, err := c.Apply(gd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := (&Verifier{Delta: 3}).Run(g, in, g.NumNodes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := &Psi{Delta: 3}
+		held := &Psi{Delta: 3}
+		held.Violated = held.StructureViolations(g, in)
+		for _, fill := range []lcl.Label{"", LabGadOk, LabError} {
+			o := out
+			if fill != "" {
+				o = out.Clone()
+				for v := range o.Node {
+					o.Node[v] = fill
+				}
+			}
+			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+				want := fmt.Sprint(plain.CheckNode(g, in, o, v))
+				if got := fmt.Sprint(held.CheckNode(g, in, o, v)); got != want {
+					t.Fatalf("%s fill %q node %d: %s, want %s", c.Name, fill, v, got, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no corruption checked")
 	}
 }
 

@@ -75,6 +75,10 @@ type Psi struct {
 	// Inputs optionally carries the parsed node inputs of the input
 	// labeling (see gadget.Checker.Inputs).
 	Inputs *gadget.NodeInputs
+	// Violated optionally carries the gadget-structure violations of the
+	// input labeling (see StructureViolations), which constraint 2 reads;
+	// nil checks the structure at each checked node.
+	Violated []bool
 }
 
 var _ lcl.Problem = &Psi{}
@@ -86,13 +90,34 @@ func (p *Psi) checker() *gadget.Checker {
 	return &gadget.Checker{Delta: p.Delta, Scope: p.Scope, Inputs: p.Inputs}
 }
 
+// StructureViolations checks the gadget structure at every node of in
+// once: entry v is true exactly when v's constant-radius neighborhood is
+// inconsistent with a valid gadget. A Psi with these as Violated
+// reports what it reports without them.
+func (p *Psi) StructureViolations(g *graph.Graph, in *lcl.Labeling) []bool {
+	return structureViolations(p.checker(), g, in)
+}
+
+// structureViolations reports, per node, whether ck rejects it.
+func structureViolations(ck *gadget.Checker, g *graph.Graph, in *lcl.Labeling) []bool {
+	bad := make([]bool, g.NumNodes())
+	for v := range bad {
+		bad[v] = ck.CheckNode(g, in, graph.NodeID(v)) != nil
+	}
+	return bad
+}
+
 // CheckNode implements lcl.Problem: constraints 1 and 2 (label well-
 // formedness and Error-iff-local-violation) plus the pointer-target rules
 // of constraint 3.
 func (p *Psi) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeID) error {
 	lab := out.Node[v]
-	ck := p.checker()
-	structOK := ck.CheckNode(g, in, v) == nil
+	var structOK bool
+	if p.Violated != nil {
+		structOK = !p.Violated[v]
+	} else {
+		structOK = p.checker().CheckNode(g, in, v) == nil
+	}
 
 	// Constraint 2: Error exactly at local violations.
 	if !structOK {

@@ -53,11 +53,7 @@ func (vf *Verifier) Run(g *graph.Graph, in *lcl.Labeling, nUpper int) (*lcl.Labe
 	cost := lcl.NewCost(g.NumNodes())
 	radius := vf.Radius(nUpper)
 	ck := &gadget.Checker{Delta: vf.Delta, Scope: vf.Scope, Inputs: vf.nodeInputs(in)}
-
-	bad := make([]bool, g.NumNodes())
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		bad[v] = ck.CheckNode(g, in, v) != nil
-	}
+	bad := structureViolations(ck, g, in)
 
 	comps := vf.scopedComponents(g)
 	for _, nodes := range comps {

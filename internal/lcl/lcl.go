@@ -91,10 +91,10 @@ type Problem interface {
 // constraint is evaluated, and the first violation is returned. A correct
 // solution passes everywhere (the checker "accepts on all nodes").
 func Verify(g *graph.Graph, p Problem, in, out *Labeling) error {
-	if err := checkShape(g, in); err != nil {
+	if err := CheckShape(g, in); err != nil {
 		return fmt.Errorf("%s input labeling: %w", p.Name(), err)
 	}
-	if err := checkShape(g, out); err != nil {
+	if err := CheckShape(g, out); err != nil {
 		return fmt.Errorf("%s output labeling: %w", p.Name(), err)
 	}
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
@@ -110,7 +110,9 @@ func Verify(g *graph.Graph, p Problem, in, out *Labeling) error {
 	return nil
 }
 
-func checkShape(g *graph.Graph, l *Labeling) error {
+// CheckShape reports whether l has one label per node, edge and half-edge
+// of g, as Verify requires of both labelings.
+func CheckShape(g *graph.Graph, l *Labeling) error {
 	if l == nil {
 		return fmt.Errorf("labeling is nil")
 	}

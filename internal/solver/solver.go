@@ -101,7 +101,9 @@ type Outcome struct {
 	Checksum uint64
 	// G, In, Out, Cost expose the instance and solution for callers that
 	// inspect or dump them (cmd/lcl-run, examples). Out is nil for
-	// non-labeling workloads (netdecomp).
+	// non-labeling workloads (netdecomp). In is the cell's input: every
+	// Run of a padded cell returns the same labeling, which its held
+	// verifier has decoded, so callers must treat it as read-only.
 	G    *graph.Graph
 	In   *lcl.Labeling
 	Out  *lcl.Labeling
@@ -375,9 +377,10 @@ func (r paddedRow) entry() Entry {
 // runner executing the row's solve on it. An oracle row runs its
 // sequential solver; an engine or gather row runs that solver's engine
 // tower and holds the prepared top-level solve across Runs (heldSolve),
-// recording the engine profile (Stats, RelayWords). The nested
-// per-component solves of a tower stay one-shot, because their
-// reconstructed graphs are new on every Run.
+// recording the engine profile (Stats, RelayWords). Every row verifies
+// through a verifier holding the input's Π′ projection. The nested
+// per-component solves and verifies of a tower stay one-shot, because
+// their reconstructed graphs are new on every Run.
 func (r paddedRow) prepare(req Request) (Prepared, error) {
 	lvl, err := core.NewLevel(r.level)
 	if err != nil {
@@ -397,16 +400,19 @@ func (r paddedRow) prepare(req Request) (Prepared, error) {
 		s.ForceGather = r.plane == planeGather
 		solve, release = heldSolve(s)
 	}
+	// No solver writes to its input, so every Run reads the cell's one
+	// input labeling, and the verifier built at the first Run holds its
+	// decoded projection; only the output is decoded and checked per Run.
+	var verify func(out *lcl.Labeling) error
 	run := func() (*Outcome, error) {
-		// A fresh copy of the input labeling per Run keeps repeated
-		// executions of one prepared cell bit-identical even if a solver
-		// scratches on its input.
-		in := inst.In.Clone()
-		d, err := solve(inst.G, in, req.Seed)
+		d, err := solve(inst.G, inst.In, req.Seed)
 		if err != nil {
 			return nil, err
 		}
-		if err := lvl.Verify(inst.G, in, d.Out); err != nil {
+		if verify == nil {
+			verify = lvl.Verifier(inst.G, inst.In)
+		}
+		if err := verify(d.Out); err != nil {
 			return nil, fmt.Errorf("verify: %w", err)
 		}
 		o := &Outcome{
@@ -416,7 +422,7 @@ func (r paddedRow) prepare(req Request) (Prepared, error) {
 			Checksum:   LabelingChecksum(d.Out),
 			TowerDepth: r.level - 1,
 			G:          inst.G,
-			In:         in,
+			In:         inst.In,
 			Out:        d.Out,
 			Cost:       d.Cost,
 			Padded:     d,

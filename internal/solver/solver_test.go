@@ -1,9 +1,11 @@
 package solver
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"locallab/internal/core"
 	"locallab/internal/engine"
 )
 
@@ -212,6 +214,43 @@ func TestPreparedRunRepeatable(t *testing.T) {
 		if fresh.Checksum != first.Checksum {
 			t.Fatalf("%s: fresh checksum %016x differs from prepared %016x", e.Name, fresh.Checksum, first.Checksum)
 		}
+	}
+}
+
+// TestHeldRunsLeaveInputUnchanged: every padded row's Runs read the
+// cell's one input labeling without a copy, so no Run may write to it.
+// Each Run must return the cell's own input, deep-equal to a separately
+// built snapshot of the same instance.
+func TestHeldRunsLeaveInputUnchanged(t *testing.T) {
+	for _, r := range paddedRows {
+		req := Request{Family: PaddedFamily, N: 4, Seed: 4}
+		if r.plane != planeOracle {
+			req.Engine = engine.New(engine.Options{Workers: 2, Shards: 4})
+		}
+		snap, err := core.BuildInstance(r.level, core.InstanceOptions{BaseNodes: req.N, Seed: req.Seed, Balanced: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := r.entry().Prepare(req)
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", r.name, err)
+		}
+		for run := 1; run <= 3; run++ {
+			o, err := p.Run()
+			if err != nil {
+				p.Close()
+				t.Fatalf("%s: run %d: %v", r.name, run, err)
+			}
+			if o.In != o.Instance.In {
+				p.Close()
+				t.Fatalf("%s: run %d: Outcome.In is not the cell's input", r.name, run)
+			}
+			if !reflect.DeepEqual(o.Instance.In, snap.In) {
+				p.Close()
+				t.Fatalf("%s: run %d changed the cell's input", r.name, run)
+			}
+		}
+		p.Close()
 	}
 }
 
