@@ -21,6 +21,7 @@ import (
 	"locallab/internal/lcl"
 	"locallab/internal/scenario"
 	"locallab/internal/sinkless"
+	"locallab/internal/solver"
 	"locallab/internal/twin"
 )
 
@@ -219,6 +220,33 @@ func BenchmarkPreparedTowerPi3(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchPrepared(b, det, inst)
+}
+
+// BenchmarkHeldPi2Native runs a held pi2-rand-native base-48 registry
+// cell (1 engine worker), the perfbench pi2-native cell shape: the Ψ and
+// native relay sessions, assembly, the held verify and the output
+// checksum.
+func BenchmarkHeldPi2Native(b *testing.B) {
+	entry, ok := solver.ByName("pi2-rand-native")
+	if !ok {
+		b.Fatal("no pi2-rand-native entry")
+	}
+	p, err := entry.Prepare(solver.Request{Family: solver.PaddedFamily, N: 48, Seed: 1,
+		Engine: engine.New(engine.Options{Workers: 1})})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // benchPrepared prepares s on inst, runs it once to build the plan, and

@@ -130,6 +130,7 @@ func newNativeSession(tb testing.TB, opts engine.Options) *engine.Session[natMsg
 	if err != nil {
 		tb.Fatal(err)
 	}
+	machines[0].plane.round = sess.Rounds
 	sess.Reset(1, false)
 	for i := 0; i < 4; i++ {
 		sess.Step()

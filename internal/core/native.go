@@ -209,6 +209,10 @@ type natRecord struct {
 type natPlane struct {
 	recs  []natRecord
 	lanes []natLane // by port slot (graph.PortOffsets)
+	// round reports the session's current round (Session.Rounds). The
+	// machines read it instead of counting their own calls: the session
+	// skips sleeping machines, so a machine is not called every round.
+	round func() int
 }
 
 // natLane locates one port slot's records: the even half starts at at,
@@ -219,7 +223,9 @@ type natLane struct {
 
 // natMachine is the per-physical-node transport of the native relay
 // plane: a slot table plus a static route per slot. Host nodes
-// additionally run the gadget's PortMachine every L-th round.
+// additionally run the gadget's PortMachine every L-th round. The node is
+// an engine.Sleeper: after a round in which it forwarded no record it is
+// quiet, and a non-host node sleeps until a neighbor forwards it one.
 type natMachine struct {
 	// host is the gadget's hosted port machine on the node hosting it,
 	// nil everywhere else.
@@ -245,11 +251,12 @@ type natMachine struct {
 	fresh uint16
 
 	// L is the lockstep super-round length.
-	L     int32
-	round int32
+	L int32
 	// sent counts payload words handed to the transport (one per
-	// record), the native plane's bandwidth tally.
+	// record), the native plane's bandwidth tally; idle marks a last
+	// round that forwarded none.
 	sent int64
+	idle bool
 }
 
 // natHost is a hosted port machine with its word buffers. Only the few
@@ -262,11 +269,14 @@ type natHost struct {
 	done         bool
 }
 
-var _ engine.TypedMachine[natMsg] = (*natMachine)(nil)
+var (
+	_ engine.TypedMachine[natMsg] = (*natMachine)(nil)
+	_ engine.Sleeper              = (*natMachine)(nil)
+)
 
 func (m *natMachine) Init(engine.NodeInfo) {
-	m.round = 0
 	m.sent = 0
+	m.idle = true
 	clear(m.vals)
 	m.fresh = 0
 	if h := m.host; h != nil {
@@ -276,7 +286,7 @@ func (m *natMachine) Init(engine.NodeInfo) {
 }
 
 func (m *natMachine) Round(recv, send []natMsg) bool {
-	m.round++
+	round := int32(m.plane.round())
 	// Merge incoming records. A record only arrives when its value
 	// differs from what this node holds (senders forward on change), but
 	// the guard keeps re-deliveries idempotent. Records are validated
@@ -288,7 +298,7 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 	// matter under fault injection, where
 	// corrupt deliveries must degrade, never panic (FuzzNativeSlotRewrite
 	// pins this).
-	if m.round > 1 {
+	if round > 1 {
 		recs := m.plane.recs
 		for _, in := range recv {
 			nrec := min(int(in.n), maxNatSlots)
@@ -308,7 +318,7 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 	}
 	// Hosts run one protocol round per super-round: by round k·L+1 every
 	// IN slot holds the neighbor's round-(k-1) word.
-	if h := m.host; h != nil && (m.round-1)%m.L == 0 {
+	if h := m.host; h != nil && (round-1)%m.L == 0 {
 		for p := range h.recvW {
 			h.recvW[p] = m.vals[2*p+1]
 		}
@@ -325,7 +335,8 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 	for p := range send {
 		send[p] = natMsg{}
 	}
-	half := m.round & 1
+	half := round & 1
+	sent := m.sent
 	for f := m.fresh; f != 0; f &= f - 1 {
 		s := bits.TrailingZeros16(f)
 		r := m.route[s]
@@ -342,11 +353,22 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 		m.sent++
 	}
 	m.fresh = 0
+	m.idle = m.sent == sent
 	if m.host == nil {
 		return true
 	}
 	return m.host.done
 }
+
+// Quiet implements engine.Sleeper: a node that forwarded no record wrote
+// only empty messages.
+func (m *natMachine) Quiet() bool { return m.idle }
+
+// Asleep implements engine.Sleeper. A quiet non-host node (a fresh one
+// too) holds no fresh slot; with only empty messages arriving it would
+// merge nothing and forward nothing. Hosts stay awake, quiet between the
+// super-round boundaries their protocol runs on.
+func (m *natMachine) Asleep() bool { return m.host == nil && m.idle }
 
 // nativeRelay is a prepared native relay: the per-node transport
 // machines, the hosted port machines, and the engine session that
@@ -383,6 +405,7 @@ func newNativeRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID)
 	if err != nil {
 		return nil, fmt.Errorf("run native relay: %w", err)
 	}
+	machines[0].plane.round = sess.Rounds
 	return &nativeRelay{
 		vg: vg, machines: machines, hosts: hosts, sess: sess,
 		maxRounds: int(superLen)*nativeMaxVMRounds + 1,

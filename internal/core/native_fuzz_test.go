@@ -32,6 +32,9 @@ func FuzzNativeSlotRewrite(f *testing.F) {
 		f.Fatal(err)
 	}
 	recs := machines[0].plane.recs
+	// The fuzz drives Round directly, playing the session's round clock.
+	round := 0
+	machines[0].plane.round = func() int { return round }
 
 	// Seeds: a well-formed single record, an out-of-table slot, a record
 	// count past the slot table, records running off the plane's end, a
@@ -51,6 +54,7 @@ func FuzzNativeSlotRewrite(f *testing.F) {
 		recv := make([]natMsg, deg)
 		send := make([]natMsg, deg)
 		// Round 1 ignores recv; the merge path runs from round 2 on.
+		round = 1
 		m.Round(recv, send)
 		for i := range recs {
 			recs[i] = natRecord{slot: slot0 + uint8(i)*slot1, val: val + uint64(i)}
@@ -58,12 +62,14 @@ func FuzzNativeSlotRewrite(f *testing.F) {
 		for p := range recv {
 			recv[p] = natMsg{n: n, at: at + int32(p)}
 		}
+		round = 2
 		m.Round(recv, send)
 		// The machine must stay drivable after absorbing the malformed
 		// records: one more clean round, then its outputs still decode.
 		for p := range recv {
 			recv[p] = natMsg{}
 		}
+		round = 3
 		m.Round(recv, send)
 		if m.host != nil {
 			out := lcl.NewLabeling(plan.vg.H)

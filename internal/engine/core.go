@@ -21,20 +21,56 @@ import (
 //
 // Contract:
 //
-//   - There is no silence notion: every port carries a value of M every
-//     round. Machines must write every send slot on every call — the
-//     buffers are reused across rounds, so an unwritten slot would
-//     deliver the previous round's message.
+//   - Every port carries a value of M every round (a Sleeper's silence,
+//     the zero value, too). Machines must write every send slot on every
+//     call — the buffers are reused across rounds, so an unwritten slot
+//     would deliver the previous round's message.
 //   - In the first Round call no messages have arrived yet and recv
-//     holds zero values of M; machines must track their own round count
+//     holds zero values of M; machines must track the round number
 //     instead of probing recv for presence.
 //   - recv and send contents are only valid during the call; machines
 //     that need a received value later must copy it into their state.
+//   - A machine that also implements Sleeper may be skipped in rounds
+//     where calling it would change nothing (see Sleeper). A session of
+//     sleepers calls a machine only in rounds where it or a neighbor is
+//     awake, so such a machine must read the round number from the
+//     session (Session.Rounds) rather than count its own calls, and
+//     Step on a terminated system calls only the machines still awake.
 type TypedMachine[M any] interface {
 	// Init resets the machine with the node's initial knowledge.
 	Init(info NodeInfo)
 	// Round consumes recv and fills send, returning done.
 	Round(recv []M, send []M) (done bool)
+}
+
+// Sleeper is the optional sleep/wake contract of a TypedMachine. Silence
+// is the zero value of M; after each Round the session asks the machine
+// what its neighbors and it need next round.
+//
+//   - Quiet reports that the Round just made wrote only silent sends:
+//     the machine's neighbors need not run on its account.
+//   - Asleep may report true only right after Init, or right after a
+//     Round that returned done and was Quiet. It promises that a later
+//     Round whose inputs are all silent would return done, change nothing
+//     (the machine's state) and write only silent sends, so the machine
+//     itself need not run either until a neighbor sends it something.
+//
+// When every machine of a session implements Sleeper and no Interceptor
+// is installed at Reset, the session runs a sparse schedule: a round
+// computes only the machines awake after the previous round (after Init,
+// for round 1) and the neighbors of those that were not Quiet, and
+// gathers only those machines' port slots. A skipped machine is asleep
+// and all its inputs are silent, so skipping it is exact: outputs,
+// Stats.Rounds and Stats.Deliveries (which still counts every port slot
+// of every delivered round) equal the dense loop's and RunReference's
+// for every Workers/Shards geometry. Sessions with an interceptor, or
+// with any machine that does not implement Sleeper, keep the dense loop.
+type Sleeper interface {
+	// Quiet reports whether the last Round wrote only silent sends.
+	Quiet() bool
+	// Asleep reports whether the machine may skip rounds until a
+	// neighbor sends it something.
+	Asleep() bool
 }
 
 // Interceptor is the typed plane's delivery-fault hook: when installed
@@ -93,6 +129,22 @@ type paddedBool struct {
 type paddedCount struct {
 	v int64
 	_ [56]byte
+}
+
+// nodeSched is one node's sparse-schedule entry: the last round whose
+// wake step listed it, and its shard.
+type nodeSched struct {
+	stamp, shard int32
+}
+
+// sleepShard is one shard's sparse schedule: woken lists the nodes the
+// next compute phase runs, loud the nodes the last one left awake (see
+// computeSparse). Both are carved from session slabs with capacity for
+// the whole shard, so appends never reallocate; the padding keeps
+// concurrent shards' slice headers off each other's cache lines.
+type sleepShard struct {
+	woken, loud []int32
+	_           [16]byte
 }
 
 // Core is the generics-based execution core: the engine's sharded
@@ -179,6 +231,13 @@ type Session[M any] struct {
 	// outside the gather loop, so the nil case costs nothing.
 	itc Interceptor[M]
 
+	// The sparse schedule (see Sleeper). sleep and sched are allocated by
+	// NewSession only when every machine is a Sleeper; sparse is chosen
+	// at Reset: it holds when they are and no interceptor is installed.
+	sparse bool
+	sleep  []sleepShard
+	sched  []nodeSched
+
 	jobs    chan int
 	wg      sync.WaitGroup
 	started bool
@@ -236,6 +295,7 @@ func (c *Core[M]) NewSession(g *graph.Graph, machines []TypedMachine[M]) (*Sessi
 		}
 		s.shardLo[i+1] = s.shardLo[i] + int32(size)
 	}
+	s.initSleep()
 	// A size hint promises this session will actually execute, so the
 	// warm-up allocations (job channel, worker goroutines) happen here
 	// rather than on the first dispatch: the first Step then allocates
@@ -252,6 +312,25 @@ func (c *Core[M]) NewSession(g *graph.Graph, machines []TypedMachine[M]) (*Sessi
 		s.dispatch(phaseWarmup)
 	}
 	return s, nil
+}
+
+// initSleep allocates the sparse schedule when every machine opts in.
+func (s *Session[M]) initSleep() {
+	for _, m := range s.machines {
+		if _, ok := m.(Sleeper); !ok {
+			return
+		}
+	}
+	s.sleep = make([]sleepShard, s.shards)
+	s.sched = make([]nodeSched, s.n)
+	woken, loud := make([]int32, s.n), make([]int32, s.n)
+	for i := range s.sleep {
+		lo, hi := s.shardLo[i], s.shardLo[i+1]
+		s.sleep[i] = sleepShard{woken: woken[lo:lo:hi], loud: loud[lo:lo:hi]}
+		for v := lo; v < hi; v++ {
+			s.sched[v].shard = int32(i)
+		}
+	}
 }
 
 // Close shuts down the worker pool. The Session must not be used after.
@@ -306,9 +385,17 @@ func (s *Session[M]) runShard(i int) {
 	case phaseInit:
 		s.initShard(i)
 	case phaseCompute:
-		s.computeShard(i)
+		if s.sparse {
+			s.computeSparse(i)
+		} else {
+			s.computeShard(i)
+		}
 	case phaseDeliver:
-		s.deliverShard(i)
+		if s.sparse {
+			s.deliverSparse(i)
+		} else {
+			s.deliverShard(i)
+		}
 	}
 }
 
@@ -327,6 +414,18 @@ func (s *Session[M]) initShard(i int) {
 			RNG:    rng,
 		})
 	}
+	if s.sparse {
+		// Round 1's inputs are all silent: it computes exactly the
+		// machines awake after Init.
+		sh := &s.sleep[i]
+		sh.woken = sh.woken[:0]
+		for v := s.shardLo[i]; v < s.shardLo[i+1]; v++ {
+			s.sched[v].stamp = 0
+			if !s.machines[v].(Sleeper).Asleep() {
+				sh.woken = append(sh.woken, v)
+			}
+		}
+	}
 }
 
 func (s *Session[M]) computeShard(i int) {
@@ -338,6 +437,79 @@ func (s *Session[M]) computeShard(i int) {
 		}
 	}
 	s.shardDone[i].v = allDone
+}
+
+// computeSparse runs the shard's woken machines and lists those still
+// awake afterwards in loud: v for a machine that may have sent something,
+// ^v for a Quiet one, which alone needs calling next round. A skipped
+// machine is asleep, hence done.
+func (s *Session[M]) computeSparse(i int) {
+	sh := &s.sleep[i]
+	allDone := true
+	loud := sh.loud[:0]
+	for _, v := range sh.woken {
+		o0, o1 := s.off[v], s.off[v+1]
+		done := s.machines[v].Round(s.recv[o0:o1:o1], s.send[o0:o1:o1])
+		if !done {
+			allDone = false
+		}
+		switch sl := s.machines[v].(Sleeper); {
+		case done && sl.Asleep():
+			// Skipped until a neighbor sends it something.
+		case sl.Quiet():
+			loud = append(loud, ^v)
+		default:
+			loud = append(loud, v)
+		}
+	}
+	sh.loud = loud
+	s.shardDone[i].v = allDone
+}
+
+// wake builds the next round's woken lists between the compute and
+// delivery phases: every awake node, and every neighbor of one that is
+// not Quiet. It runs on the coordinator; the work is proportional to the
+// awake nodes' degrees, not to the graph.
+func (s *Session[M]) wake() {
+	for i := range s.sleep {
+		s.sleep[i].woken = s.sleep[i].woken[:0]
+	}
+	stamp := int32(s.rounds)
+	for i := range s.sleep {
+		for _, u := range s.sleep[i].loud {
+			if u < 0 {
+				s.wakeNode(^u, stamp)
+				continue
+			}
+			s.wakeNode(u, stamp)
+			for p := int32(0); p < s.off[u+1]-s.off[u]; p++ {
+				w, _ := s.g.NeighborAt(graph.NodeID(u), p)
+				s.wakeNode(int32(w), stamp)
+			}
+		}
+	}
+}
+
+func (s *Session[M]) wakeNode(v, stamp int32) {
+	if ns := &s.sched[v]; ns.stamp != stamp {
+		ns.stamp = stamp
+		sh := &s.sleep[ns.shard]
+		sh.woken = append(sh.woken, v)
+	}
+}
+
+// deliverSparse gathers only the woken nodes' slots. Every other slot's
+// sender is asleep, so the dense gather would deliver silence there, and
+// a node is always gathered before it next computes. The delivery count
+// is the dense one: silence is a message of the model.
+func (s *Session[M]) deliverSparse(i int) {
+	recv, send, route := s.recv, s.send, s.route
+	for _, v := range s.sleep[i].woken {
+		for p := s.off[v]; p < s.off[v+1]; p++ {
+			recv[p] = send[route[p]]
+		}
+	}
+	s.shardDelivered[i].v += int64(s.off[s.shardLo[i+1]] - s.off[s.shardLo[i]])
 }
 
 // deliverShard gathers messages receiver-side: every port slot of the
@@ -369,7 +541,9 @@ func (s *Session[M]) deliverShard(i int) {
 // the usual pattern is SetInterceptor then Reset. Installing an
 // interceptor never changes which slots are delivered, only their
 // contents — and a nil interceptor restores the original zero-overhead
-// gather loop.
+// gather loop. A session of Sleepers chooses its schedule at Reset, so
+// on such a session an interceptor installed after Reset makes the next
+// Step panic rather than let it miss the slots of sleeping nodes.
 func (s *Session[M]) SetInterceptor(itc Interceptor[M]) { s.itc = itc }
 
 // Reset re-initializes every machine under the given seed and clears the
@@ -387,18 +561,22 @@ func (s *Session[M]) Reset(masterSeed int64, randomized bool) {
 	for i := range s.shardDelivered {
 		s.shardDelivered[i].v = 0
 	}
+	s.sparse = s.sleep != nil && s.itc == nil
 	s.dispatch(phaseInit)
 }
 
 // Step executes one synchronous round: a compute phase and — unless
 // every machine reported done — a delivery phase. It returns whether the
 // execution has terminated. Stepping a terminated system is legal and
-// keeps invoking the machines, but note it skips delivery exactly like
-// Run's final round; allocation measurements that want the full
-// compute+deliver loop must keep at least one machine reporting not
-// done (see the pinned* wrappers in the coloring and sinkless alloc
-// tests).
+// keeps invoking the machines (on a sparse session, only those still
+// awake), but note it skips delivery exactly like Run's final round;
+// allocation measurements that want the full compute+deliver loop must
+// keep at least one machine reporting not done (see the pinned*
+// wrappers in the coloring and sinkless alloc tests).
 func (s *Session[M]) Step() (done bool) {
+	if s.sparse && s.itc != nil {
+		panic("engine: interceptor installed after Reset on a session of sleepers; install it before Reset")
+	}
 	s.rounds++
 	s.dispatch(phaseCompute)
 	for i := range s.shardDone {
@@ -406,8 +584,24 @@ func (s *Session[M]) Step() (done bool) {
 			if s.itc != nil {
 				s.itc.BeginRound(s.rounds)
 			}
+			if s.sparse {
+				s.wake()
+			}
 			s.dispatch(phaseDeliver)
 			return false
+		}
+	}
+	if s.sparse {
+		// No delivery follows, so the awake machines' inputs stand: a
+		// further Step computes exactly them.
+		for i := range s.sleep {
+			sh := &s.sleep[i]
+			for k, u := range sh.loud {
+				if u < 0 {
+					sh.loud[k] = ^u
+				}
+			}
+			sh.woken, sh.loud = sh.loud, sh.woken
 		}
 	}
 	return true

@@ -22,6 +22,9 @@
 //     writes never contend).
 //   - All buffers are allocated once per Session and reused every round,
 //     so the steady-state round loop performs no engine-side allocations.
+//   - Machines that implement Sleeper run on a sparse schedule: a round
+//     computes only the awake machines and the neighbors of those that
+//     sent something, and gathers only their slots (core.go).
 //
 // Because every phase is separated by a barrier and every slot of every
 // buffer is owned by exactly one node, the execution is deterministic: the
@@ -35,7 +38,8 @@
 //
 //   - Byte-identity: outputs, Stats.Rounds, and Stats.Deliveries are
 //     identical for every Workers/Shards setting, for the pooled and
-//     inline modes, and to RunReference.
+//     inline modes, for the dense and sparse schedules, and to
+//     RunReference.
 //   - Seed-pinned randomness: per-node RNGs derive from
 //     (master seed, node identifier), never from worker or shard state.
 //     Sessions reseed a per-node NodeRNG slab (rng.go) whose streams

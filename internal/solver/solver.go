@@ -630,25 +630,33 @@ func Names() []string {
 // section-separated so (Node, Edge, Half) permutations cannot collide
 // trivially. It is the per-cell "labels checksum" of scenario reports:
 // two runs agree on a cell iff they produced the identical labeling.
+// The hash is inlined over the labels' bytes: every label is followed by
+// a 0 byte and every section but the last by a 0xff byte, the same
+// stream hash/fnv's New64a would hash, without a []byte copy per label.
 func LabelingChecksum(l *lcl.Labeling) uint64 {
-	h := fnv.New64a()
-	sep := []byte{0}
-	section := []byte{0xff}
-	for _, lab := range l.Node {
-		h.Write([]byte(lab))
-		h.Write(sep)
+	h := fnvLabels(fnvOffset64, l.Node)
+	h = (h ^ 0xff) * fnvPrime64
+	h = fnvLabels(h, l.Edge)
+	h = (h ^ 0xff) * fnvPrime64
+	return fnvLabels(h, l.Half)
+}
+
+// FNV-1a 64 parameters (hash/fnv's offset64 and prime64).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvLabels continues FNV-1a hash h over each label's bytes and a 0
+// separator after each.
+func fnvLabels(h uint64, labs []lcl.Label) uint64 {
+	for _, lab := range labs {
+		for i := 0; i < len(lab); i++ {
+			h = (h ^ uint64(lab[i])) * fnvPrime64
+		}
+		h *= fnvPrime64 // the 0 separator: h ^ 0 == h
 	}
-	h.Write(section)
-	for _, lab := range l.Edge {
-		h.Write([]byte(lab))
-		h.Write(sep)
-	}
-	h.Write(section)
-	for _, lab := range l.Half {
-		h.Write([]byte(lab))
-		h.Write(sep)
-	}
-	return h.Sum64()
+	return h
 }
 
 // DecompositionChecksum fingerprints a network decomposition: cluster
