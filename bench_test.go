@@ -226,12 +226,24 @@ func BenchmarkPreparedTowerPi3(b *testing.B) {
 // cell (1 engine worker), the perfbench pi2-native cell shape: the Ψ and
 // native relay sessions, assembly, the held verify and the output
 // checksum.
-func BenchmarkHeldPi2Native(b *testing.B) {
-	entry, ok := solver.ByName("pi2-rand-native")
+func BenchmarkHeldPi2Native(b *testing.B) { benchHeldEntry(b, "pi2-rand-native", 48) }
+
+// BenchmarkHeldTowerPi3 runs a held pi3-det base-4 registry cell (1
+// engine worker), the perfbench tower-pi3 cell shape: the outer Ψ and
+// gather relay sessions with the nested level's one-shot solves inside
+// the relay's hosts, assembly, the held verify and the output checksum.
+func BenchmarkHeldTowerPi3(b *testing.B) { benchHeldEntry(b, "pi3-det", 4) }
+
+// benchHeldEntry prepares the named padded registry entry on a balanced
+// instance of base nodes (seed 1, 1 engine worker), runs it once to
+// build the plan and the verifier, and times Runs.
+func benchHeldEntry(b *testing.B, name string, base int) {
+	b.Helper()
+	entry, ok := solver.ByName(name)
 	if !ok {
-		b.Fatal("no pi2-rand-native entry")
+		b.Fatalf("no %s entry", name)
 	}
-	p, err := entry.Prepare(solver.Request{Family: solver.PaddedFamily, N: 48, Seed: 1,
+	p, err := entry.Prepare(solver.Request{Family: solver.PaddedFamily, N: base, Seed: 1,
 		Engine: engine.New(engine.Options{Workers: 1})})
 	if err != nil {
 		b.Fatal(err)

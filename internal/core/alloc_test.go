@@ -9,8 +9,10 @@ import (
 )
 
 // pinnedRelay delegates to the production relayMachine (including the
-// hosted virtual machine at leader nodes) but never reports done, keeping
-// compute and delivery inside the measured window.
+// hosted virtual machine at leader nodes and its Sleeper methods) but
+// never reports done, keeping compute and delivery inside the measured
+// window. The machines read the session's round through their shared
+// relayCtl, which newRelaySession points at the session.
 type pinnedRelay struct{ relayMachine }
 
 func (m *pinnedRelay) Round(recv, send []relayMsg) bool {
@@ -45,6 +47,7 @@ func newRelaySession(tb testing.TB, opts engine.Options) *engine.Session[relayMs
 	if err != nil {
 		tb.Fatal(err)
 	}
+	machines[0].ctl.sess = sess
 	sess.Reset(1, false)
 	for i := 0; i < 4; i++ {
 		sess.Step()

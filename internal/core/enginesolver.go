@@ -23,7 +23,7 @@ type EngineRunStats struct {
 	// RelayWords is the relay session's bandwidth: payload words handed to
 	// the transport, counted at the senders (RelayRun.Words). Native
 	// executions move O(1) words per virtual edge per protocol round;
-	// gather executions move knowledge vectors every physical round.
+	// gather executions move knowledge vectors in the rounds they change.
 	RelayWords int64
 	// RelayNative records whether the relay session ran native
 	// constant-bandwidth port machines (true) or gather machines (false).

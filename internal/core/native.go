@@ -16,7 +16,7 @@ import (
 // decision function, a native machine executes the inner protocol's real
 // rounds — one bounded word per incident virtual edge per round — so the
 // payload a session moves is O(1) words per virtual edge per protocol
-// round instead of O(|H|) words per physical edge per physical round.
+// round instead of O(|H|) words per physical edge per round of change.
 //
 // Transport is slot-routed rather than flooded. Each valid gadget keeps
 // a table of 2·deg(vi) slots — OUT_p, the hosted machine's current
@@ -366,9 +366,9 @@ func (m *natMachine) Quiet() bool { return m.idle }
 
 // Asleep implements engine.Sleeper. A quiet non-host node (a fresh one
 // too) holds no fresh slot; with only empty messages arriving it would
-// merge nothing and forward nothing. Hosts stay awake, quiet between the
-// super-round boundaries their protocol runs on.
-func (m *natMachine) Asleep() bool { return m.host == nil && m.idle }
+// merge nothing and forward nothing, and it is always done. Hosts stay
+// awake, quiet between the super-round boundaries their protocol runs on.
+func (m *natMachine) Asleep() (bool, int) { return m.host == nil && m.idle, 0 }
 
 // nativeRelay is a prepared native relay: the per-node transport
 // machines, the hosted port machines, and the engine session that

@@ -93,7 +93,8 @@ func (p *PiPrime) projectInput(g *graph.Graph, in *lcl.Labeling) *projIn {
 // projOut is the decoded composite output labeling of one verify call.
 // Its label table is filled when it is built and only read afterwards;
 // the hypothetical-star verdicts are memoized per Σlist (node checks)
-// and per Σlist/port pair (edge checks) as the checks ask for them.
+// and per Σlist/port pair (edge checks) as the checks ask for them, and
+// the checks share one graph per star shape.
 type projOut struct {
 	labels  *labelTable
 	sigma   []labelID // Σlist part per node (noLabel when undecodable)
@@ -103,6 +104,10 @@ type projOut struct {
 
 	starNode verdicts[labelID]
 	starEdge verdicts[starEdgeKey]
+	// pair and stars (by degree) are the hypothetical configurations the
+	// star checks fill, built on first use.
+	pair  *starShape
+	stars []*starShape
 }
 
 // verdicts memoizes the results of a pure check by key.
@@ -279,7 +284,7 @@ func (c *paddedCheck) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.N
 	// constraint (checked on a hypothetical star for star-checkable Π;
 	// otherwise VerifyPadded validates the reconstructed virtual graph).
 	if StarCheckable(p.Inner) {
-		starCheck := func() error { return p.starNodeCheck(pout.labels, sl) }
+		starCheck := func() error { return p.starNodeCheck(pout, sl) }
 		if err := pout.starNode.get(pout.sigma[v], starCheck); err != nil {
 			return lcl.Violation(p.Name(), "node", int(v), "virtual node constraint: %v", err)
 		}
@@ -374,7 +379,7 @@ func (c *paddedCheck) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.E
 	}
 	if StarCheckable(p.Inner) {
 		k := starEdgeKey{u: pout.sigma[u], v: pout.sigma[v], pu: i, pv: j}
-		starCheck := func() error { return p.starEdgeCheck(pout.labels, slU, i, slV, j) }
+		starCheck := func() error { return p.starEdgeCheck(pout, slU, i, slV, j) }
 		if err := pout.starEdge.get(k, starCheck); err != nil {
 			return lcl.Violation(p.Name(), "edge", int(e), "virtual edge constraint: %v", err)
 		}
@@ -382,22 +387,70 @@ func (c *paddedCheck) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.E
 	return nil
 }
 
-// starNodeCheck materializes the hypothetical star of constraint 5's last
-// bullet and runs Π's node constraint at its center.
-func (p *PiPrime) starNodeCheck(t *labelTable, sl *sigmaIDs) error {
-	deg := len(sl.S)
+// starShape is a hypothetical configuration's graph with the input and
+// output labelings its checks fill: the two-node pair of the edge checks,
+// or the star of one degree of the node checks. A verify call builds each
+// shape once (projOut.pair, projOut.star) and refills its labelings per
+// check; every check of a shape writes the same slots, and the slots it
+// does not write (the leaves of a star) stay empty, so a refilled shape
+// reads exactly like a freshly built one.
+type starShape struct {
+	g       *graph.Graph
+	in, out *lcl.Labeling
+}
+
+func newStarShape(g *graph.Graph) *starShape {
+	return &starShape{g: g, in: lcl.NewLabeling(g), out: lcl.NewLabeling(g)}
+}
+
+// star returns the verify call's star of degree deg: center 1, leaves
+// 2..deg+1, edge k from the center to leaf k+2.
+func (pr *projOut) star(deg int) (*starShape, error) {
+	if deg < len(pr.stars) && pr.stars[deg] != nil {
+		return pr.stars[deg], nil
+	}
 	b := graph.NewBuilder(deg+1, deg)
 	center := b.Node(1)
 	for k := 0; k < deg; k++ {
 		leaf := b.Node(int64(k + 2))
 		b.Link(center, leaf)
 	}
-	star, err := b.Build()
+	g, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	for len(pr.stars) <= deg {
+		pr.stars = append(pr.stars, nil)
+	}
+	pr.stars[deg] = newStarShape(g)
+	return pr.stars[deg], nil
+}
+
+// pairShape returns the verify call's two-node pair: nodes 1 and 2
+// joined by edge 0.
+func (pr *projOut) pairShape() (*starShape, error) {
+	if pr.pair != nil {
+		return pr.pair, nil
+	}
+	b := graph.NewBuilder(2, 1)
+	b.Link(b.Node(1), b.Node(2))
+	g, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	pr.pair = newStarShape(g)
+	return pr.pair, nil
+}
+
+// starNodeCheck fills the hypothetical star of constraint 5's last
+// bullet and runs Π's node constraint at its center.
+func (p *PiPrime) starNodeCheck(pr *projOut, sl *sigmaIDs) error {
+	sh, err := pr.star(len(sl.S))
 	if err != nil {
 		return fmt.Errorf("star: %w", err)
 	}
-	in := lcl.NewLabeling(star)
-	out := lcl.NewLabeling(star)
+	t, in, out := pr.labels, sh.in, sh.out
+	const center = graph.NodeID(0)
 	in.Node[center] = t.label(sl.IV)
 	out.Node[center] = t.label(sl.OV)
 	for k, port := range sl.S {
@@ -408,22 +461,18 @@ func (p *PiPrime) starNodeCheck(t *labelTable, sl *sigmaIDs) error {
 		in.SetHalf(h, t.label(sl.IB[port-1]))
 		out.SetHalf(h, t.label(sl.OB[port-1]))
 	}
-	return p.Inner.CheckNode(star, in, out, center)
+	return p.Inner.CheckNode(sh.g, in, out, center)
 }
 
-// starEdgeCheck materializes the hypothetical edge of constraint 6's last
+// starEdgeCheck fills the hypothetical edge of constraint 6's last
 // bullet and runs Π's edge constraint on it.
-func (p *PiPrime) starEdgeCheck(t *labelTable, slU *sigmaIDs, i int, slV *sigmaIDs, j int) error {
-	b := graph.NewBuilder(2, 1)
-	a := b.Node(1)
-	c := b.Node(2)
-	e := b.Link(a, c)
-	pair, err := b.Build()
+func (p *PiPrime) starEdgeCheck(pr *projOut, slU *sigmaIDs, i int, slV *sigmaIDs, j int) error {
+	sh, err := pr.pairShape()
 	if err != nil {
 		return fmt.Errorf("pair: %w", err)
 	}
-	in := lcl.NewLabeling(pair)
-	out := lcl.NewLabeling(pair)
+	t, in, out := pr.labels, sh.in, sh.out
+	const a, c, e = graph.NodeID(0), graph.NodeID(1), graph.EdgeID(0)
 	in.Node[a] = t.label(slU.IV)
 	in.Node[c] = t.label(slV.IV)
 	out.Node[a] = t.label(slU.OV)
@@ -434,5 +483,5 @@ func (p *PiPrime) starEdgeCheck(t *labelTable, slU *sigmaIDs, i int, slV *sigmaI
 	out.SetHalf(graph.Half{Edge: e, Side: graph.SideU}, t.label(slU.OB[i-1]))
 	in.SetHalf(graph.Half{Edge: e, Side: graph.SideV}, t.label(slV.IB[j-1]))
 	out.SetHalf(graph.Half{Edge: e, Side: graph.SideV}, t.label(slV.OB[j-1]))
-	return p.Inner.CheckEdge(pair, in, out, e)
+	return p.Inner.CheckEdge(sh.g, in, out, e)
 }

@@ -14,12 +14,13 @@ import (
 // (T+1)·(d+1) physical rounds: each virtual round crosses one gadget of
 // eccentricity ≤ d plus the port edge. The relay plane carries the inner
 // solver's real per-virtual-edge payloads — knowledge word vectors over
-// the instance's FactTable — along those routes: every physical round
-// each node floods its payload over gadget edges, and port nodes push it
-// across their virtual (port) edge on a measured schedule — every physical
-// round when payloads are a single word, otherwise once per their own
-// gadget's eccentricity + 1 (computed at plan time), never slower than
-// the worst-gadget d+1-round super-round.
+// the instance's FactTable — along those routes. A node floods its
+// payload over gadget edges in every physical round in which it changed
+// (and in round 1), and its port nodes push it across their virtual
+// (port) edges at crossing boundaries when it changed since the last
+// crossing: every physical round when payloads are a single word,
+// otherwise once per their own gadget's eccentricity + 1 (computed at
+// plan time), never slower than the worst-gadget d+1-round super-round.
 //
 // Because payloads are OR-monotone broadcasts (the VirtualMachine
 // contract), in-flight merging is sound: a gadget interior node may
@@ -27,7 +28,13 @@ import (
 // the fixpoint — every gadget node holding its component's complete
 // fact set — is independent of delivery interleaving, so the final
 // words, session length, and outputs are byte-identical for every
-// worker/shard geometry.
+// worker/shard geometry. Merging is also idempotent, so forwarding only
+// changes is exact: a receiver already merged every unchanged payload
+// when it was last sent, and each node's knowledge in every round equals
+// what it would hold if every node re-sent its whole payload every round.
+// That full re-flood is what the relay does while a delivery-fault
+// interceptor is installed, since a dropped or corrupted payload heals
+// only when it is sent again.
 //
 // Each valid gadget's leader node (its minimal physical node, whose
 // gadget eccentricity bounds the dilation) hosts the gadget's
@@ -36,7 +43,10 @@ import (
 // which every node has been payload-stable past its own crossing
 // interval and every hosted machine reports stabilization — never more
 // than roughly 2(d+1) physical rounds per virtual hop, and as little as
-// one physical round per hop under the single-word fast path.
+// one physical round per hop under the single-word fast path. A node
+// that sent nothing and has no crossing waiting sleeps (engine.Sleeper)
+// until a neighbor sends it a payload; the round it would be done in
+// follows from its last change, so it need not stay awake to count.
 
 // relayMsg is the relay payload: a read-only view of the sender's
 // double-buffered knowledge words (nil on silent ports).
@@ -44,14 +54,26 @@ type relayMsg struct {
 	Words []uint64
 }
 
+// relayCtl is what the machines of one gather session share.
+type relayCtl struct {
+	// sess is the session running the machines. They read its round
+	// (Session.Rounds) instead of counting their own calls: the session
+	// skips sleeping machines, so a machine is not called every round.
+	sess *engine.Session[relayMsg]
+	// reflood makes every node send its payload on every gadget port
+	// every round and across its port edges at every boundary, changed
+	// or not. gatherRelay.run sets it while an interceptor is installed.
+	reflood bool
+}
+
 // relayMachine floods knowledge payloads under the dilated schedule.
 // It is kept small because a prepared relay holds one per physical node:
 // port lists and word buffers are runs of shared slabs, and the hosted
 // virtual machine sits behind a pointer on leader nodes only.
 type relayMachine struct {
-	// ports lists the in-scope (gadget-edge) ports, flooded every round,
-	// then from nGad on the ports on virtual (port) edges, crossed every
-	// crossEvery rounds (see classifyPorts).
+	// ports lists the in-scope (gadget-edge) ports, flooded in rounds the
+	// payload changed, then from nGad on the ports on virtual (port)
+	// edges, crossed at crossing boundaries (see classifyPorts).
 	ports []int32
 	nGad  int32
 	// superLen is d+1.
@@ -71,9 +93,16 @@ type relayMachine struct {
 	// host is the gadget's hosted virtual machine on its leader node,
 	// nil everywhere else.
 	host *relayHost
+	ctl  *relayCtl
 
-	round  int32
-	stable int32
+	// lastChange is the last round in which a received payload changed
+	// the knowledge (0 before any); the node has been stable for
+	// round − lastChange rounds.
+	lastChange int32
+	// cross marks knowledge changed since the last port crossing; only
+	// nodes with virtual ports set it. quiet marks a last Round that sent
+	// nothing.
+	cross, quiet bool
 	// sent counts the payload words this machine handed to the transport
 	// (per-machine so the tally needs no synchronization; the runner sums
 	// after the session, which is deterministic for every geometry).
@@ -99,11 +128,14 @@ func (m *relayMachine) sendBuf(k int32) []uint64 {
 	return m.buf[lo : lo+m.w : lo+m.w]
 }
 
-var _ engine.TypedMachine[relayMsg] = (*relayMachine)(nil)
+var (
+	_ engine.TypedMachine[relayMsg] = (*relayMachine)(nil)
+	_ engine.Sleeper                = (*relayMachine)(nil)
+)
 
 func (m *relayMachine) Init(engine.NodeInfo) {
-	m.round = 0
-	m.stable = 0
+	m.lastChange = 0
+	m.cross, m.quiet = false, false
 	m.sent = 0
 	words := m.words()
 	if len(m.buf) == relayBufs*int(m.w) {
@@ -118,57 +150,91 @@ func (m *relayMachine) Init(engine.NodeInfo) {
 }
 
 func (m *relayMachine) Round(recv, send []relayMsg) bool {
-	m.round++
+	round := int32(m.ctl.sess.Rounds())
 	words := m.words()
 	gad, virt := m.ports[:m.nGad], m.ports[m.nGad:]
-	changed := false
-	if m.round > 1 {
+	// fresh marks knowledge that changed this round; round 1 sends the
+	// initial knowledge.
+	fresh := round == 1
+	if !fresh {
 		for _, p := range m.ports {
 			if w := recv[p].Words; w != nil && orInto(words, w) {
-				changed = true
+				m.lastChange, fresh = round, true
 			}
 		}
 	}
-	if changed {
-		m.stable = 0
-	} else {
-		m.stable++
+	// Only hosts and nodes with a crossing to make read the boundary.
+	reflood := m.ctl.reflood
+	boundary := false
+	if m.host != nil || len(virt) > 0 && (fresh || m.cross || reflood) {
+		boundary = (round-1)%m.crossEvery == 0
 	}
-	boundary := (m.round-1)%m.crossEvery == 0
 	if h := m.host; h != nil && boundary {
 		// One virtual-machine round per crossing interval: the payloads
 		// that crossed the gadget's port edges have flooded to the leader
 		// by the next boundary. OR-monotone machines tolerate the faster
 		// cadence — extra calls merge nothing new.
 		h.done = h.vm.Round(words, h.out)
-		orInto(words, h.out)
+		if orInto(words, h.out) {
+			fresh = true
+		}
 	}
-	buf := m.sendBuf(m.round & 1)
-	copy(buf, words)
-	for p := range send {
-		send[p] = relayMsg{}
+	if fresh && len(virt) > 0 {
+		m.cross = true
 	}
-	for _, p := range gad {
-		send[p] = relayMsg{Words: buf}
+	// A quiet last round left every send slot silent, and only this
+	// machine writes them.
+	if !m.quiet {
+		clear(send)
 	}
+	toGad := (fresh || reflood) && len(gad) > 0
 	// Port crossings follow the node's own gadget's measured eccentricity
 	// (every round for single-word payloads), not the worst gadget's
 	// d+1-round super-round. Stopping stays safe under the faster
-	// schedule: a machine whose words changed has stable = 0, done
-	// requires stable > superLen ≥ crossEvery, so a session can never
-	// stop with uncrossed news at a port.
-	if boundary {
-		for _, p := range virt {
-			send[p] = relayMsg{Words: buf}
+	// schedule: done requires round − lastChange > crossEvery, so a node
+	// that received news meets a boundary before it can be done, and a
+	// host's own output changes the words only at a boundary, where they
+	// cross at once. A session can never stop with uncrossed news at a
+	// port.
+	toVirt := boundary && (m.cross || reflood) && len(virt) > 0
+	m.quiet = !toGad && !toVirt
+	if !m.quiet {
+		buf := m.sendBuf(round & 1)
+		copy(buf, words)
+		if toGad {
+			for _, p := range gad {
+				send[p] = relayMsg{Words: buf}
+			}
+			m.sent += int64(len(buf) * len(gad))
 		}
-		m.sent += int64(len(buf) * len(virt))
+		if toVirt {
+			for _, p := range virt {
+				send[p] = relayMsg{Words: buf}
+			}
+			m.sent += int64(len(buf) * len(virt))
+			m.cross = false
+		}
 	}
-	m.sent += int64(len(buf) * len(gad))
-	done := m.round > m.superLen && m.stable > m.crossEvery
+	done := round > m.superLen && round-m.lastChange > m.crossEvery
 	if m.host != nil {
 		done = done && m.host.done
 	}
 	return done
+}
+
+// Quiet implements engine.Sleeper: the last Round sent no payload.
+func (m *relayMachine) Quiet() bool { return m.quiet }
+
+// Asleep implements engine.Sleeper. A quiet non-host node with no
+// crossing waiting would, with only silent ports, merge nothing and send
+// nothing, and its stop rule reads only the round: it is done from round
+// max(superLen, lastChange+crossEvery) + 1 on. Hosts stay awake, as they
+// drive their virtual machine at every boundary.
+func (m *relayMachine) Asleep() (bool, int) {
+	if m.host != nil || !m.quiet || m.cross {
+		return false, 0
+	}
+	return true, int(max(m.superLen, m.lastChange+m.crossEvery)) + 1
 }
 
 // RelayRun is the outcome of a payload-relay execution.
@@ -184,8 +250,10 @@ type RelayRun struct {
 	Stats engine.Stats
 	// Words is the relay bandwidth: payload words handed to the transport
 	// over the whole session, counted at the senders (framing and
-	// addressing excluded), so the figure is what a delta wire encoding
-	// would move. Deterministic for every worker/shard geometry.
+	// addressing excluded). A gather node sends its words only in rounds
+	// they changed (and in round 1), and across its port edges only when
+	// they changed since the last crossing, unless an interceptor forces
+	// the full re-flood. Deterministic for every worker/shard geometry.
 	Words int64
 }
 
@@ -244,6 +312,7 @@ func newGatherRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID)
 	if err != nil {
 		return nil, fmt.Errorf("run relay: %w", err)
 	}
+	machines[0].ctl.sess = sess
 	// Dissemination needs at most ~2 super-rounds per virtual hop plus
 	// one super-round of stabilization detection.
 	maxRounds := int(machines[0].superLen) * (2*nv + 8)
@@ -256,6 +325,7 @@ func (r *gatherRelay) run(seed int64) (*RelayRun, error) {
 		r.hosts[vi].info.Seed = seed
 	}
 	r.sess.SetInterceptor(r.itc)
+	r.machines[0].ctl.reflood = r.itc != nil
 	stats, err := r.sess.Run(seed, false, r.maxRounds)
 	if err != nil {
 		return nil, fmt.Errorf("run relay: %w", err)
@@ -316,8 +386,10 @@ func buildRelayMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 		return b
 	}
 	ports := make([]int32, 0, g.NumPorts())
+	ctl := &relayCtl{}
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		m := &machines[v]
+		m.ctl = ctl
 		m.superLen = superLen
 		m.crossEvery = superLen
 		m.w = int32(words)
@@ -353,7 +425,7 @@ func buildRelayMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 }
 
 // classifyPorts appends node v's ports to the slab — gadget-interior
-// ports (scoped edges, flooded every round) first, then virtual ports
+// ports (scoped edges, flooded when the payload changed) first, then virtual ports
 // (port edges carrying a virtual edge, crossed on the node's crossing
 // schedule) — and returns the slab, the node's run of it (nil when
 // empty) and the number of gadget-interior ports.

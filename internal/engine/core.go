@@ -50,27 +50,38 @@ type TypedMachine[M any] interface {
 //   - Quiet reports that the Round just made wrote only silent sends:
 //     the machine's neighbors need not run on its account.
 //   - Asleep may report true only right after Init, or right after a
-//     Round that returned done and was Quiet. It promises that a later
-//     Round whose inputs are all silent would return done, change nothing
-//     (the machine's state) and write only silent sends, so the machine
-//     itself need not run either until a neighbor sends it something.
+//     Round that was Quiet. It promises that a later Round whose inputs
+//     are all silent would write only silent sends and change nothing
+//     (the machine's state), so the machine itself need not run until a
+//     neighbor sends it something. Its doneAt is the first round from
+//     which such a Round returns done: a machine that is already done
+//     reports a past round, and one that keeps its stop rule on a clock
+//     (Session.Rounds) may sleep before it is done. A machine's doneAt
+//     must never decrease within a run, and a Round that returns done in
+//     round r implies that every doneAt it reports is at most r.
 //
 // When every machine of a session implements Sleeper and no Interceptor
 // is installed at Reset, the session runs a sparse schedule: a round
 // computes only the machines awake after the previous round (after Init,
 // for round 1) and the neighbors of those that were not Quiet, and
-// gathers only those machines' port slots. A skipped machine is asleep
-// and all its inputs are silent, so skipping it is exact: outputs,
-// Stats.Rounds and Stats.Deliveries (which still counts every port slot
-// of every delivered round) equal the dense loop's and RunReference's
-// for every Workers/Shards geometry. Sessions with an interceptor, or
-// with any machine that does not implement Sleeper, keep the dense loop.
+// gathers only those machines' port slots. Each shard keeps the largest
+// doneAt its machines reported since Reset, and the run ends in the first
+// round in which every computed machine returned done and the round has
+// reached every shard's doneAt. A skipped machine is asleep and all its
+// inputs are silent, so skipping it is exact: outputs, Stats.Rounds and
+// Stats.Deliveries (which still counts every port slot of every delivered
+// round) equal the dense loop's and RunReference's for every
+// Workers/Shards geometry. An out-of-date doneAt is never larger than the
+// machine's current one, so the running maximum never delays the end.
+// Sessions with an interceptor, or with any machine that does not
+// implement Sleeper, keep the dense loop.
 type Sleeper interface {
 	// Quiet reports whether the last Round wrote only silent sends.
 	Quiet() bool
 	// Asleep reports whether the machine may skip rounds until a
-	// neighbor sends it something.
-	Asleep() bool
+	// neighbor sends it something, and from which round on a Round with
+	// silent inputs returns done.
+	Asleep() (asleep bool, doneAt int)
 }
 
 // Interceptor is the typed plane's delivery-fault hook: when installed
@@ -139,12 +150,14 @@ type nodeSched struct {
 
 // sleepShard is one shard's sparse schedule: woken lists the nodes the
 // next compute phase runs, loud the nodes the last one left awake (see
-// computeSparse). Both are carved from session slabs with capacity for
-// the whole shard, so appends never reallocate; the padding keeps
-// concurrent shards' slice headers off each other's cache lines.
+// computeSparse), and doneAt is the largest doneAt its sleeping machines
+// reported since Reset. Both lists are carved from session slabs with
+// capacity for the whole shard, so appends never reallocate; the padding
+// keeps concurrent shards' entries off each other's cache lines.
 type sleepShard struct {
 	woken, loud []int32
-	_           [16]byte
+	doneAt      int
+	_           [8]byte
 }
 
 // Core is the generics-based execution core: the engine's sharded
@@ -418,10 +431,12 @@ func (s *Session[M]) initShard(i int) {
 		// Round 1's inputs are all silent: it computes exactly the
 		// machines awake after Init.
 		sh := &s.sleep[i]
-		sh.woken = sh.woken[:0]
+		sh.woken, sh.doneAt = sh.woken[:0], 0
 		for v := s.shardLo[i]; v < s.shardLo[i+1]; v++ {
 			s.sched[v].stamp = 0
-			if !s.machines[v].(Sleeper).Asleep() {
+			if asleep, at := s.machines[v].(Sleeper).Asleep(); asleep {
+				sh.doneAt = max(sh.doneAt, at)
+			} else {
 				sh.woken = append(sh.woken, v)
 			}
 		}
@@ -441,28 +456,29 @@ func (s *Session[M]) computeShard(i int) {
 
 // computeSparse runs the shard's woken machines and lists those still
 // awake afterwards in loud: v for a machine that may have sent something,
-// ^v for a Quiet one, which alone needs calling next round. A skipped
-// machine is asleep, hence done.
+// ^v for a Quiet one, which alone needs calling next round. A machine
+// that falls asleep is skipped until a neighbor sends it something; its
+// doneAt joins the shard's running maximum, which stands in for its done
+// in the rounds it skips.
 func (s *Session[M]) computeSparse(i int) {
 	sh := &s.sleep[i]
 	allDone := true
-	loud := sh.loud[:0]
+	loud, doneAt := sh.loud[:0], sh.doneAt
 	for _, v := range sh.woken {
 		o0, o1 := s.off[v], s.off[v+1]
-		done := s.machines[v].Round(s.recv[o0:o1:o1], s.send[o0:o1:o1])
-		if !done {
+		if !s.machines[v].Round(s.recv[o0:o1:o1], s.send[o0:o1:o1]) {
 			allDone = false
 		}
-		switch sl := s.machines[v].(Sleeper); {
-		case done && sl.Asleep():
-			// Skipped until a neighbor sends it something.
-		case sl.Quiet():
+		sl := s.machines[v].(Sleeper)
+		if asleep, at := sl.Asleep(); asleep {
+			doneAt = max(doneAt, at)
+		} else if sl.Quiet() {
 			loud = append(loud, ^v)
-		default:
+		} else {
 			loud = append(loud, v)
 		}
 	}
-	sh.loud = loud
+	sh.loud, sh.doneAt = loud, doneAt
 	s.shardDone[i].v = allDone
 }
 
@@ -580,7 +596,7 @@ func (s *Session[M]) Step() (done bool) {
 	s.rounds++
 	s.dispatch(phaseCompute)
 	for i := range s.shardDone {
-		if !s.shardDone[i].v {
+		if !s.shardDone[i].v || s.sparse && s.rounds < s.sleep[i].doneAt {
 			if s.itc != nil {
 				s.itc.BeginRound(s.rounds)
 			}

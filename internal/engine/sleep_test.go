@@ -14,24 +14,38 @@ import (
 // until the last one; every node digests what it receives and forwards a
 // token with hops left, to the next port or (spread) to every other
 // port. A node that sent nothing is quiet; if it also has no shot left it
-// is done and, unless it insists on staying awake, asleep. With only zero
-// words arriving it changes nothing, so it keeps the Sleeper contract. A
-// liar breaks it: lieAsleep reports done and asleep, lieQuiet reports
-// quiet, even in rounds it forwards.
+// is, unless it insists on staying awake, asleep. It is done once it is
+// asleep and linger rounds have passed since its last receipt, so a
+// lingering node sleeps before it is done and reports the round it will
+// be done in; it reads that round from the session's clock. With only
+// zero words arriving it changes nothing, so it keeps the Sleeper
+// contract. A liar breaks it: lieAsleep reports done and asleep,
+// lieQuiet reports quiet, even in rounds it forwards; lieDoneAt reports
+// a doneAt one round early.
 type waveMachine struct {
-	id      int64
-	digest  uint64
-	shots   int
-	every   int
-	fuse    int
-	ttl     int64
-	spread  bool
-	awake   bool
-	liar    lie
-	done    bool
-	silent  bool
-	calls   int // instrumentation only: never read by Round
-	pattern wavePattern
+	id       int64
+	digest   uint64
+	shots    int
+	every    int
+	fuse     int
+	ttl      int64
+	spread   bool
+	awake    bool
+	linger   int
+	lastRecv int
+	liar     lie
+	done     bool
+	silent   bool
+	// clock is the session's round (Session.Rounds); without one the
+	// machine counts its calls in ticks, which RunReference makes every
+	// round.
+	clock func() int
+	ticks int
+	// calls, lastCall and early are instrumentation only: never read by
+	// Round.
+	calls, lastCall int
+	early           bool
+	pattern         wavePattern
 }
 
 // lie selects how a waveMachine breaks the Sleeper contract.
@@ -41,6 +55,7 @@ const (
 	honest lie = iota
 	lieAsleep
 	lieQuiet
+	lieDoneAt
 )
 
 // wavePattern is one node's behaviour, drawn from (seed, identifier).
@@ -49,6 +64,7 @@ type wavePattern struct {
 	ttl          int64
 	spread       bool
 	awake        bool
+	linger       int
 }
 
 func (m *waveMachine) Init(info engine.NodeInfo) {
@@ -56,15 +72,25 @@ func (m *waveMachine) Init(info engine.NodeInfo) {
 	m.digest = uint64(info.ID)
 	m.shots, m.every, m.fuse = m.pattern.shots, m.pattern.every, m.pattern.every
 	m.ttl, m.spread, m.awake = m.pattern.ttl, m.pattern.spread, m.pattern.awake
+	m.linger, m.lastRecv, m.ticks = m.pattern.linger, 0, 0
 	if info.Degree == 0 {
 		m.shots = 0 // nowhere to fire
 	}
 	// A node with nothing to fire is asleep from the start.
-	m.done, m.silent = m.shots == 0, true
+	m.done, m.silent = m.shots == 0 && m.linger == 0, true
+}
+
+func (m *waveMachine) round() int {
+	if m.clock != nil {
+		return m.clock()
+	}
+	return m.ticks
 }
 
 func (m *waveMachine) Round(recv, send []int64) bool {
 	m.calls++
+	m.ticks++
+	m.lastCall = m.round()
 	for p := range send {
 		send[p] = 0
 	}
@@ -73,6 +99,7 @@ func (m *waveMachine) Round(recv, send []int64) bool {
 			continue
 		}
 		m.digest = m.digest*31 + uint64(x) + uint64(p)
+		m.lastRecv = m.round()
 		if x&0xff <= 1 {
 			continue
 		}
@@ -101,21 +128,30 @@ func (m *waveMachine) Round(recv, send []int64) bool {
 			m.silent = false
 		}
 	}
-	m.done = m.shots == 0 && (m.silent || m.liar == lieAsleep)
+	m.done = m.shots == 0 && (m.silent || m.liar == lieAsleep) && m.round() >= m.lastRecv+m.linger
 	return m.done
 }
 
 func (m *waveMachine) Quiet() bool { return m.silent || m.liar == lieQuiet }
 
-func (m *waveMachine) Asleep() bool {
-	if m.liar == lieAsleep {
-		return m.done
+func (m *waveMachine) Asleep() (bool, int) {
+	doneAt := m.lastRecv + m.linger
+	switch m.liar {
+	case lieAsleep:
+		return m.done, doneAt
+	case lieDoneAt:
+		doneAt--
 	}
-	return m.done && m.silent && !m.awake
+	asleep := m.shots == 0 && m.silent && !m.awake
+	if asleep && !m.done {
+		m.early = true
+	}
+	return asleep, doneAt
 }
 
 // wavePatterns draws every node's behaviour from seed: mostly pure
-// forwarders, some sources, a few that never sleep.
+// forwarders, some sources, a few that never sleep, and about half
+// lingering before they are done.
 func wavePatterns(g *graph.Graph, seed int64) []wavePattern {
 	out := make([]wavePattern, g.NumNodes())
 	for v := range out {
@@ -126,6 +162,7 @@ func wavePatterns(g *graph.Graph, seed int64) []wavePattern {
 			ttl:    1 + int64(x>>16)%12,
 			spread: (x>>24)%4 == 0,
 			awake:  (x>>32)%10 == 0,
+			linger: []int{0, 0, 1, 3, 7}[(x>>40)%5],
 		}
 	}
 	return out
@@ -138,16 +175,32 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// waveRun is one execution's observable result.
+// waveRun is one execution's observable result, with the Round calls
+// made, the round of the last one, and how many machines fell asleep
+// before they were done.
 type waveRun struct {
-	digests []uint64
-	stats   engine.Stats
-	calls   int
+	digests  []uint64
+	stats    engine.Stats
+	calls    int
+	lastCall int
+	early    int
 }
 
-// runWaves executes wave machines under run; every node lies as liar
+// waveExec is how runWaves executes: RunReference, or a session under
+// opts with itc installed, whose round the machines read.
+type waveExec struct {
+	ref  bool
+	opts engine.Options
+	itc  engine.Interceptor[int64]
+}
+
+var reference = waveExec{ref: true}
+
+func onSession(opts engine.Options) waveExec { return waveExec{opts: opts} }
+
+// runWaves executes wave machines under exec; every node lies as liar
 // says.
-func runWaves(t testing.TB, g *graph.Graph, pats []wavePattern, liar lie, run runFunc) waveRun {
+func runWaves(t testing.TB, g *graph.Graph, pats []wavePattern, liar lie, exec waveExec) waveRun {
 	t.Helper()
 	machines := make([]waveMachine, g.NumNodes())
 	typed := make([]engine.TypedMachine[int64], g.NumNodes())
@@ -156,7 +209,24 @@ func runWaves(t testing.TB, g *graph.Graph, pats []wavePattern, liar lie, run ru
 		machines[v].liar = liar
 		typed[v] = &machines[v]
 	}
-	stats, err := run(g, typed, 1, false, 2000)
+	var stats engine.Stats
+	var err error
+	if exec.ref {
+		stats, err = engine.RunReference(g, typed, 1, false, 2000)
+	} else {
+		s, serr := engine.NewCore[int64](exec.opts).NewSession(g, typed)
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		defer s.Close()
+		for v := range machines {
+			machines[v].clock = s.Rounds
+		}
+		if exec.itc != nil {
+			s.SetInterceptor(exec.itc)
+		}
+		stats, err = s.Run(1, false, 2000)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +234,10 @@ func runWaves(t testing.TB, g *graph.Graph, pats []wavePattern, liar lie, run ru
 	for v := range machines {
 		out.digests[v] = machines[v].digest
 		out.calls += machines[v].calls
+		out.lastCall = max(out.lastCall, machines[v].lastCall)
+		if machines[v].early {
+			out.early++
+		}
 	}
 	return out
 }
@@ -215,27 +289,32 @@ func sleepGeometries() []engine.Options {
 }
 
 // TestSleepScheduleMatchesReference differential-tests the sparse
-// schedule: sessions of wave machines, which sleep between tokens, give
-// RunReference's digests, Rounds and Deliveries under every geometry,
-// while calling the machines fewer times than the dense loop would.
+// schedule: sessions of wave machines, which sleep between tokens and
+// often before they are done, give RunReference's digests, Rounds and
+// Deliveries under every geometry, while calling the machines fewer
+// times than the dense loop would.
 func TestSleepScheduleMatchesReference(t *testing.T) {
 	for name, g := range sleepGraphs(t) {
-		sparse, dense := 0, 0
+		sparse, dense, early := 0, 0, 0
 		for seed := int64(1); seed <= 3; seed++ {
 			pats := wavePatterns(g, seed)
-			want := runWaves(t, g, pats, honest, engine.RunReference[int64])
+			want := runWaves(t, g, pats, honest, reference)
 			for _, opts := range sleepGeometries() {
-				got := runWaves(t, g, pats, honest, coreRun(opts))
+				got := runWaves(t, g, pats, honest, onSession(opts))
 				if d := sameWaves(got, want); d != "" {
 					t.Fatalf("%s seed %d %+v: %s", name, seed, opts, d)
 				}
 				sparse += got.calls
 				dense += want.calls
+				early += got.early
 			}
 		}
-		t.Logf("%s: %d Round calls, dense %d", name, sparse, dense)
+		t.Logf("%s: %d Round calls, dense %d; %d early sleeps", name, sparse, dense, early)
 		if sparse >= dense {
 			t.Errorf("%s: %d Round calls, dense %d: nothing slept", name, sparse, dense)
+		}
+		if early == 0 {
+			t.Errorf("%s: no machine slept before it was done", name)
 		}
 	}
 }
@@ -256,14 +335,62 @@ func TestSleepScheduleCatchesLiar(t *testing.T) {
 	}
 	pats[0] = wavePattern{shots: 4, every: 5, ttl: 8}
 	opts := engine.Options{Workers: 1, Shards: 3}
-	if d := sameWaves(runWaves(t, g, pats, honest, coreRun(opts)),
-		runWaves(t, g, pats, honest, engine.RunReference[int64])); d != "" {
+	if d := sameWaves(runWaves(t, g, pats, honest, onSession(opts)),
+		runWaves(t, g, pats, honest, reference)); d != "" {
 		t.Fatalf("honest sleepers: %s", d)
 	}
 	for _, liar := range []lie{lieAsleep, lieQuiet} {
-		want := runWaves(t, g, pats, liar, engine.RunReference[int64])
-		if sameWaves(runWaves(t, g, pats, liar, coreRun(opts)), want) == "" {
+		want := runWaves(t, g, pats, liar, reference)
+		if sameWaves(runWaves(t, g, pats, liar, onSession(opts)), want) == "" {
 			t.Fatalf("lie %d matched the reference: the differential test cannot see a broken contract", liar)
+		}
+	}
+	// Lingering forwarders sleep before they are done; one that reports
+	// its doneAt a round early ends the run a round early.
+	for v := range pats {
+		pats[v].linger = 3
+	}
+	honestRun := runWaves(t, g, pats, honest, onSession(opts))
+	if d := sameWaves(honestRun, runWaves(t, g, pats, honest, reference)); d != "" {
+		t.Fatalf("honest lingering sleepers: %s", d)
+	}
+	if honestRun.lastCall >= honestRun.stats.Rounds {
+		t.Fatalf("last Round call in round %d of %d: the run did not end on doneAt alone",
+			honestRun.lastCall, honestRun.stats.Rounds)
+	}
+	want := runWaves(t, g, pats, lieDoneAt, reference)
+	got := runWaves(t, g, pats, lieDoneAt, onSession(opts))
+	if sameWaves(got, want) == "" {
+		t.Fatal("an early doneAt matched the reference: the differential test cannot see it")
+	}
+	if got.stats.Rounds >= want.stats.Rounds {
+		t.Fatalf("early doneAt ran %d rounds, want fewer than the reference's %d", got.stats.Rounds, want.stats.Rounds)
+	}
+}
+
+// TestSleepersLingerFromInit: machines asleep from Init but not yet done
+// keep the run going until their doneAt, although no Round is called at
+// all, and it ends in the reference's round.
+func TestSleepersLingerFromInit(t *testing.T) {
+	g, err := graph.NewCycle(12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats := make([]wavePattern, g.NumNodes())
+	for v := range pats {
+		pats[v] = wavePattern{linger: 5}
+	}
+	want := runWaves(t, g, pats, honest, reference)
+	if want.stats.Rounds != 5 {
+		t.Fatalf("reference ran %d rounds, want 5", want.stats.Rounds)
+	}
+	for _, opts := range sleepGeometries() {
+		got := runWaves(t, g, pats, honest, onSession(opts))
+		if d := sameWaves(got, want); d != "" {
+			t.Fatalf("%+v: %s", opts, d)
+		}
+		if got.calls != 0 {
+			t.Fatalf("%+v: %d Round calls, want none", opts, got.calls)
 		}
 	}
 }
@@ -308,19 +435,10 @@ func (c *countingItc) check() {
 func TestInterceptorKeepsSleepersDense(t *testing.T) {
 	for name, g := range sleepGraphs(t) {
 		pats := wavePatterns(g, 2)
-		want := runWaves(t, g, pats, honest, engine.RunReference[int64])
+		want := runWaves(t, g, pats, honest, reference)
 		for _, opts := range []engine.Options{{Workers: 1}, {Workers: 3, Shards: 7}} {
 			itc := &countingItc{seen: make([]int32, g.NumPorts())}
-			got := runWaves(t, g, pats, honest, func(g *graph.Graph, ms []engine.TypedMachine[int64],
-				seed int64, randomized bool, maxRounds int) (engine.Stats, error) {
-				s, err := engine.NewCore[int64](opts).NewSession(g, ms)
-				if err != nil {
-					return engine.Stats{}, err
-				}
-				defer s.Close()
-				s.SetInterceptor(itc)
-				return s.Run(seed, randomized, maxRounds)
-			})
+			got := runWaves(t, g, pats, honest, waveExec{opts: opts, itc: itc})
 			itc.check()
 			if d := sameWaves(got, want); d != "" {
 				t.Fatalf("%s %+v: %s", name, opts, d)
@@ -391,6 +509,9 @@ func TestStepAfterTerminationCallsAwakeOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for v := range machines {
+			machines[v].clock = s.Rounds
+		}
 		if _, err := s.Run(1, false, 2000); err != nil {
 			t.Fatal(err)
 		}
@@ -441,9 +562,9 @@ func FuzzSleepSchedule(f *testing.F) {
 			t.Skip(err)
 		}
 		pats := wavePatterns(g, seed)
-		want := runWaves(t, g, pats, honest, engine.RunReference[int64])
+		want := runWaves(t, g, pats, honest, reference)
 		opts := engine.Options{Workers: 1 + int(workers)%3, Shards: 1 + int(shards)%8}
-		got := runWaves(t, g, pats, honest, coreRun(opts))
+		got := runWaves(t, g, pats, honest, onSession(opts))
 		if d := sameWaves(got, want); d != "" {
 			t.Fatalf("%+v: %s", opts, d)
 		}

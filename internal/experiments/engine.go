@@ -121,7 +121,7 @@ func RelayDeliveryComparison(sc Scale) (*Result, error) {
 		Table: measure.Table([]string{"N", "base n", "native rounds", "native words", "gather rounds", "gather words", "gather/native words"}, rows),
 		Notes: []string{
 			"native machines move O(1) words per virtual edge per protocol round, slot-routed host to port",
-			"gather machines flood component-sized knowledge vectors every physical round",
+			"gather machines send component-sized knowledge vectors, each node only in the rounds its vector changed",
 			"labelings of both executions are byte-identical to each other and to the sequential oracle",
 		},
 	}, nil
