@@ -9,7 +9,7 @@ import (
 )
 
 // pinnedRelay delegates to the production relayMachine (including the
-// hosted virtual machine at leader nodes and its Sleeper methods) but
+// hosted gather machine at leader nodes and its Sleeper methods) but
 // never reports done, keeping compute and delivery inside the measured
 // window. The machines read the session's round through their shared
 // relayCtl, which newRelaySession points at the session.
@@ -36,7 +36,7 @@ func newRelaySession(tb testing.TB, opts engine.Options) *engine.Session[relayMs
 	scope := GadScope(inst.G, inst.In)
 	table := NewFactTable(d.Virtual)
 	machines, _ := buildRelayMachines(inst.G, scope, d.Virtual, table,
-		GatherFactory(sinkless.NewDetSolver()), d.Dilation, nil)
+		sinkless.NewDetSolver(), d.Dilation, nil)
 	pinned := make([]pinnedRelay, len(machines))
 	typed := make([]engine.TypedMachine[relayMsg], len(machines))
 	for v := range machines {
@@ -90,7 +90,7 @@ func BenchmarkRelayMachineSteadyState(b *testing.B) {
 }
 
 // pinnedNative delegates to the production natMachine (including the
-// hosted port machine at gadget hosts) but never reports done, keeping
+// hosted protocol machine at gadget hosts) but never reports done, keeping
 // slot merging, protocol rounds, and record forwarding inside the
 // measured window.
 type pinnedNative struct{ natMachine }
@@ -115,11 +115,10 @@ func newNativeSession(tb testing.TB, opts engine.Options) *engine.Session[natMsg
 	}
 	scope := GadScope(inst.G, inst.In)
 	table := NewFactTable(d.Virtual)
-	mk := nativeFactoryFor(sinkless.NewMessageSolver(), d.Virtual)
-	if mk == nil {
-		tb.Fatal("no native factory for the message solver")
+	if !runsNative(sinkless.NewMessageSolver(), d.Virtual) {
+		tb.Fatal("the message solver does not run native")
 	}
-	machines, _, _, err := buildNativeMachines(inst.G, scope, d.Virtual, table, mk)
+	machines, _, _, err := buildNativeMachines(inst.G, scope, d.Virtual, table)
 	if err != nil {
 		tb.Fatal(err)
 	}

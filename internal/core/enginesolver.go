@@ -26,7 +26,7 @@ type EngineRunStats struct {
 	// gather executions move knowledge vectors in the rounds they change.
 	RelayWords int64
 	// RelayNative records whether the relay session ran native
-	// constant-bandwidth port machines (true) or gather machines (false).
+	// constant-bandwidth protocol machines (true) or gather machines (false).
 	RelayNative bool
 	// Depth is the number of engine-run padding layers in this solve:
 	// 1 for a plain level-2 solve, level−1 for a flattened tower.
@@ -97,24 +97,27 @@ func (s *EngineRunStats) fold(o *EngineRunStats) {
 // sharded message-passing engine: the Ψ verifier runs as a fixpoint
 // exchange of predicate vectors (errorproof.Verifier.RunEngine), port
 // validity is a constant-radius local decision on the converged Ψ
-// outputs, and the inner algorithm runs as native machines over the
-// payload relay plane (RunRelay) — its knowledge payloads carried
-// through gadget interiors and across port edges under the d+1-round
-// super-round schedule, with no centralized inner Solve call anywhere in
-// the pipeline. The output labeling is byte-identical to the sequential
-// PaddedSolver oracle (the assembly stages are shared code and the
-// native inner execution is differential-tested against the oracle),
-// while Cost charges the rounds actually executed: the Ψ radius plus the
-// measured relay-session length for every valid-gadget node, so the
-// measured engine rounds never exceed the charged bound.
+// outputs, and the inner algorithm runs as machines over a relay plane —
+// the sinkless message solver's own protocol over the native relay when
+// the virtual graph allows it, otherwise gather machines whose knowledge
+// payloads the gather relay carries through gadget interiors and across
+// port edges under the crossing schedule — with no centralized inner
+// Solve call anywhere in the pipeline. The output labeling is
+// byte-identical to the sequential PaddedSolver oracle (the assembly
+// stages are shared code and the native inner execution is
+// differential-tested against the oracle), while Cost charges the rounds
+// actually executed: the Ψ radius plus the measured relay-session length
+// for every valid-gadget node, so the measured engine rounds never
+// exceed the charged bound.
 type EnginePaddedSolver struct {
 	Delta int
 	Inner lcl.Solver
 	// Engine configures the worker pool; nil uses the package defaults.
 	Engine *engine.Engine
-	// ForceGather disables native port-machine selection, running the
-	// inner solver over gather machines even when a native protocol
-	// exists. Benchmarks use it to compare the two relay executions.
+	// ForceGather disables native relay selection, running the inner
+	// solver over gather machines even when a native protocol exists.
+	// The registry's gather plane (pi2-rand-gather) sets it to compare
+	// the two relay executions.
 	ForceGather bool
 	// LastStats is the engine profile of the most recent Solve.
 	LastStats EngineRunStats
@@ -333,8 +336,8 @@ func (p *PreparedPadded) Run(seed int64) (*Detail, error) {
 
 // build runs steps 2-3 on the first Run's Ψ outputs — port validity and
 // the virtual contraction, shared code with the sequential oracle — and
-// prepares the relay execution: native port machines when the inner has
-// a constant-bandwidth protocol on H (nativeFactoryFor), gather machines
+// prepares the relay execution: the native relay when the inner has
+// a constant-bandwidth protocol on H (runsNative), gather machines
 // flooding knowledge vectors otherwise. Nothing is kept unless every
 // step succeeds.
 func (p *PreparedPadded) build() error {
@@ -362,15 +365,11 @@ func (p *PreparedPadded) build() error {
 			}
 			itc = adversary.NewInterceptor(s.relayPlan, relayCodec())
 		}
-		var nmk NativeFactory
-		if !s.ForceGather && itc == nil {
-			nmk = nativeFactoryFor(s.Inner, plan.vg)
-		}
-		if nmk != nil {
-			relay, err = newNativeRelay(s.Engine, g, plan.scope, plan.vg, table, nmk)
+		if !s.ForceGather && itc == nil && runsNative(s.Inner, plan.vg) {
+			relay, err = newNativeRelay(s.Engine, g, plan.scope, plan.vg, table)
 		} else {
 			var gr *gatherRelay
-			gr, err = newGatherRelay(s.Engine, g, plan.scope, plan.vg, table, GatherFactory(s.Inner), plan.dilation, plan.compEcc)
+			gr, err = newGatherRelay(s.Engine, g, plan.scope, plan.vg, table, s.Inner, plan.dilation, plan.compEcc)
 			if err == nil && itc != nil {
 				gr.itc = itc
 			}

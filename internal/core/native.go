@@ -17,6 +17,8 @@ import (
 // rounds — one bounded word per incident virtual edge per round — so the
 // payload a session moves is O(1) words per virtual edge per protocol
 // round instead of O(|H|) words per physical edge per round of change.
+// The sinkless message solver is the one inner with such a protocol
+// (sinklessNative, chosen by runsNative); the plane hosts it directly.
 //
 // Transport is slot-routed rather than flooded. Each valid gadget keeps
 // a table of 2·deg(vi) slots — OUT_p, the hosted machine's current
@@ -55,61 +57,27 @@ const maxNatSlots = 2 * maxNativePorts
 // message solver's own cap); the physical cap is L times it.
 const nativeMaxVMRounds = 4096
 
-// PortMachine is an inner protocol in bounded-bandwidth normal form: one
-// 64-bit word per incident virtual edge per round, against the gather
-// machines' component-sized knowledge vectors. Unlike a GatherMachine,
-// whose Finish decodes labels for its whole known component, a port
-// machine's Finish writes only its own node's labels — every virtual
-// node's machine is finished by the runner.
-type PortMachine interface {
-	// Init resets the machine. Randomized protocols must derive their
-	// stream from (info.Seed, info.ID), never from scheduling state.
-	Init(info VirtualNodeInfo)
-	// Round runs one protocol round: recv[p] is the word the neighbor
-	// across virtual port p sent last round (zero on the first call),
-	// send[p] receives this round's outgoing word for port p. Both have
-	// length info.Degree and are only valid during the call. It returns
-	// true once the machine has locally terminated. Round must not
-	// allocate in steady state.
-	Round(recv, send []uint64) bool
-	// Rounds reports the protocol round at which the machine most
-	// recently terminated: its charged virtual-round locality.
-	Rounds() int
-	// Finish writes the machine's own node's output labels into out (a
-	// labeling of H).
-	Finish(out *lcl.Labeling) error
+// runsNative reports whether the native relay can run inner on vg: the
+// sinkless message solver, whose constant-bandwidth protocol
+// sinklessNative hosts, on a virtual graph that fits the fixed-width slot
+// tables and passes the solver's own solvability precheck (an unsolvable
+// H must surface the message solver's error, which the gather fallback
+// reproduces exactly). Callers fall back to gather machines otherwise.
+func runsNative(inner lcl.Solver, vg *VirtualGraph) bool {
+	return vg.H != nil && vg.H.MaxDegree() <= maxNativePorts &&
+		inner.Name() == sinkless.MessageSolverName && sinkless.CheckSolvable(vg.H) == nil
 }
 
-// NativeFactory builds one PortMachine per virtual node.
-type NativeFactory func(vi graph.NodeID) PortMachine
-
-// nativeFactoryFor returns the native port-machine factory for an inner
-// solver on a given virtual graph, or nil when the inner has no native
-// constant-bandwidth protocol (callers fall back to gather machines).
-// The sinkless message solver is native whenever the virtual graph fits
-// the fixed-width slot tables and passes the solver's own solvability
-// precheck (an unsolvable H must surface the message solver's error,
-// which the gather fallback reproduces exactly).
-func nativeFactoryFor(inner lcl.Solver, vg *VirtualGraph) NativeFactory {
-	if vg.H == nil || vg.H.MaxDegree() > maxNativePorts {
-		return nil
-	}
-	switch inner.Name() {
-	case sinkless.MessageSolverName:
-		if sinkless.CheckSolvable(vg.H) != nil {
-			return nil
-		}
-		return func(graph.NodeID) PortMachine { return &sinklessNative{} }
-	}
-	return nil
-}
-
-// sinklessNative hosts the sinkless-orientation protocol as a native
-// port machine: 8 payload bits per virtual edge per round. Neighbor
-// identifiers never travel — they are reconstructed from the static
-// topology — and the RNG stream is pinned to (seed, virtual identifier)
-// exactly as the engine pins it for a direct run on H, so the state
-// evolution is byte-identical to the message solver's.
+// sinklessNative hosts the sinkless-orientation protocol in
+// bounded-bandwidth normal form: one 64-bit word per incident virtual
+// edge per round (8 payload bits used), against the gather machines'
+// component-sized knowledge vectors. Neighbor identifiers never travel —
+// they are reconstructed from the static topology — and the RNG stream
+// is pinned to (seed, virtual identifier) exactly as the engine pins it
+// for a direct run on H, so the state evolution is byte-identical to the
+// message solver's. Unlike a GatherMachine, whose Finish decodes labels
+// for its whole known component, its Finish writes only its own node's
+// labels: the runner finishes every virtual node's machine.
 type sinklessNative struct {
 	info   VirtualNodeInfo
 	rng    engine.NodeRNG
@@ -122,9 +90,7 @@ type sinklessNative struct {
 	done   bool
 }
 
-var _ PortMachine = (*sinklessNative)(nil)
-
-// Init implements PortMachine.
+// Init resets the machine for virtual node info.Node.
 func (m *sinklessNative) Init(info VirtualNodeInfo) {
 	m.info = info
 	m.proto.Init(info.ID, info.Degree, m.rng.Derive(info.Seed, info.ID))
@@ -147,7 +113,9 @@ func (m *sinklessNative) Init(info VirtualNodeInfo) {
 	m.done = false
 }
 
-// Round implements PortMachine.
+// Round runs one protocol round: recv[p] is the word the neighbor across
+// virtual port p sent last round (zero on the first call), send[p] this
+// round's word for port p. It returns whether the protocol terminated.
 func (m *sinklessNative) Round(recv, send []uint64) bool {
 	m.calls++
 	for p := range m.recvW {
@@ -164,12 +132,13 @@ func (m *sinklessNative) Round(recv, send []uint64) bool {
 	return done
 }
 
-// Rounds implements PortMachine.
+// Rounds reports the protocol round at which the machine most recently
+// terminated: its charged virtual-round locality.
 func (m *sinklessNative) Rounds() int { return m.rounds }
 
-// Finish implements PortMachine: transcribe the node's port orientations
-// into half-edge labels, exactly as the message solver labels a direct
-// run on H.
+// Finish transcribes the node's port orientations into half-edge labels
+// of out (a labeling of H), exactly as the message solver labels a
+// direct run on H.
 func (m *sinklessNative) Finish(out *lcl.Labeling) error {
 	H := m.info.Table.vg.H
 	for p := 0; p < m.info.Degree; p++ {
@@ -223,11 +192,11 @@ type natLane struct {
 
 // natMachine is the per-physical-node transport of the native relay
 // plane: a slot table plus a static route per slot. Host nodes
-// additionally run the gadget's PortMachine every L-th round. The node is
+// additionally run the gadget's sinklessNative every L-th round. The node is
 // an engine.Sleeper: after a round in which it forwarded no record it is
 // quiet, and a non-host node sleeps until a neighbor forwards it one.
 type natMachine struct {
-	// host is the gadget's hosted port machine on the node hosting it,
+	// host is the gadget's hosted protocol machine on the node hosting it,
 	// nil everywhere else.
 	host *natHost
 	// plane is the session's record storage; the node's lanes start at
@@ -259,14 +228,14 @@ type natMachine struct {
 	idle bool
 }
 
-// natHost is a hosted port machine with its word buffers. Only the few
-// host nodes carry one, which keeps the per-node transport state small.
+// natHost is a hosted protocol machine with its word buffers. Only the
+// few host nodes carry one, which keeps the per-node transport state
+// small.
 type natHost struct {
-	pm           PortMachine
+	pm           sinklessNative
 	info         VirtualNodeInfo
 	recvW, sendW []uint64 // views of words, info.Degree wide
 	words        [2 * maxNativePorts]uint64
-	done         bool
 }
 
 var (
@@ -280,7 +249,6 @@ func (m *natMachine) Init(engine.NodeInfo) {
 	clear(m.vals)
 	m.fresh = 0
 	if h := m.host; h != nil {
-		h.done = false
 		h.pm.Init(h.info)
 	}
 }
@@ -322,7 +290,7 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 		for p := range h.recvW {
 			h.recvW[p] = m.vals[2*p+1]
 		}
-		h.done = h.pm.Round(h.recvW, h.sendW)
+		h.pm.Round(h.recvW, h.sendW)
 		for p := range h.sendW {
 			s := 2 * p
 			if m.vals[s] != h.sendW[p] {
@@ -357,7 +325,7 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 	if m.host == nil {
 		return true
 	}
-	return m.host.done
+	return m.host.pm.done
 }
 
 // Quiet implements engine.Sleeper: a node that forwarded no record wrote
@@ -371,9 +339,9 @@ func (m *natMachine) Quiet() bool { return m.idle }
 func (m *natMachine) Asleep() (bool, int) { return m.host == nil && m.idle, 0 }
 
 // nativeRelay is a prepared native relay: the per-node transport
-// machines, the hosted port machines, and the engine session that
+// machines, the hosted protocol machines, and the engine session that
 // executes them. Only the seed changes between runs, and it reaches the
-// port machines through the hosts' VirtualNodeInfo. A run executes the
+// protocol machines through the hosts' VirtualNodeInfo. A run executes the
 // inner algorithm as native constant-bandwidth machines over the
 // slot-routed relay plane: its labeling is byte-identical to running
 // the inner protocol directly on H (and therefore to the sequential
@@ -388,12 +356,12 @@ type nativeRelay struct {
 }
 
 func newNativeRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable, mk NativeFactory) (*nativeRelay, error) {
+	vg *VirtualGraph, table *FactTable) (*nativeRelay, error) {
 
 	if vg.NumVirtualNodes() == 0 {
 		return nil, fmt.Errorf("run native relay: no valid gadgets")
 	}
-	machines, hosts, superLen, err := buildNativeMachines(g, scope, vg, table, mk)
+	machines, hosts, superLen, err := buildNativeMachines(g, scope, vg, table)
 	if err != nil {
 		return nil, fmt.Errorf("run native relay: %w", err)
 	}
@@ -429,8 +397,8 @@ func (r *nativeRelay) run(seed int64) (*RelayRun, error) {
 	// Every machine decodes its own node: no component decomposition to
 	// share, unlike the gather machines' full-knowledge Finish.
 	for vi := 0; vi < nv; vi++ {
-		pm := r.hosts[vi].pm
-		if pm == nil {
+		pm := &r.hosts[vi].pm
+		if r.hosts[vi].info.Table == nil {
 			return nil, fmt.Errorf("run native relay: virtual node %d has no hosted machine", vi)
 		}
 		run.Rounds[vi] = pm.Rounds()
@@ -450,7 +418,7 @@ func (r *nativeRelay) close() { r.sess.Close() }
 // node; their VirtualNodeInfo carries seed 0 until a run writes its
 // seed.
 func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable, mk NativeFactory) ([]natMachine, []natHost, int32, error) {
+	vg *VirtualGraph, table *FactTable) ([]natMachine, []natHost, int32, error) {
 
 	n := g.NumNodes()
 	machines := make([]natMachine, n)
@@ -560,10 +528,9 @@ func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 		// The host runs the gadget's machine.
 		hm := &hosts[vi]
 		*hm = natHost{
-			pm: mk(vi),
 			info: VirtualNodeInfo{
 				Node: vi, ID: vg.H.ID(vi), Degree: dv,
-				Words: table.Words(), Table: table,
+				Table: table,
 			},
 		}
 		hm.recvW, hm.sendW = hm.words[:dv:dv], hm.words[maxNativePorts:maxNativePorts+dv:maxNativePorts+dv]
@@ -583,10 +550,8 @@ func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 			}
 		}
 	}
-	for vi := range hosts {
-		if hosts[vi].pm != nil {
-			machines[hostOf[vi]].L = superLen
-		}
+	for _, host := range hostOf {
+		machines[host].L = superLen
 	}
 	attachNatPlane(g, machines)
 	return machines, hosts, superLen, nil

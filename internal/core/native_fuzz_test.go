@@ -26,8 +26,7 @@ func FuzzNativeSlotRewrite(f *testing.F) {
 	plan := buildPlan(f, inst.G, inst.In)
 	table := NewFactTable(plan.vg)
 	scope := GadScope(inst.G, inst.In)
-	machines, _, _, err := buildNativeMachines(inst.G, scope, plan.vg, table,
-		func(graph.NodeID) PortMachine { return &sinklessNative{} })
+	machines, _, _, err := buildNativeMachines(inst.G, scope, plan.vg, table)
 	if err != nil {
 		f.Fatal(err)
 	}

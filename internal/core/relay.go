@@ -22,13 +22,13 @@ import (
 // otherwise once per their own gadget's eccentricity + 1 (computed at
 // plan time), never slower than the worst-gadget d+1-round super-round.
 //
-// Because payloads are OR-monotone broadcasts (the VirtualMachine
-// contract), in-flight merging is sound: a gadget interior node may
-// combine what it heard from several ports and forward the union, and
-// the fixpoint — every gadget node holding its component's complete
-// fact set — is independent of delivery interleaving, so the final
-// words, session length, and outputs are byte-identical for every
-// worker/shard geometry. Merging is also idempotent, so forwarding only
+// Because payloads are OR-monotone broadcasts (the gather machines'
+// full-information normal form, vm.go), in-flight merging is sound: a
+// gadget interior node may combine what it heard from several ports and
+// forward the union, and the fixpoint — every gadget node holding its
+// component's complete fact set — is independent of delivery
+// interleaving, so the final words, session length, and outputs are
+// byte-identical for every worker/shard geometry. Merging is also idempotent, so forwarding only
 // changes is exact: a receiver already merged every unchanged payload
 // when it was last sent, and each node's knowledge in every round equals
 // what it would hold if every node re-sent its whole payload every round.
@@ -38,12 +38,15 @@ import (
 //
 // Each valid gadget's leader node (its minimal physical node, whose
 // gadget eccentricity bounds the dilation) hosts the gadget's
-// VirtualMachine and drives one machine round per super-round. The
-// session has no precomputed length: it terminates at the first round in
-// which every node has been payload-stable past its own crossing
-// interval and every hosted machine reports stabilization — never more
-// than roughly 2(d+1) physical rounds per virtual hop, and as little as
-// one physical round per hop under the single-word fast path. A node
+// GatherMachine and drives one machine round per crossing interval. The
+// machine runs on the leader's own knowledge words: the leader merges
+// what arrives and tells the machine at each boundary whether anything
+// did, so each node's knowledge exists once. The session has no
+// precomputed length: it terminates at the first round in which every
+// node has been payload-stable past its own crossing interval and every
+// hosted machine reports stabilization — never more than roughly 2(d+1)
+// physical rounds per virtual hop, and as little as one physical round
+// per hop under the single-word fast path. A node
 // that sent nothing and has no crossing waiting sleeps (engine.Sleeper)
 // until a neighbor sends it a payload; the round it would be done in
 // follows from its last change, so it need not stay awake to count.
@@ -64,12 +67,14 @@ type relayCtl struct {
 	// every round and across its port edges at every boundary, changed
 	// or not. gatherRelay.run sets it while an interceptor is installed.
 	reflood bool
+	// table reseeds the valid-gadget nodes' knowledge at Init.
+	table *FactTable
 }
 
 // relayMachine floods knowledge payloads under the dilated schedule.
 // It is kept small because a prepared relay holds one per physical node:
 // port lists and word buffers are runs of shared slabs, and the hosted
-// virtual machine sits behind a pointer on leader nodes only.
+// gather machine sits behind a pointer on leader nodes only.
 type relayMachine struct {
 	// ports lists the in-scope (gadget-edge) ports, flooded in rounds the
 	// payload changed, then from nGad on the ports on virtual (port)
@@ -83,42 +88,38 @@ type relayMachine struct {
 	// eccentricity + 1 (measured at plan time) — never more than
 	// superLen, which uses the worst gadget's eccentricity.
 	crossEvery int32
-	// w is the payload width. buf holds the node's w-word buffers: the
-	// current knowledge, the two alternating send buffers (a buffer
-	// written in round r is read in round r+1 and not touched again
-	// before round r+2, so receivers never race the writer), and — on
-	// valid-gadget nodes only — the initial knowledge.
+	// w is the payload width. buf holds the node's relayBufs w-word
+	// buffers: the current knowledge and the two alternating send
+	// buffers (a buffer written in round r is read in round r+1 and not
+	// touched again before round r+2, so receivers never race the
+	// writer).
 	w   int32
 	buf []uint64
-	// host is the gadget's hosted virtual machine on its leader node,
-	// nil everywhere else.
-	host *relayHost
+	// host is the gadget's gather machine on its leader node, running
+	// on the node's knowledge words; nil everywhere else.
+	host *GatherMachine
 	ctl  *relayCtl
 
 	// lastChange is the last round in which a received payload changed
 	// the knowledge (0 before any); the node has been stable for
 	// round − lastChange rounds.
 	lastChange int32
+	// vi is the virtual node of the node's valid gadget (-1: none),
+	// whose initial knowledge Init seeds.
+	vi int32
 	// cross marks knowledge changed since the last port crossing; only
 	// nodes with virtual ports set it. quiet marks a last Round that sent
-	// nothing.
-	cross, quiet bool
+	// nothing. news marks knowledge changed since the host's last
+	// machine round.
+	cross, quiet, news bool
 	// sent counts the payload words this machine handed to the transport
 	// (per-machine so the tally needs no synchronization; the runner sums
 	// after the session, which is deterministic for every geometry).
 	sent int64
 }
 
-// relayHost is a hosted virtual machine with its send buffer.
-type relayHost struct {
-	vm   VirtualMachine
-	info VirtualNodeInfo
-	out  []uint64
-	done bool
-}
-
-// relayBufs is the number of w-word buffers of a valid-gadget node.
-const relayBufs = 4
+// relayBufs is the number of w-word buffers of a node.
+const relayBufs = 3
 
 func (m *relayMachine) words() []uint64 { return m.buf[:m.w:m.w] }
 
@@ -135,17 +136,17 @@ var (
 
 func (m *relayMachine) Init(engine.NodeInfo) {
 	m.lastChange = 0
-	m.cross, m.quiet = false, false
+	m.cross, m.quiet, m.news = false, false, false
 	m.sent = 0
 	words := m.words()
-	if len(m.buf) == relayBufs*int(m.w) {
-		copy(words, m.buf[3*m.w:])
+	if m.vi >= 0 {
+		m.ctl.table.SeedWords(graph.NodeID(m.vi), words)
 	} else {
 		clear(words)
 	}
 	if h := m.host; h != nil {
-		h.done = false
-		h.vm.Init(h.info)
+		// The host keeps its info; run writes the seed into it.
+		h.Init(h.info, words)
 	}
 }
 
@@ -159,7 +160,7 @@ func (m *relayMachine) Round(recv, send []relayMsg) bool {
 	if !fresh {
 		for _, p := range m.ports {
 			if w := recv[p].Words; w != nil && orInto(words, w) {
-				m.lastChange, fresh = round, true
+				m.lastChange, m.news, fresh = round, true, true
 			}
 		}
 	}
@@ -170,14 +171,12 @@ func (m *relayMachine) Round(recv, send []relayMsg) bool {
 		boundary = (round-1)%m.crossEvery == 0
 	}
 	if h := m.host; h != nil && boundary {
-		// One virtual-machine round per crossing interval: the payloads
-		// that crossed the gadget's port edges have flooded to the leader
-		// by the next boundary. OR-monotone machines tolerate the faster
-		// cadence — extra calls merge nothing new.
-		h.done = h.vm.Round(words, h.out)
-		if orInto(words, h.out) {
-			fresh = true
-		}
+		// One machine round per crossing interval: the payloads that
+		// crossed the gadget's port edges have flooded to the leader by
+		// the next boundary. Gather machines tolerate the faster cadence
+		// — extra calls learn nothing new.
+		h.Round(m.news)
+		m.news = false
 	}
 	if fresh && len(virt) > 0 {
 		m.cross = true
@@ -192,10 +191,8 @@ func (m *relayMachine) Round(recv, send []relayMsg) bool {
 	// (every round for single-word payloads), not the worst gadget's
 	// d+1-round super-round. Stopping stays safe under the faster
 	// schedule: done requires round − lastChange > crossEvery, so a node
-	// that received news meets a boundary before it can be done, and a
-	// host's own output changes the words only at a boundary, where they
-	// cross at once. A session can never stop with uncrossed news at a
-	// port.
+	// that received news meets a boundary before it can be done. A
+	// session can never stop with uncrossed news at a port.
 	toVirt := boundary && (m.cross || reflood) && len(virt) > 0
 	m.quiet = !toGad && !toVirt
 	if !m.quiet {
@@ -217,7 +214,7 @@ func (m *relayMachine) Round(recv, send []relayMsg) bool {
 	}
 	done := round > m.superLen && round-m.lastChange > m.crossEvery
 	if m.host != nil {
-		done = done && m.host.done
+		done = done && m.host.settled
 	}
 	return done
 }
@@ -229,7 +226,7 @@ func (m *relayMachine) Quiet() bool { return m.quiet }
 // crossing waiting would, with only silent ports, merge nothing and send
 // nothing, and its stop rule reads only the round: it is done from round
 // max(superLen, lastChange+crossEvery) + 1 on. Hosts stay awake, as they
-// drive their virtual machine at every boundary.
+// drive their gather machine at every boundary.
 func (m *relayMachine) Asleep() (bool, int) {
 	if m.host != nil || !m.quiet || m.cross {
 		return false, 0
@@ -257,37 +254,23 @@ type RelayRun struct {
 	Words int64
 }
 
-// RunRelay executes the inner algorithm as native machines over the
-// payload relay plane: virtual machines hosted at gadget leaders, their
-// payloads flood-forwarded through gadget interiors and across port
-// edges under the d+1-round super-round schedule, outputs decoded from
-// the stabilized knowledge. It requires at least one valid gadget.
+// gatherRelay is a prepared gather relay: the per-node relay machines,
+// the hosted gather machines, and the engine session that executes
+// them. A run executes the inner algorithm as gather machines over the
+// payload relay plane: hosted at gadget leaders, their knowledge
+// flood-forwarded through gadget interiors and across port edges under
+// the crossing schedule, outputs decoded from the stabilized knowledge.
+// Only the seed changes between runs, and it reaches the machines
+// through the hosts' VirtualNodeInfo.
 //
 // A non-nil itc (an adversary delivery-fault interceptor) is installed
 // on the session; the round cap then doubles as the loud failure mode —
 // a fault regime that starves the flood of its fixpoint surfaces as
 // engine.ErrRoundLimit, never as a hang.
-func RunRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable, mk func(vi graph.NodeID) VirtualMachine,
-	dilation int, compEcc []int, seed int64, itc engine.Interceptor[relayMsg]) (*RelayRun, error) {
-
-	r, err := newGatherRelay(eng, g, scope, vg, table, mk, dilation, compEcc)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-	r.itc = itc
-	return r.run(seed)
-}
-
-// gatherRelay is a prepared gather relay: the per-node relay machines,
-// the hosted virtual machines, and the engine session that executes
-// them. Only the seed changes between runs, and it reaches the machines
-// through the hosts' VirtualNodeInfo.
 type gatherRelay struct {
 	vg        *VirtualGraph
 	machines  []relayMachine
-	hosts     []relayHost // by virtual node
+	hosts     []GatherMachine // by virtual node
 	sess      *engine.Session[relayMsg]
 	maxRounds int
 	// itc is installed on the session before every run (nil: the
@@ -295,15 +278,17 @@ type gatherRelay struct {
 	itc engine.Interceptor[relayMsg]
 }
 
+// newGatherRelay prepares a gather relay running inner on vg. It
+// requires at least one valid gadget.
 func newGatherRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable, mk func(vi graph.NodeID) VirtualMachine,
+	vg *VirtualGraph, table *FactTable, inner lcl.Solver,
 	dilation int, compEcc []int) (*gatherRelay, error) {
 
 	nv := vg.NumVirtualNodes()
 	if nv == 0 {
 		return nil, fmt.Errorf("run relay: no valid gadgets")
 	}
-	machines, hosts := buildRelayMachines(g, scope, vg, table, mk, dilation, compEcc)
+	machines, hosts := buildRelayMachines(g, scope, vg, table, inner, dilation, compEcc)
 	typed := make([]engine.TypedMachine[relayMsg], len(machines))
 	for v := range machines {
 		typed[v] = &machines[v]
@@ -336,13 +321,12 @@ func (r *gatherRelay) run(seed int64) (*RelayRun, error) {
 		run.Words += r.machines[v].sent
 	}
 	for vi := range r.hosts {
-		vm := r.hosts[vi].vm
-		if vm == nil {
+		if r.hosts[vi].Inner == nil {
 			return nil, fmt.Errorf("run relay: virtual node %d has no hosted machine", vi)
 		}
-		run.Rounds[vi] = vm.Rounds()
+		run.Rounds[vi] = r.hosts[vi].Rounds()
 	}
-	if err := finishComponents(r.vg, func(vi graph.NodeID) VirtualMachine { return r.hosts[vi].vm }, run.Out); err != nil {
+	if err := finishComponents(r.vg, r.hosts, run.Out); err != nil {
 		return nil, fmt.Errorf("run relay: %w", err)
 	}
 	return run, nil
@@ -351,72 +335,51 @@ func (r *gatherRelay) run(seed int64) (*RelayRun, error) {
 func (r *gatherRelay) close() { r.sess.Close() }
 
 // buildRelayMachines derives the per-physical-node relay configuration:
-// port lists, seeded knowledge, the crossing interval from the node's own
-// gadget's measured eccentricity, and the hosted virtual machine at each
-// valid gadget's leader node. compEcc holds the per-component leader
-// eccentricities measured at plan time (nil falls back to the global
-// super-round everywhere). Port lists, word buffers and hosts live in
-// flat slabs; the hosts' VirtualNodeInfo carries seed 0 until a run
-// writes its seed.
+// port lists, knowledge buffers, the crossing interval from the node's
+// own gadget's measured eccentricity, and the gather machine around inner
+// hosted at each valid gadget's leader node. compEcc holds the
+// per-component leader eccentricities measured at plan time (nil falls
+// back to the global super-round everywhere). Port lists and word
+// buffers live in flat slabs, the hosts in one slab by virtual node;
+// their VirtualNodeInfo carries seed 0 until a run writes its seed.
 func buildRelayMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable, mk func(vi graph.NodeID) VirtualMachine,
-	dilation int, compEcc []int) ([]relayMachine, []relayHost) {
+	vg *VirtualGraph, table *FactTable, inner lcl.Solver,
+	dilation int, compEcc []int) ([]relayMachine, []GatherMachine) {
 
 	superLen := superRoundLen(dilation)
 	n := g.NumNodes()
 	words := table.Words()
 	machines := make([]relayMachine, n)
-	hosts := make([]relayHost, vg.NumVirtualNodes())
-	hostedComp := func(v graph.NodeID) (int, bool) {
-		ci := vg.CompOf[v]
-		return ci, ci >= 0 && vg.Valid[ci] && vg.VirtOf[ci] >= 0
-	}
-	// Valid-gadget nodes keep a fourth buffer for their initial
-	// knowledge; every leader's host adds a send buffer.
-	slabWords := (relayBufs-1)*n + len(hosts)
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		if _, ok := hostedComp(v); ok {
-			slabWords++
-		}
-	}
-	slab := make([]uint64, slabWords*words)
-	take := func(k int) []uint64 {
-		b := slab[: k*words : k*words]
-		slab = slab[k*words:]
-		return b
-	}
+	hosts := make([]GatherMachine, vg.NumVirtualNodes())
+	slab := make([]uint64, relayBufs*n*words)
 	ports := make([]int32, 0, g.NumPorts())
-	ctl := &relayCtl{}
+	ctl := &relayCtl{table: table}
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		m := &machines[v]
 		m.ctl = ctl
 		m.superLen = superLen
 		m.crossEvery = superLen
 		m.w = int32(words)
-		ci, ok := hostedComp(v)
-		if !ok {
-			m.buf = take(relayBufs - 1)
-		} else {
+		m.buf, slab = slab[:relayBufs*words:relayBufs*words], slab[relayBufs*words:]
+		m.vi = -1
+		if ci := vg.CompOf[v]; ci >= 0 && vg.Valid[ci] && vg.VirtOf[ci] >= 0 {
 			vi := vg.VirtOf[ci]
+			m.vi = int32(vi)
 			if words == 1 {
 				m.crossEvery = 1
 			} else if compEcc != nil && ci < len(compEcc) && compEcc[ci] >= 0 {
 				m.crossEvery = int32(compEcc[ci] + 1)
 			}
-			m.buf = take(relayBufs)
-			table.SeedWords(vi, m.buf[3*words:])
 			if vg.Comps[ci][0] == v {
-				// The leader hosts the gadget's virtual machine.
-				h := &hosts[vi]
-				*h = relayHost{
-					vm: mk(vi),
+				// The leader hosts the gadget's gather machine.
+				hosts[vi] = GatherMachine{
+					Inner: inner,
 					info: VirtualNodeInfo{
 						Node: vi, ID: vg.H.ID(vi), Degree: vg.H.Degree(vi),
-						Words: words, Table: table,
+						Table: table,
 					},
-					out: take(1),
 				}
-				m.host = h
+				m.host = &hosts[vi]
 			}
 		}
 		ports, m.ports, m.nGad = classifyPorts(ports, g, scope, vg, v)

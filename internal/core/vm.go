@@ -8,7 +8,7 @@ import (
 	"locallab/internal/lcl"
 )
 
-// This file defines the inner algorithm as a *native machine* on the
+// This file defines the inner algorithm as a *gather machine* on the
 // virtual graph H. Lemma 4 treats the inner Π-solver as a black box whose
 // T-round execution is simulated through the gadgets; here that black box
 // becomes a message-passing machine in the LOCAL model's full-information
@@ -32,8 +32,8 @@ import (
 // byte-deterministic for every worker/shard geometry.
 
 // VirtualNodeInfo is the initial knowledge of one virtual node: its
-// position and identifier in H, the payload width, the master seed, and
-// the fact-table codebook.
+// position and identifier in H, the master seed, and the fact-table
+// codebook.
 type VirtualNodeInfo struct {
 	// Node is the machine's virtual node (index into H).
 	Node graph.NodeID
@@ -44,43 +44,10 @@ type VirtualNodeInfo struct {
 	ID int64
 	// Degree is the virtual degree.
 	Degree int
-	// Words is the payload width in 64-bit words.
-	Words int
 	// Seed is the master seed of the solve.
 	Seed int64
 	// Table is the fact-table codebook of the instance.
 	Table *FactTable
-}
-
-// VirtualMachine is the inner algorithm as a typed machine on the virtual
-// graph H. Payloads are knowledge word vectors over the instance's
-// FactTable; Round receives the OR of the payloads delivered since the
-// previous call and writes the machine's outgoing broadcast payload.
-// Machines must be OR-monotone broadcasters (the outgoing payload is the
-// same on every edge and never shrinks): that is the contract that makes
-// the physical relay realization (RunRelay) equivalent to the exact
-// virtual-round execution (RunVirtual). Every T-round LOCAL algorithm
-// lifts to this normal form through full-information gathering.
-type VirtualMachine interface {
-	// Init resets the machine to its initial knowledge.
-	Init(info VirtualNodeInfo)
-	// Round merges recv (the union of payloads received this round; zero
-	// words on the first call) into the machine's knowledge and fills
-	// send (caller-owned, len = info.Words) with its outgoing payload.
-	// It returns true once the machine's knowledge has stabilized. recv
-	// and send are only valid during the call. Round must not allocate
-	// in steady state: the relay round loop is pinned to 0 allocs/op.
-	Round(recv, send []uint64) bool
-	// Rounds reports how many rounds the machine needed to stabilize:
-	// its charged virtual-round locality.
-	Rounds() int
-	// Finish decodes the machine's final knowledge and writes the output
-	// labels of its entire known component into out (a labeling of H).
-	// Machines of one component hold identical final knowledge and
-	// compute identical labels, so runners invoke Finish once per
-	// component and share the result — collapsing the LOCAL model's
-	// redundant per-node recomputation without changing any output.
-	Finish(out *lcl.Labeling) error
 }
 
 // FactTable enumerates the facts of a virtual graph: bit v for virtual
@@ -221,7 +188,13 @@ func (t *FactTable) Reconstruct(w []uint64) (*KnownSub, error) {
 // the decision function on the reconstructed component. It is how the
 // deterministic and the randomized sinkless solvers (and, through the
 // recursive PaddedSolver, every higher hierarchy level) run as native
-// machines on H.
+// machines on H. It keeps no knowledge of its own: its runner — the
+// gadget leader in the relay, the adapter in RunVirtual — merges what it
+// receives into its own words and calls Round once per virtual round.
+// Machines of one component hold identical final
+// knowledge and compute identical labels, so runners invoke Finish once
+// per component (finishComponents) — collapsing the LOCAL model's
+// redundant per-node recomputation without changing any output.
 type GatherMachine struct {
 	// Inner is the decision function: the centralized solver applied to
 	// the reconstructed component.
@@ -234,51 +207,43 @@ type GatherMachine struct {
 	settled bool
 }
 
-var _ VirtualMachine = (*GatherMachine)(nil)
-
-// NewGatherMachine wraps an inner solver as a virtual machine.
-func NewGatherMachine(inner lcl.Solver) *GatherMachine {
-	return &GatherMachine{Inner: inner}
-}
-
-// Init implements VirtualMachine.
-func (m *GatherMachine) Init(info VirtualNodeInfo) {
+// Init resets the machine to the knowledge in know (Table.Words() words,
+// owned and already seeded by the caller, who keeps merging into it).
+func (m *GatherMachine) Init(info VirtualNodeInfo, know []uint64) {
 	m.info = info
-	if len(m.know) != info.Words {
-		m.know = make([]uint64, info.Words)
-	}
-	info.Table.SeedWords(info.Node, m.know)
+	m.know = know
 	m.calls = 0
 	m.rounds = 0
 	m.settled = false
 }
 
-// Round implements VirtualMachine: OR-merge and re-broadcast. The machine
-// settles on the first round (after the initial exchange) in which it
-// learns nothing new — with full-information payloads that round
-// certifies the knowledge is the whole component. A later delivery that
-// does bring news (possible under the relay plane's elastic schedule)
-// un-settles the machine until stability is re-certified, so Rounds
-// always reports the certification round of the final knowledge.
-func (m *GatherMachine) Round(recv, send []uint64) bool {
+// Round runs one virtual round; changed reports whether the knowledge
+// grew since the previous call. The machine settles on the first round
+// (after the initial exchange) in which it learns nothing new — with
+// full-information payloads that round certifies the knowledge is the
+// whole component. A later round that does bring news (possible under
+// the relay plane's elastic schedule) un-settles the machine until
+// stability is re-certified, so Rounds always reports the certification
+// round of the final knowledge. Round returns whether the machine is
+// settled.
+func (m *GatherMachine) Round(changed bool) bool {
 	m.calls++
-	changed := orInto(m.know, recv)
 	if changed || m.calls < 2 {
 		m.settled = false
 	} else if !m.settled {
 		m.settled = true
 		m.rounds = m.calls
 	}
-	copy(send, m.know)
 	return m.settled
 }
 
-// Rounds implements VirtualMachine.
+// Rounds reports how many rounds the machine needed to stabilize: its
+// charged virtual-round locality.
 func (m *GatherMachine) Rounds() int { return m.rounds }
 
-// Finish implements VirtualMachine: reconstruct the component, run the
-// inner solver on it, and transcribe the component's labels into the
-// H labeling. Identifiers, port order, and relative edge order are
+// Finish reconstructs the component from the final knowledge, runs the
+// inner solver on it, and transcribes the component's labels into out
+// (a labeling of H). Identifiers, port order, and relative edge order are
 // preserved by Reconstruct, and randomized solvers derive their streams
 // from (seed, identifier), so the result is byte-identical to the
 // centralized full-H solve restricted to the component — for every
@@ -305,51 +270,46 @@ func (m *GatherMachine) Finish(out *lcl.Labeling) error {
 	return nil
 }
 
-// GatherFactory builds one GatherMachine per virtual node around an inner
-// solver.
-func GatherFactory(inner lcl.Solver) func(vi graph.NodeID) VirtualMachine {
-	return func(graph.NodeID) VirtualMachine { return NewGatherMachine(inner) }
-}
-
 // vmMsg is the typed engine payload of the exact virtual-round execution:
 // a read-only view of the sender's double-buffered broadcast payload.
 type vmMsg struct {
 	Words []uint64
 }
 
-// vmAdapter runs one VirtualMachine as an engine.TypedMachine on H. The
-// outgoing payload alternates between two machine-owned buffers so a
-// receiver can read round r's view while the sender writes round r+1's —
-// the same discipline as the relay machines.
+// vmAdapter runs one GatherMachine as an engine.TypedMachine on H over
+// the adapter's knowledge words. The outgoing payload alternates between
+// two adapter-owned buffers so a receiver can read round r's view while
+// the sender writes round r+1's — the same discipline as the relay
+// machines.
 type vmAdapter struct {
-	vm      VirtualMachine
-	info    VirtualNodeInfo
-	scratch []uint64
-	out     [2][]uint64
-	round   int
+	vm    *GatherMachine
+	info  VirtualNodeInfo
+	know  []uint64
+	out   [2][]uint64
+	round int
 }
 
 var _ engine.TypedMachine[vmMsg] = (*vmAdapter)(nil)
 
 func (a *vmAdapter) Init(engine.NodeInfo) {
 	a.round = 0
-	a.vm.Init(a.info)
+	a.info.Table.SeedWords(a.info.Node, a.know)
+	a.vm.Init(a.info, a.know)
 }
 
 func (a *vmAdapter) Round(recv, send []vmMsg) bool {
 	a.round++
-	for i := range a.scratch {
-		a.scratch[i] = 0
-	}
+	changed := false
 	if a.round > 1 {
 		for p := range recv {
-			if recv[p].Words != nil {
-				orInto(a.scratch, recv[p].Words)
+			if recv[p].Words != nil && orInto(a.know, recv[p].Words) {
+				changed = true
 			}
 		}
 	}
+	done := a.vm.Round(changed)
 	buf := a.out[a.round&1]
-	done := a.vm.Round(a.scratch, buf)
+	copy(buf, a.know)
 	for p := range send {
 		send[p] = vmMsg{Words: buf}
 	}
@@ -366,30 +326,32 @@ type VirtualRun struct {
 	Stats engine.Stats
 }
 
-// RunVirtual executes virtual machines directly on H through the typed
-// engine core: the exact one-hop-per-round reference semantics that the
-// physical relay plane (RunRelay) dilates through the gadgets. Both
-// executions terminate at the same full-component fixpoint and produce
-// identical labelings; the differential tests pin this.
+// RunVirtual executes gather machines around inner directly on H through
+// the typed engine core: the exact one-hop-per-round reference semantics
+// that the physical relay plane (gatherRelay) dilates through the
+// gadgets. Both executions terminate at the same full-component fixpoint
+// and produce identical labelings; the differential tests pin this.
 func RunVirtual(eng *engine.Engine, vg *VirtualGraph, table *FactTable,
-	mk func(vi graph.NodeID) VirtualMachine, seed int64) (*VirtualRun, error) {
+	inner lcl.Solver, seed int64) (*VirtualRun, error) {
 
 	nv := vg.NumVirtualNodes()
 	if nv == 0 {
 		return nil, fmt.Errorf("run virtual: no valid gadgets")
 	}
+	vms := make([]GatherMachine, nv)
 	adapters := make([]vmAdapter, nv)
 	typed := make([]engine.TypedMachine[vmMsg], nv)
 	for vi := 0; vi < nv; vi++ {
 		v := graph.NodeID(vi)
+		vms[vi].Inner = inner
 		adapters[vi] = vmAdapter{
-			vm: mk(v),
+			vm: &vms[vi],
 			info: VirtualNodeInfo{
 				Node: v, ID: vg.H.ID(v), Degree: vg.H.Degree(v),
-				Words: table.Words(), Seed: seed, Table: table,
+				Seed: seed, Table: table,
 			},
-			scratch: make([]uint64, table.Words()),
-			out:     [2][]uint64{make([]uint64, table.Words()), make([]uint64, table.Words())},
+			know: make([]uint64, table.Words()),
+			out:  [2][]uint64{make([]uint64, table.Words()), make([]uint64, table.Words())},
 		}
 		typed[vi] = &adapters[vi]
 	}
@@ -398,10 +360,10 @@ func RunVirtual(eng *engine.Engine, vg *VirtualGraph, table *FactTable,
 		return nil, fmt.Errorf("run virtual: %w", err)
 	}
 	run := &VirtualRun{Out: lcl.NewLabeling(vg.H), Rounds: make([]int, nv), Stats: stats}
-	for vi := range adapters {
-		run.Rounds[vi] = adapters[vi].vm.Rounds()
+	for vi := range vms {
+		run.Rounds[vi] = vms[vi].Rounds()
 	}
-	if err := finishComponents(vg, func(vi graph.NodeID) VirtualMachine { return adapters[vi].vm }, run.Out); err != nil {
+	if err := finishComponents(vg, vms, run.Out); err != nil {
 		return nil, fmt.Errorf("run virtual: %w", err)
 	}
 	return run, nil
@@ -410,7 +372,8 @@ func RunVirtual(eng *engine.Engine, vg *VirtualGraph, table *FactTable,
 // finishComponents invokes Finish on one machine per connected component
 // of H (the minimal virtual index), in ascending order: machines of one
 // component hold identical knowledge and would write identical labels.
-func finishComponents(vg *VirtualGraph, vmOf func(vi graph.NodeID) VirtualMachine, out *lcl.Labeling) error {
+// vms is indexed by virtual node.
+func finishComponents(vg *VirtualGraph, vms []GatherMachine, out *lcl.Labeling) error {
 	nv := vg.NumVirtualNodes()
 	seen := make([]bool, nv)
 	for vi := 0; vi < nv; vi++ {
@@ -430,7 +393,7 @@ func finishComponents(vg *VirtualGraph, vmOf func(vi graph.NodeID) VirtualMachin
 				}
 			}
 		}
-		if err := vmOf(graph.NodeID(vi)).Finish(out); err != nil {
+		if err := vms[vi].Finish(out); err != nil {
 			return err
 		}
 	}

@@ -30,7 +30,7 @@ func buildPlan(tb testing.TB, g *graph.Graph, in *lcl.Labeling) *paddedPlan {
 	return plan
 }
 
-// TestGatherMachineMatchesCentralizedSolve: the full-information virtual
+// TestGatherMachineMatchesCentralizedSolve: the full-information gather
 // machines, executed exactly on H through the typed engine (RunVirtual),
 // must reproduce the centralized inner solve byte for byte — for the
 // deterministic and the randomized inner solver, across engine
@@ -51,7 +51,7 @@ func TestGatherMachineMatchesCentralizedSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opts := range paddedEngineGrid {
-			run, err := RunVirtual(engine.New(opts), plan.vg, table, GatherFactory(inner), 7)
+			run, err := RunVirtual(engine.New(opts), plan.vg, table, inner, 7)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", inner.Name(), opts, err)
 			}
@@ -67,6 +67,20 @@ func TestGatherMachineMatchesCentralizedSolve(t *testing.T) {
 	}
 }
 
+// runGatherOnce prepares a gather relay running inner (global
+// super-round, no fault interceptor), runs it once under seed and
+// closes it: the path a PreparedPadded takes.
+func runGatherOnce(opts engine.Options, g *graph.Graph, scope func(graph.EdgeID) bool,
+	vg *VirtualGraph, table *FactTable, inner lcl.Solver, dilation int, seed int64) (*RelayRun, error) {
+
+	r, err := newGatherRelay(engine.New(opts), g, scope, vg, table, inner, dilation, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	return r.run(seed)
+}
+
 // TestRelayMatchesVirtualRun: the physical payload-relay realization and
 // the exact virtual-round execution terminate at the same full-component
 // fixpoint and produce identical inner labelings.
@@ -80,12 +94,11 @@ func TestRelayMatchesVirtualRun(t *testing.T) {
 	scope := GadScope(inst.G, inst.In)
 	dilation := maxGadgetEccentricity(inst.G, scope, plan.vg)
 	inner := sinkless.NewDetSolver()
-	virt, err := RunVirtual(engine.New(engine.Options{Workers: 1}), plan.vg, table, GatherFactory(inner), 2)
+	virt, err := RunVirtual(engine.New(engine.Options{Workers: 1}), plan.vg, table, inner, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := RunRelay(engine.New(engine.Options{Workers: 2, Shards: 8}), inst.G, scope,
-		plan.vg, table, GatherFactory(inner), dilation, nil, 2, nil)
+	relay, err := runGatherOnce(engine.Options{Workers: 2, Shards: 8}, inst.G, scope, plan.vg, table, inner, dilation, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +126,7 @@ func TestRelayDeterministicAcrossGeometries(t *testing.T) {
 	dilation := maxGadgetEccentricity(inst.G, scope, plan.vg)
 	var first *RelayRun
 	for _, opts := range paddedEngineGrid {
-		run, err := RunRelay(engine.New(opts), inst.G, scope, plan.vg, table,
-			GatherFactory(sinkless.NewRandSolver()), dilation, nil, 5, nil)
+		run, err := runGatherOnce(opts, inst.G, scope, plan.vg, table, sinkless.NewRandSolver(), dilation, 5)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}

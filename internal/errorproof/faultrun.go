@@ -95,22 +95,15 @@ type FaultRun struct {
 // flip false→true, so even adversarial executions quiesce; exceeding
 // the round cap is reported as an error, never as a hang.
 func (vf *Verifier) RunEngineUnderFaults(g *graph.Graph, in *lcl.Labeling, nUpper int, opts engine.Options, plan *adversary.Plan) (*FaultRun, error) {
-	if nUpper < g.NumNodes() {
-		return nil, fmt.Errorf("verifier: upper bound %d below actual size %d", nUpper, g.NumNodes())
+	s, err := vf.NewSession(engine.New(opts), g, in, nUpper)
+	if err != nil {
+		return nil, err
 	}
+	defer s.Close()
 	if plan != nil && plan.Slots() != g.NumPorts() {
 		return nil, fmt.Errorf("verifier: plan covers %d slots, graph has %d ports", plan.Slots(), g.NumPorts())
 	}
-	machines := buildPsiMachines(vf, g, in)
-	typed := make([]engine.TypedMachine[psiMsg], len(machines))
-	for v := range machines {
-		typed[v] = &machines[v]
-	}
-	sess, err := engine.NewCore[psiMsg](opts).NewSession(g, typed)
-	if err != nil {
-		return nil, fmt.Errorf("verifier engine: %w", err)
-	}
-	defer sess.Close()
+	machines, sess := s.machines, s.sess
 	if plan != nil {
 		sess.SetInterceptor(adversary.NewInterceptor(plan, psiCodec()))
 	}
@@ -133,9 +126,8 @@ func (vf *Verifier) RunEngineUnderFaults(g *graph.Graph, in *lcl.Labeling, nUppe
 	if flagged() {
 		first = 0
 	}
-	maxRounds := psiMaxRounds(g.NumNodes())
 	done := false
-	for round := 1; round <= maxRounds; round++ {
+	for round := 1; round <= s.maxRounds; round++ {
 		fin := sess.Step()
 		if first < 0 && flagged() {
 			first = round
