@@ -33,6 +33,7 @@ import (
 	"locallab/internal/graph"
 	"locallab/internal/measure"
 	"locallab/internal/scenario"
+	"locallab/internal/solver"
 	"locallab/internal/twin"
 )
 
@@ -144,7 +145,7 @@ func printList(w *os.File) {
 	fmt.Fprintf(w, "  %-18s min %-5d %s\n", scenario.PaddedFamily, scenario.PaddedMinSize,
 		"padded hierarchy instances, any Πᵢ level (sizes are base-graph nodes)")
 	fmt.Fprintln(w, "\nsolvers:")
-	for _, s := range scenario.Solvers() {
+	for _, s := range solver.Registry() {
 		fmt.Fprintf(w, "  %-18s %s\n", s.Name, s.Description)
 	}
 }

@@ -73,15 +73,15 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	out3, cost3, err := det3.Solve(inst3.G, inst3.In, 1)
+	d3, err := det3.SolveDetailed(inst3.G, inst3.In, 1)
 	if err != nil {
 		return err
 	}
-	if err := lvl3.Verify(inst3.G, inst3.In, out3); err != nil {
+	if err := lvl3.Verify(inst3.G, inst3.In, d3.Out); err != nil {
 		return fmt.Errorf("Π₃ verification failed: %w", err)
 	}
 	fmt.Fprintf(w, "\nΠ₃ instance: N=%d (level-2 virtual graph inside), solved in %d rounds (%d measured on the engine), verified recursively\n",
-		inst3.G.NumNodes(), cost3.Rounds(), det3.LastStats.Rounds())
+		inst3.G.NumNodes(), d3.Cost.Rounds(), d3.Engine.Rounds())
 
 	return nil
 }

@@ -134,9 +134,9 @@ func relaySolve(inst *core.Instance, eng engine.Options, plan *adversary.Plan) (
 	if err := det.SetRelayFault(plan); err != nil {
 		return nil, nil, err
 	}
-	out, _, err := det.Solve(inst.G, inst.In, relaySolveSeed)
+	d, err := det.SolveDetailed(inst.G, inst.In, relaySolveSeed)
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, &det.LastStats, nil
+	return d.Out, d.Engine, nil
 }

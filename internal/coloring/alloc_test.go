@@ -33,7 +33,7 @@ func newCVSession(tb testing.TB, n int, opts engine.Options) *engine.Session[cvM
 	for v := range typed {
 		typed[v] = &machines[v]
 	}
-	sess, err := engine.NewCore[cvMsg](opts).NewSession(g, typed)
+	sess, err := engine.NewSession(opts, g, typed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -91,8 +91,7 @@ func BenchmarkCVEngine2048(b *testing.B) {
 	for v := range typed {
 		typed[v] = &machines[v]
 	}
-	core := engine.NewCore[cvMsg](engine.Options{})
-	sess, err := core.NewSession(g, typed)
+	sess, err := engine.NewSession(engine.Options{}, g, typed)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func (s *CVSolver) NewSolverSession(g *graph.Graph) (lcl.SolverSession, error) {
 	for v := range typed {
 		typed[v] = &cs.machines[v]
 	}
-	sess, err := engine.NewCore[cvMsg](s.Engine.Options()).NewSession(g, typed)
+	sess, err := engine.NewSession(s.Engine.Options(), g, typed)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func TestCVMatchesReference(t *testing.T) {
 			})
 			for _, opts := range referenceGeometries {
 				got, st := runCV(t, g, func(m []engine.TypedMachine[cvMsg]) (engine.Stats, error) {
-					return engine.NewCore[cvMsg](opts).RunStats(g, m, seed, false, 1<<20)
+					return engine.RunStats(opts, g, m, seed, false, 1<<20)
 				})
 				if st.Rounds != wantSt.Rounds || st.Deliveries != wantSt.Deliveries {
 					t.Fatalf("n=%d seed=%d %+v: rounds/deliveries %d/%d, want %d/%d",

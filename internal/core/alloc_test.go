@@ -28,22 +28,15 @@ func newRelaySession(tb testing.TB, opts engine.Options) *engine.Session[relayMs
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := NewEnginePaddedSolver(sinkless.NewDetSolver(), 3, engine.New(engine.Options{Workers: 1}))
-	d, err := s.SolveDetailed(inst.G, inst.In, 5)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	scope := GadScope(inst.G, inst.In)
-	table := NewFactTable(d.Virtual)
-	machines, _ := buildRelayMachines(inst.G, scope, d.Virtual, table,
-		sinkless.NewDetSolver(), d.Dilation, nil)
+	plan := buildPlan(tb, inst.G, inst.In)
+	machines, _ := buildRelayMachines(inst.G, plan, NewFactTable(plan.vg), sinkless.NewDetSolver())
 	pinned := make([]pinnedRelay, len(machines))
 	typed := make([]engine.TypedMachine[relayMsg], len(machines))
 	for v := range machines {
 		pinned[v] = pinnedRelay{machines[v]}
 		typed[v] = &pinned[v]
 	}
-	sess, err := engine.NewCore[relayMsg](opts).NewSession(inst.G, typed)
+	sess, err := engine.NewSession(opts, inst.G, typed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -108,17 +101,11 @@ func newNativeSession(tb testing.TB, opts engine.Options) *engine.Session[natMsg
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := NewEnginePaddedSolver(sinkless.NewMessageSolver(), 3, engine.New(engine.Options{Workers: 1}))
-	d, err := s.SolveDetailed(inst.G, inst.In, 5)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	scope := GadScope(inst.G, inst.In)
-	table := NewFactTable(d.Virtual)
-	if !runsNative(sinkless.NewMessageSolver(), d.Virtual) {
+	plan := buildPlan(tb, inst.G, inst.In)
+	if !runsNative(sinkless.NewMessageSolver(), plan.vg) {
 		tb.Fatal("the message solver does not run native")
 	}
-	machines, _, _, err := buildNativeMachines(inst.G, scope, d.Virtual, table)
+	machines, _, _, err := buildNativeMachines(inst.G, plan, NewFactTable(plan.vg))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -128,7 +115,7 @@ func newNativeSession(tb testing.TB, opts engine.Options) *engine.Session[natMsg
 		pinned[v] = pinnedNative{machines[v]}
 		typed[v] = &pinned[v]
 	}
-	sess, err := engine.NewCore[natMsg](opts).NewSession(inst.G, typed)
+	sess, err := engine.NewSession(opts, inst.G, typed)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -119,36 +119,10 @@ type EnginePaddedSolver struct {
 	// The registry's gather plane (pi2-rand-gather) sets it to compare
 	// the two relay executions.
 	ForceGather bool
-	// LastStats is the engine profile of the most recent Solve.
-	LastStats EngineRunStats
-
-	// accum folds the profiles of every Solve since the last resetAccum.
-	// When this solver is the inner of an outer EnginePaddedSolver (a
-	// flattened tower), the outer resets it before its relay session and
-	// collects it after the per-component decision functions have run —
-	// no locking needed, because finishComponents invokes them
-	// sequentially after the outer session has completed.
-	accum     EngineRunStats
-	accumRuns int
 
 	// relayPlan is the delivery-fault plan installed by SetRelayFault
 	// (nil in production): the adversary's hook into the relay plane.
 	relayPlan *adversary.Plan
-}
-
-// resetAccum clears the nested-run accumulator.
-func (s *EnginePaddedSolver) resetAccum() {
-	s.accum = EngineRunStats{}
-	s.accumRuns = 0
-}
-
-// takeAccum returns the accumulated profile (nil when no run folded in).
-func (s *EnginePaddedSolver) takeAccum() *EngineRunStats {
-	if s.accumRuns == 0 {
-		return nil
-	}
-	merged := s.accum
-	return &merged
 }
 
 var _ lcl.Solver = (*EnginePaddedSolver)(nil)
@@ -283,15 +257,6 @@ func (p *PreparedPadded) Run(seed int64) (*Detail, error) {
 	var virtOut *lcl.Labeling
 	innerCost := lcl.NewCost(plan.vg.NumVirtualNodes())
 	if p.relay != nil {
-		// Flattened tower: when the inner solver is itself engine-backed,
-		// each gather machine's decision function runs a nested engine
-		// session on its reconstructed component — the recursion is
-		// message passing all the way down. The accumulator collects the
-		// per-component profiles so this level's stats nest them.
-		nested, _ := s.Inner.(*EnginePaddedSolver)
-		if nested != nil {
-			nested.resetAccum()
-		}
 		if p.itc != nil {
 			p.itc.Reset()
 		}
@@ -306,11 +271,14 @@ func (p *PreparedPadded) Run(seed int64) (*Detail, error) {
 		}
 		stats.Relay = relay.Stats
 		stats.RelayWords = relay.Words
-		if nested != nil {
-			if inner := nested.takeAccum(); inner != nil {
-				stats.Inner = inner
-				stats.Depth = 1 + inner.Depth
-			}
+		// Flattened tower: when the inner solver is itself engine-backed,
+		// each gather machine's decision function runs a nested engine
+		// session on its reconstructed component — the recursion is
+		// message passing all the way down — and the relay returns their
+		// merged profiles, which this level's stats nest.
+		if relay.Inner != nil {
+			stats.Inner = relay.Inner
+			stats.Depth = 1 + relay.Inner.Depth
 		}
 	}
 
@@ -328,9 +296,6 @@ func (p *PreparedPadded) Run(seed int64) (*Detail, error) {
 	}
 	d.PsiRadius = p.radius
 	d.Engine = &stats
-	s.LastStats = stats
-	s.accum.fold(&stats)
-	s.accumRuns++
 	return d, nil
 }
 
@@ -366,10 +331,10 @@ func (p *PreparedPadded) build() error {
 			itc = adversary.NewInterceptor(s.relayPlan, relayCodec())
 		}
 		if !s.ForceGather && itc == nil && runsNative(s.Inner, plan.vg) {
-			relay, err = newNativeRelay(s.Engine, g, plan.scope, plan.vg, table)
+			relay, err = newNativeRelay(s.Engine, g, plan, table)
 		} else {
 			var gr *gatherRelay
-			gr, err = newGatherRelay(s.Engine, g, plan.scope, plan.vg, table, s.Inner, plan.dilation, plan.compEcc)
+			gr, err = newGatherRelay(s.Engine, g, plan, table, s.Inner)
 			if err == nil && itc != nil {
 				gr.itc = itc
 			}

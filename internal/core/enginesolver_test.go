@@ -50,34 +50,35 @@ func TestEnginePaddedMatchesOracle(t *testing.T) {
 					t.Fatalf("%s base=%d seed=%d: oracle: %v", inner.name, base, seed, err)
 				}
 				refCost := -1
-				var refStats EngineRunStats
+				var refStats *EngineRunStats
 				for _, opts := range paddedEngineGrid {
 					s := NewEnginePaddedSolver(inner.mk(), 3, engine.New(opts))
-					got, cost, err := s.Solve(inst.G, inst.In, seed)
+					d, err := s.SolveDetailed(inst.G, inst.In, seed)
 					if err != nil {
 						t.Fatalf("%s base=%d seed=%d %+v: %v", inner.name, base, seed, opts, err)
 					}
+					got, cost, stats := d.Out, d.Cost, d.Engine
 					if !lcl.Equal(want, got) {
 						t.Fatalf("%s base=%d seed=%d %+v: engine labeling differs from oracle", inner.name, base, seed, opts)
 					}
 					if refCost < 0 {
-						refCost, refStats = cost.Rounds(), s.LastStats
+						refCost, refStats = cost.Rounds(), stats
 					}
 					if cost.Rounds() != refCost {
 						t.Fatalf("%s base=%d seed=%d %+v: cost %d varies across geometries (ref %d)",
 							inner.name, base, seed, opts, cost.Rounds(), refCost)
 					}
-					if s.LastStats.Rounds() != refStats.Rounds() || s.LastStats.Deliveries() != refStats.Deliveries() {
+					if stats.Rounds() != refStats.Rounds() || stats.Deliveries() != refStats.Deliveries() {
 						t.Fatalf("%s base=%d seed=%d %+v: engine profile varies across geometries", inner.name, base, seed, opts)
 					}
-					if got := s.LastStats.Rounds(); got > cost.Rounds() {
+					if got := stats.Rounds(); got > cost.Rounds() {
 						t.Fatalf("%s base=%d seed=%d %+v: measured %d engine rounds exceed charged bound %d",
 							inner.name, base, seed, opts, got, cost.Rounds())
 					}
-					if s.LastStats.Deliveries() <= 0 {
+					if stats.Deliveries() <= 0 {
 						t.Fatalf("%s base=%d seed=%d %+v: engine solve delivered no messages", inner.name, base, seed, opts)
 					}
-					if s.LastStats.Relay.Rounds == 0 {
+					if stats.Relay.Rounds == 0 {
 						t.Fatalf("%s base=%d seed=%d %+v: relay session did not run", inner.name, base, seed, opts)
 					}
 				}

@@ -53,10 +53,6 @@ const maxNativePorts = 8
 // maxNatSlots is the slot-table width: OUT and IN per virtual port.
 const maxNatSlots = 2 * maxNativePorts
 
-// nativeMaxVMRounds caps the hosted protocol's round count (matching the
-// message solver's own cap); the physical cap is L times it.
-const nativeMaxVMRounds = 4096
-
 // runsNative reports whether the native relay can run inner on vg: the
 // sinkless message solver, whose constant-bandwidth protocol
 // sinklessNative hosts, on a virtual graph that fits the fixed-width slot
@@ -355,13 +351,11 @@ type nativeRelay struct {
 	maxRounds int
 }
 
-func newNativeRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable) (*nativeRelay, error) {
-
-	if vg.NumVirtualNodes() == 0 {
+func newNativeRelay(eng *engine.Engine, g *graph.Graph, plan *paddedPlan, table *FactTable) (*nativeRelay, error) {
+	if plan.vg.NumVirtualNodes() == 0 {
 		return nil, fmt.Errorf("run native relay: no valid gadgets")
 	}
-	machines, hosts, superLen, err := buildNativeMachines(g, scope, vg, table)
+	machines, hosts, superLen, err := buildNativeMachines(g, plan, table)
 	if err != nil {
 		return nil, fmt.Errorf("run native relay: %w", err)
 	}
@@ -369,14 +363,16 @@ func newNativeRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID)
 	for v := range machines {
 		typed[v] = &machines[v]
 	}
-	sess, err := engine.NewCore[natMsg](eng.Options()).NewSession(g, typed)
+	sess, err := engine.NewSession(eng.Options(), g, typed)
 	if err != nil {
 		return nil, fmt.Errorf("run native relay: %w", err)
 	}
 	machines[0].plane.round = sess.Rounds
 	return &nativeRelay{
-		vg: vg, machines: machines, hosts: hosts, sess: sess,
-		maxRounds: int(superLen)*nativeMaxVMRounds + 1,
+		vg: plan.vg, machines: machines, hosts: hosts, sess: sess,
+		// The hosted protocol keeps the message solver's round cap; the
+		// physical cap is L times it.
+		maxRounds: int(superLen)*sinkless.MessageMaxRounds + 1,
 	}, nil
 }
 
@@ -417,9 +413,8 @@ func (r *nativeRelay) close() { r.sess.Close() }
 // distances. The hosted machines live in one slab indexed by virtual
 // node; their VirtualNodeInfo carries seed 0 until a run writes its
 // seed.
-func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable) ([]natMachine, []natHost, int32, error) {
-
+func buildNativeMachines(g *graph.Graph, plan *paddedPlan, table *FactTable) ([]natMachine, []natHost, int32, error) {
+	vg := plan.vg
 	n := g.NumNodes()
 	machines := make([]natMachine, n)
 	hosts := make([]natHost, vg.NumVirtualNodes())
@@ -435,7 +430,7 @@ func buildNativeMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 	hostDist := make([][]int32, vg.NumVirtualNodes())
 	hostOf := make([]graph.NodeID, vg.NumVirtualNodes())
 
-	bfs := newScopedBFS(g, scope)
+	bfs := newScopedBFS(g, plan.scope)
 	var ecc []int32 // per component node, its maximum distance to a Port node
 	for ci, nodes := range vg.Comps {
 		if !vg.Valid[ci] || vg.VirtOf[ci] < 0 {

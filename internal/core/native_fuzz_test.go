@@ -24,9 +24,7 @@ func FuzzNativeSlotRewrite(f *testing.F) {
 		f.Fatal(err)
 	}
 	plan := buildPlan(f, inst.G, inst.In)
-	table := NewFactTable(plan.vg)
-	scope := GadScope(inst.G, inst.In)
-	machines, _, _, err := buildNativeMachines(inst.G, scope, plan.vg, table)
+	machines, _, _, err := buildNativeMachines(inst.G, plan, NewFactTable(plan.vg))
 	if err != nil {
 		f.Fatal(err)
 	}

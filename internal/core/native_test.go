@@ -35,11 +35,12 @@ func TestNativeMatchesOracleGrid(t *testing.T) {
 				t.Fatalf("base %d seed %d oracle: %v", base, seed, err)
 			}
 			gather := &EnginePaddedSolver{Delta: 3, Inner: sinkless.NewMessageSolver(), ForceGather: true}
-			gout, _, err := gather.Solve(inst.G, inst.In, seed)
+			gd, err := gather.SolveDetailed(inst.G, inst.In, seed)
 			if err != nil {
 				t.Fatalf("base %d seed %d gather: %v", base, seed, err)
 			}
-			if gather.LastStats.RelayNative {
+			gout, gstats := gd.Out, gd.Engine
+			if gstats.RelayNative {
 				t.Fatalf("base %d seed %d: ForceGather ran native machines", base, seed)
 			}
 			if !lcl.Equal(want, gout) {
@@ -48,25 +49,26 @@ func TestNativeMatchesOracleGrid(t *testing.T) {
 			var firstWords int64 = -1
 			for _, opts := range geoms {
 				s := &EnginePaddedSolver{Delta: 3, Inner: sinkless.NewMessageSolver(), Engine: engine.New(opts)}
-				got, _, err := s.Solve(inst.G, inst.In, seed)
+				d, err := s.SolveDetailed(inst.G, inst.In, seed)
 				if err != nil {
 					t.Fatalf("base %d seed %d %+v: %v", base, seed, opts, err)
 				}
-				if !s.LastStats.RelayNative {
+				got, stats := d.Out, d.Engine
+				if !stats.RelayNative {
 					t.Fatalf("base %d seed %d %+v: native machines not selected", base, seed, opts)
 				}
 				if !lcl.Equal(want, got) {
 					t.Fatalf("base %d seed %d %+v: native output differs from oracle", base, seed, opts)
 				}
 				if firstWords < 0 {
-					firstWords = s.LastStats.RelayWords
-				} else if s.LastStats.RelayWords != firstWords {
+					firstWords = stats.RelayWords
+				} else if stats.RelayWords != firstWords {
 					t.Fatalf("base %d seed %d %+v: relay words %d, ref %d — bandwidth not geometry-deterministic",
-						base, seed, opts, s.LastStats.RelayWords, firstWords)
+						base, seed, opts, stats.RelayWords, firstWords)
 				}
-				if s.LastStats.RelayWords >= gather.LastStats.RelayWords {
+				if stats.RelayWords >= gstats.RelayWords {
 					t.Fatalf("base %d seed %d %+v: native moved %d words, gather %d — no bandwidth win",
-						base, seed, opts, s.LastStats.RelayWords, gather.LastStats.RelayWords)
+						base, seed, opts, stats.RelayWords, gstats.RelayWords)
 				}
 			}
 		}
@@ -83,15 +85,17 @@ func TestNativeBandwidthRatio(t *testing.T) {
 	}
 	native := &EnginePaddedSolver{Delta: 3, Inner: sinkless.NewMessageSolver(),
 		Engine: engine.New(engine.Options{Workers: 2, Shards: 8})}
-	if _, _, err := native.Solve(inst.G, inst.In, 1); err != nil {
+	nd, err := native.SolveDetailed(inst.G, inst.In, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	gather := &EnginePaddedSolver{Delta: 3, Inner: sinkless.NewMessageSolver(), ForceGather: true,
 		Engine: engine.New(engine.Options{Workers: 2, Shards: 8})}
-	if _, _, err := gather.Solve(inst.G, inst.In, 1); err != nil {
+	gd, err := gather.SolveDetailed(inst.G, inst.In, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	nw, gw := native.LastStats.RelayWords, gather.LastStats.RelayWords
+	nw, gw := nd.Engine.RelayWords, gd.Engine.RelayWords
 	if nw == 0 || gw < 4*nw {
 		t.Fatalf("native relay moved %d words, gather %d — want >= 4x reduction", nw, gw)
 	}

@@ -252,6 +252,10 @@ type RelayRun struct {
 	// they changed since the last crossing, unless an interceptor forces
 	// the full re-flood. Deterministic for every worker/shard geometry.
 	Words int64
+	// Inner is the merged profile of the hosts' nested engine solves when
+	// the inner solver is itself an EnginePaddedSolver (nil otherwise):
+	// one per component of H, folded as concurrent siblings.
+	Inner *EngineRunStats
 }
 
 // gatherRelay is a prepared gather relay: the per-node relay machines,
@@ -278,22 +282,19 @@ type gatherRelay struct {
 	itc engine.Interceptor[relayMsg]
 }
 
-// newGatherRelay prepares a gather relay running inner on vg. It
-// requires at least one valid gadget.
-func newGatherRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable, inner lcl.Solver,
-	dilation int, compEcc []int) (*gatherRelay, error) {
-
-	nv := vg.NumVirtualNodes()
+// newGatherRelay prepares a gather relay running inner on the plan's
+// virtual graph. It requires at least one valid gadget.
+func newGatherRelay(eng *engine.Engine, g *graph.Graph, plan *paddedPlan, table *FactTable, inner lcl.Solver) (*gatherRelay, error) {
+	nv := plan.vg.NumVirtualNodes()
 	if nv == 0 {
 		return nil, fmt.Errorf("run relay: no valid gadgets")
 	}
-	machines, hosts := buildRelayMachines(g, scope, vg, table, inner, dilation, compEcc)
+	machines, hosts := buildRelayMachines(g, plan, table, inner)
 	typed := make([]engine.TypedMachine[relayMsg], len(machines))
 	for v := range machines {
 		typed[v] = &machines[v]
 	}
-	sess, err := engine.NewCore[relayMsg](eng.Options()).NewSession(g, typed)
+	sess, err := engine.NewSession(eng.Options(), g, typed)
 	if err != nil {
 		return nil, fmt.Errorf("run relay: %w", err)
 	}
@@ -301,7 +302,7 @@ func newGatherRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID)
 	// Dissemination needs at most ~2 super-rounds per virtual hop plus
 	// one super-round of stabilization detection.
 	maxRounds := int(machines[0].superLen) * (2*nv + 8)
-	return &gatherRelay{vg: vg, machines: machines, hosts: hosts, sess: sess, maxRounds: maxRounds}, nil
+	return &gatherRelay{vg: plan.vg, machines: machines, hosts: hosts, sess: sess, maxRounds: maxRounds}, nil
 }
 
 // run executes the relay session under seed.
@@ -326,7 +327,7 @@ func (r *gatherRelay) run(seed int64) (*RelayRun, error) {
 		}
 		run.Rounds[vi] = r.hosts[vi].Rounds()
 	}
-	if err := finishComponents(r.vg, r.hosts, run.Out); err != nil {
+	if run.Inner, err = finishComponents(r.vg, r.hosts, run.Out); err != nil {
 		return nil, fmt.Errorf("run relay: %w", err)
 	}
 	return run, nil
@@ -336,17 +337,14 @@ func (r *gatherRelay) close() { r.sess.Close() }
 
 // buildRelayMachines derives the per-physical-node relay configuration:
 // port lists, knowledge buffers, the crossing interval from the node's
-// own gadget's measured eccentricity, and the gather machine around inner
-// hosted at each valid gadget's leader node. compEcc holds the
-// per-component leader eccentricities measured at plan time (nil falls
-// back to the global super-round everywhere). Port lists and word
-// buffers live in flat slabs, the hosts in one slab by virtual node;
-// their VirtualNodeInfo carries seed 0 until a run writes its seed.
-func buildRelayMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable, inner lcl.Solver,
-	dilation int, compEcc []int) ([]relayMachine, []GatherMachine) {
-
-	superLen := superRoundLen(dilation)
+// own gadget's leader eccentricity (plan.compEcc), and the gather machine
+// around inner hosted at each valid gadget's leader node. Port lists and
+// word buffers live in flat slabs, the hosts in one slab by virtual
+// node; their VirtualNodeInfo carries seed 0 until a run writes its
+// seed.
+func buildRelayMachines(g *graph.Graph, plan *paddedPlan, table *FactTable, inner lcl.Solver) ([]relayMachine, []GatherMachine) {
+	vg := plan.vg
+	superLen := superRoundLen(plan.dilation)
 	n := g.NumNodes()
 	words := table.Words()
 	machines := make([]relayMachine, n)
@@ -367,8 +365,8 @@ func buildRelayMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 			m.vi = int32(vi)
 			if words == 1 {
 				m.crossEvery = 1
-			} else if compEcc != nil && ci < len(compEcc) && compEcc[ci] >= 0 {
-				m.crossEvery = int32(compEcc[ci] + 1)
+			} else {
+				m.crossEvery = int32(plan.compEcc[ci] + 1)
 			}
 			if vg.Comps[ci][0] == v {
 				// The leader hosts the gadget's gather machine.
@@ -382,7 +380,7 @@ func buildRelayMachines(g *graph.Graph, scope func(graph.EdgeID) bool,
 				m.host = &hosts[vi]
 			}
 		}
-		ports, m.ports, m.nGad = classifyPorts(ports, g, scope, vg, v)
+		ports, m.ports, m.nGad = classifyPorts(ports, g, plan.scope, vg, v)
 	}
 	return machines, hosts
 }

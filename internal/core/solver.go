@@ -445,24 +445,6 @@ func (gs *gadgetSigma) sigma(virt graph.NodeID, virtOut *lcl.Labeling, delta int
 	return sl, nil
 }
 
-// maxGadgetEccentricity measures the dilation d: the largest eccentricity
-// (within the gadget subgraph) over valid gadgets.
-func maxGadgetEccentricity(g *graph.Graph, scope func(graph.EdgeID) bool, vg *VirtualGraph) int {
-	maxEcc := 0
-	bfs := newScopedBFS(g, scope)
-	for ci, nodes := range vg.Comps {
-		if !vg.Valid[ci] {
-			continue
-		}
-		bfs.run(nodes[0])
-		ecc := bfs.eccentricity()
-		if ecc > maxEcc {
-			maxEcc = ecc
-		}
-	}
-	return maxEcc
-}
-
 // scopedBFS runs breadth-first searches within the scoped subgraph over
 // dense per-node arrays that every search reuses: a search resets only
 // the nodes the previous one reached.

@@ -247,15 +247,26 @@ func (m *GatherMachine) Rounds() int { return m.rounds }
 // preserved by Reconstruct, and randomized solvers derive their streams
 // from (seed, identifier), so the result is byte-identical to the
 // centralized full-H solve restricted to the component — for every
-// worker/shard geometry.
-func (m *GatherMachine) Finish(out *lcl.Labeling) error {
+// worker/shard geometry. When the inner solver is itself engine-backed
+// (a flattened tower), Finish returns the engine profile of its nested
+// solve; for any other inner it returns nil.
+func (m *GatherMachine) Finish(out *lcl.Labeling) (*EngineRunStats, error) {
 	ks, err := m.info.Table.Reconstruct(m.know)
 	if err != nil {
-		return fmt.Errorf("virtual machine %d: %w", m.info.Node, err)
+		return nil, fmt.Errorf("virtual machine %d: %w", m.info.Node, err)
 	}
-	sub, _, err := m.Inner.Solve(ks.G, ks.In, m.info.Seed)
+	var sub *lcl.Labeling
+	var stats *EngineRunStats
+	if nested, ok := m.Inner.(*EnginePaddedSolver); ok {
+		var d *Detail
+		if d, err = nested.SolveDetailed(ks.G, ks.In, m.info.Seed); err == nil {
+			sub, stats = d.Out, d.Engine
+		}
+	} else {
+		sub, _, err = m.Inner.Solve(ks.G, ks.In, m.info.Seed)
+	}
 	if err != nil {
-		return fmt.Errorf("virtual machine %d inner solve: %w", m.info.Node, err)
+		return nil, fmt.Errorf("virtual machine %d inner solve: %w", m.info.Node, err)
 	}
 	for li, hi := range ks.Nodes {
 		out.Node[hi] = sub.Node[li]
@@ -267,7 +278,7 @@ func (m *GatherMachine) Finish(out *lcl.Labeling) error {
 				sub.HalfOf(graph.Half{Edge: graph.EdgeID(le), Side: side}))
 		}
 	}
-	return nil
+	return stats, nil
 }
 
 // vmMsg is the typed engine payload of the exact virtual-round execution:
@@ -355,7 +366,7 @@ func RunVirtual(eng *engine.Engine, vg *VirtualGraph, table *FactTable,
 		}
 		typed[vi] = &adapters[vi]
 	}
-	stats, err := engine.NewCore[vmMsg](eng.Options()).RunStats(vg.H, typed, seed, false, 2*nv+8)
+	stats, err := engine.RunStats(eng.Options(), vg.H, typed, seed, false, 2*nv+8)
 	if err != nil {
 		return nil, fmt.Errorf("run virtual: %w", err)
 	}
@@ -363,7 +374,7 @@ func RunVirtual(eng *engine.Engine, vg *VirtualGraph, table *FactTable,
 	for vi := range vms {
 		run.Rounds[vi] = vms[vi].Rounds()
 	}
-	if err := finishComponents(vg, vms, run.Out); err != nil {
+	if _, err := finishComponents(vg, vms, run.Out); err != nil {
 		return nil, fmt.Errorf("run virtual: %w", err)
 	}
 	return run, nil
@@ -372,8 +383,11 @@ func RunVirtual(eng *engine.Engine, vg *VirtualGraph, table *FactTable,
 // finishComponents invokes Finish on one machine per connected component
 // of H (the minimal virtual index), in ascending order: machines of one
 // component hold identical knowledge and would write identical labels.
-// vms is indexed by virtual node.
-func finishComponents(vg *VirtualGraph, vms []GatherMachine, out *lcl.Labeling) error {
+// vms is indexed by virtual node. It returns the components' nested
+// engine profiles folded as concurrent siblings (nil when no Finish
+// returned one).
+func finishComponents(vg *VirtualGraph, vms []GatherMachine, out *lcl.Labeling) (*EngineRunStats, error) {
+	var merged *EngineRunStats
 	nv := vg.NumVirtualNodes()
 	seen := make([]bool, nv)
 	for vi := 0; vi < nv; vi++ {
@@ -393,9 +407,16 @@ func finishComponents(vg *VirtualGraph, vms []GatherMachine, out *lcl.Labeling) 
 				}
 			}
 		}
-		if err := vms[vi].Finish(out); err != nil {
-			return err
+		stats, err := vms[vi].Finish(out)
+		if err != nil {
+			return nil, err
+		}
+		if stats != nil {
+			if merged == nil {
+				merged = &EngineRunStats{}
+			}
+			merged.fold(stats)
 		}
 	}
-	return nil
+	return merged, nil
 }

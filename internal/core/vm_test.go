@@ -67,13 +67,11 @@ func TestGatherMachineMatchesCentralizedSolve(t *testing.T) {
 	}
 }
 
-// runGatherOnce prepares a gather relay running inner (global
-// super-round, no fault interceptor), runs it once under seed and
-// closes it: the path a PreparedPadded takes.
-func runGatherOnce(opts engine.Options, g *graph.Graph, scope func(graph.EdgeID) bool,
-	vg *VirtualGraph, table *FactTable, inner lcl.Solver, dilation int, seed int64) (*RelayRun, error) {
-
-	r, err := newGatherRelay(engine.New(opts), g, scope, vg, table, inner, dilation, nil)
+// runGatherOnce prepares a gather relay running inner on plan (no fault
+// interceptor), runs it once under seed and closes it: the path a
+// PreparedPadded takes.
+func runGatherOnce(opts engine.Options, g *graph.Graph, plan *paddedPlan, inner lcl.Solver, seed int64) (*RelayRun, error) {
+	r, err := newGatherRelay(engine.New(opts), g, plan, NewFactTable(plan.vg), inner)
 	if err != nil {
 		return nil, err
 	}
@@ -90,15 +88,12 @@ func TestRelayMatchesVirtualRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := buildPlan(t, inst.G, inst.In)
-	table := NewFactTable(plan.vg)
-	scope := GadScope(inst.G, inst.In)
-	dilation := maxGadgetEccentricity(inst.G, scope, plan.vg)
 	inner := sinkless.NewDetSolver()
-	virt, err := RunVirtual(engine.New(engine.Options{Workers: 1}), plan.vg, table, inner, 2)
+	virt, err := RunVirtual(engine.New(engine.Options{Workers: 1}), plan.vg, NewFactTable(plan.vg), inner, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := runGatherOnce(engine.Options{Workers: 2, Shards: 8}, inst.G, scope, plan.vg, table, inner, dilation, 2)
+	relay, err := runGatherOnce(engine.Options{Workers: 2, Shards: 8}, inst.G, plan, inner, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +116,9 @@ func TestRelayDeterministicAcrossGeometries(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := buildPlan(t, inst.G, inst.In)
-	table := NewFactTable(plan.vg)
-	scope := GadScope(inst.G, inst.In)
-	dilation := maxGadgetEccentricity(inst.G, scope, plan.vg)
 	var first *RelayRun
 	for _, opts := range paddedEngineGrid {
-		run, err := runGatherOnce(opts, inst.G, scope, plan.vg, table, sinkless.NewRandSolver(), dilation, 5)
+		run, err := runGatherOnce(opts, inst.G, plan, sinkless.NewRandSolver(), 5)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}

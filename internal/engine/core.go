@@ -117,10 +117,10 @@ type Interceptor[M any] interface {
 }
 
 // Execution phases of the round loop. phaseWarmup is a no-op barrier
-// round-trip: hinted sessions dispatch it once from NewSession so every
-// worker and the coordinator park at least once there, allocating the
-// runtime's lazy park state (sudogs, semaphores) before the first real
-// round.
+// round-trip: a pooled session dispatches it once from NewSession so
+// every worker and the coordinator park at least once there, allocating
+// the runtime's lazy park state (sudogs, semaphores) before the first
+// real round.
 const (
 	phaseInit = iota
 	phaseCompute
@@ -160,33 +160,13 @@ type sleepShard struct {
 	_           [8]byte
 }
 
-// Core is the generics-based execution core: the engine's sharded
-// worker-pool round loop over a typed message plane. A Core holds only
-// options; per-execution state lives in Sessions, so one Core can serve
-// many graphs.
-type Core[M any] struct {
-	opts Options
-}
-
-// NewCore returns a typed execution core with the given options. Its
-// sessions run inline (no worker pool) exactly when the effective worker
-// count, after clamping to the shard count, is 1; the semantics are
-// identical either way, and RunReference is the independent
-// differential-testing oracle for both modes.
-func NewCore[M any](opts Options) *Core[M] { return &Core[M]{opts: opts} }
-
-// Run executes machines on g until every machine reports done or
-// maxRounds is exceeded, returning the number of executed rounds.
-func (c *Core[M]) Run(g *graph.Graph, machines []TypedMachine[M], masterSeed int64, randomized bool, maxRounds int) (int, error) {
-	st, err := c.RunStats(g, machines, masterSeed, randomized, maxRounds)
-	return st.Rounds, err
-}
-
-// RunStats is Run plus the execution profile. It is the one-shot
-// convenience wrapper over NewSession for callers that execute a graph
-// once; repeated executions should hold a Session to reuse its buffers.
-func (c *Core[M]) RunStats(g *graph.Graph, machines []TypedMachine[M], masterSeed int64, randomized bool, maxRounds int) (Stats, error) {
-	s, err := c.NewSession(g, machines)
+// RunStats executes machines on g under opts until every machine
+// reports done or maxRounds is exceeded, returning the execution profile.
+// It is the one-shot convenience wrapper over NewSession for callers that
+// execute a graph once; repeated executions should hold a Session to
+// reuse its buffers.
+func RunStats[M any](opts Options, g *graph.Graph, machines []TypedMachine[M], masterSeed int64, randomized bool, maxRounds int) (Stats, error) {
+	s, err := NewSession(opts, g, machines)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -251,24 +231,28 @@ type Session[M any] struct {
 	sleep  []sleepShard
 	sched  []nodeSched
 
-	jobs    chan int
-	wg      sync.WaitGroup
-	started bool
-	closed  bool
+	// jobs feeds the worker pool; nil on an inline session.
+	jobs   chan int
+	wg     sync.WaitGroup
+	closed bool
 }
 
 // NewSession validates the machine set against the graph and allocates
-// the per-execution state.
-func (c *Core[M]) NewSession(g *graph.Graph, machines []TypedMachine[M]) (*Session[M], error) {
+// the per-execution state under opts. The session runs inline (no worker
+// pool) exactly when the effective worker count, after clamping to the
+// shard count, is 1; the semantics are identical either way, and
+// RunReference is the independent differential-testing oracle for both
+// modes.
+func NewSession[M any](opts Options, g *graph.Graph, machines []TypedMachine[M]) (*Session[M], error) {
 	n := g.NumNodes()
 	if len(machines) != n {
 		return nil, fmt.Errorf("engine: %d machines for %d nodes", len(machines), n)
 	}
-	workers := c.opts.Workers
+	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := c.opts.Shards
+	shards := opts.Shards
 	if shards <= 0 {
 		shards = 4 * workers
 	}
@@ -309,19 +293,22 @@ func (c *Core[M]) NewSession(g *graph.Graph, machines []TypedMachine[M]) (*Sessi
 		s.shardLo[i+1] = s.shardLo[i] + int32(size)
 	}
 	s.initSleep()
-	// A size hint promises this session will actually execute, so the
-	// warm-up allocations (job channel, worker goroutines) happen here
-	// rather than on the first dispatch: the first Step then allocates
-	// exactly as little as the steady state. The message planes above
-	// are already allocated at full port extent either way — the hint
-	// only moves the pool startup, it never changes capacity or outputs.
-	if c.opts.Hint != nil && !inline {
-		s.startPool()
-		// One no-op barrier round-trip: parks every worker and the
-		// coordinator once, so even the runtime's lazily allocated park
-		// state exists before the first real round. After this, the first
-		// Reset+Step window allocates exactly as little as steady state
-		// (pinned by TestHintRemovesWarmupAllocations).
+	if !inline {
+		// A pooled session starts its workers here and makes one no-op
+		// barrier round-trip: it parks every worker and the coordinator
+		// once, so even the runtime's lazily allocated park state exists
+		// before the first real round. The first Reset+Step window then
+		// allocates exactly as little as the steady state (pinned by
+		// TestPoolWarmsAtNewSession).
+		s.jobs = make(chan int, shards)
+		for w := 0; w < workers; w++ {
+			go func() {
+				for i := range s.jobs {
+					s.runShard(i)
+					s.wg.Done()
+				}
+			}()
+		}
 		s.dispatch(phaseWarmup)
 	}
 	return s, nil
@@ -348,17 +335,17 @@ func (s *Session[M]) initSleep() {
 
 // Close shuts down the worker pool. The Session must not be used after.
 func (s *Session[M]) Close() {
-	if s.started && !s.closed {
+	if s.jobs != nil && !s.closed {
 		close(s.jobs)
 	}
 	s.closed = true
 }
 
 // dispatch runs one phase across all shards: inline for a single
-// effective worker, through the persistent pool otherwise. The pool
-// starts lazily on first use; the channel send orders the phase write
-// before the workers' read, and wg.Wait orders every worker write before
-// the coordinator's next read, so the round loop is barrier-clean.
+// effective worker, through the persistent pool otherwise. The channel
+// send orders the phase write before the workers' read, and wg.Wait
+// orders every worker write before the coordinator's next read, so the
+// round loop is barrier-clean.
 func (s *Session[M]) dispatch(phase int) {
 	s.phase = phase
 	if s.inline {
@@ -367,30 +354,11 @@ func (s *Session[M]) dispatch(phase int) {
 		}
 		return
 	}
-	if !s.started {
-		s.startPool()
-	}
 	s.wg.Add(s.shards)
 	for i := 0; i < s.shards; i++ {
 		s.jobs <- i
 	}
 	s.wg.Wait()
-}
-
-// startPool allocates the job channel and starts the worker goroutines.
-// It runs lazily on the first dispatch, or eagerly from NewSession when
-// an Options.Hint marks the session as certain to execute.
-func (s *Session[M]) startPool() {
-	s.jobs = make(chan int, s.shards)
-	for w := 0; w < s.workers; w++ {
-		go func() {
-			for i := range s.jobs {
-				s.runShard(i)
-				s.wg.Done()
-			}
-		}()
-	}
-	s.started = true
 }
 
 func (s *Session[M]) runShard(i int) {
@@ -643,7 +611,7 @@ func (s *Session[M]) Deliveries() int64 {
 // partial execution.
 func (s *Session[M]) Run(masterSeed int64, randomized bool, maxRounds int) (Stats, error) {
 	s.Reset(masterSeed, randomized)
-	stats := Stats{Workers: s.workers, Shards: s.shards}
+	var stats Stats
 	for round := 1; round <= maxRounds; round++ {
 		if s.Step() {
 			stats.Rounds = round

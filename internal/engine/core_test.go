@@ -122,7 +122,7 @@ func TestSessionReuseAndStepping(t *testing.T) {
 		machines[v].target = 12
 		typed[v] = &machines[v]
 	}
-	sess, err := engine.NewCore[int64](engine.Options{Workers: 3, Shards: 8}).NewSession(g, typed)
+	sess, err := engine.NewSession(engine.Options{Workers: 3, Shards: 8}, g, typed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestTypedCoreMachineCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.NewCore[int64](engine.Options{}).Run(g, make([]engine.TypedMachine[int64], 3), 0, false, 10); err == nil {
+	if _, err := engine.RunStats(engine.Options{}, g, make([]engine.TypedMachine[int64], 3), 0, false, 10); err == nil {
 		t.Fatal("expected machine/node count mismatch error")
 	}
 }
@@ -193,12 +193,12 @@ func TestTypedCoreRoundLimit(t *testing.T) {
 		machines[v].target = 1 << 30 // never done
 		typed[v] = &machines[v]
 	}
-	rounds, err := engine.NewCore[int64](engine.Options{Workers: 4}).Run(g, typed, 0, false, 9)
+	st, err := engine.RunStats(engine.Options{Workers: 4}, g, typed, 0, false, 9)
 	if err != engine.ErrRoundLimit {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
-	if rounds != 9 {
-		t.Fatalf("rounds = %d, want 9", rounds)
+	if st.Rounds != 9 {
+		t.Fatalf("rounds = %d, want 9", st.Rounds)
 	}
 }
 
@@ -226,7 +226,7 @@ func TestTypedCoreSteadyStateAllocs(t *testing.T) {
 				machines[v].target = 1 << 30
 				typed[v] = &machines[v]
 			}
-			sess, err := engine.NewCore[int64](mode.opts).NewSession(g, typed)
+			sess, err := engine.NewSession(mode.opts, g, typed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,8 +255,7 @@ func BenchmarkCoreTyped2048(b *testing.B) {
 		machines[v].target = 16
 		typed[v] = &machines[v]
 	}
-	core := engine.NewCore[int64](engine.Options{})
-	sess, err := core.NewSession(g, typed)
+	sess, err := engine.NewSession(engine.Options{}, g, typed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -283,7 +282,7 @@ func BenchmarkCoreTypedSteadyState2048(b *testing.B) {
 		machines[v].target = 1 << 30
 		typed[v] = &machines[v]
 	}
-	sess, err := engine.NewCore[int64](engine.Options{}).NewSession(g, typed)
+	sess, err := engine.NewSession(engine.Options{}, g, typed)
 	if err != nil {
 		b.Fatal(err)
 	}

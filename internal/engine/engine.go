@@ -8,13 +8,16 @@
 // changes only the mechanics, not the semantics:
 //
 //   - Per-node programs are TypedMachine[M] values exchanging concrete
-//     messages of type M; one Core[M] executes them, and a Session holds
-//     one prepared execution (core.go).
+//     messages of type M; a Session holds one prepared execution of them
+//     under the configuration in Options, and Session.Run returns its
+//     Stats (core.go).
 //   - Nodes are partitioned into contiguous shards. A fixed pool of worker
 //     goroutines (Options.Workers, default GOMAXPROCS) executes each round
 //     shard by shard instead of spawning one goroutine per node per round.
 //     When the effective worker count is 1 the session runs every phase
-//     inline on the calling goroutine and starts no pool at all.
+//     inline on the calling goroutine and starts no pool at all; otherwise
+//     NewSession starts and warms the pool, so the first round allocates
+//     as little as the steady state.
 //   - Messages live in two flat per-port []M planes over the graph's CSR
 //     topology (PortOffsets plus the RouteTable slot permutation). The
 //     compute phase reads one and writes the other; the delivery phase
@@ -73,34 +76,19 @@ type NodeInfo struct {
 // the round budget.
 var ErrRoundLimit = errors.New("round limit exceeded")
 
-// Options configures an Engine and the Cores built from it.
+// Options configures the execution of Sessions: how many workers run
+// them and into how many shards they split the graph. It configures only
+// the scheduling, never the result: Stats and every output are the same
+// for every Options value.
 type Options struct {
 	// Workers is the number of pool goroutines; <= 0 means GOMAXPROCS.
 	Workers int
 	// Shards is the number of contiguous node ranges the graph is split
 	// into; <= 0 picks 4×Workers (work-stealing slack), capped at n.
 	Shards int
-	// Hint, when non-nil, carries the cost twin's prediction for the
-	// execution about to run. It is purely a pre-sizing aid: pooled
-	// sessions created under a hint perform their warm-up allocations
-	// (worker pool startup, job channel) eagerly in NewSession instead of
-	// lazily on the first dispatch, so the first Step is as
-	// allocation-free as the steady state. A wrong hint costs nothing but
-	// mis-sized warm-up; it can never change outputs (pinned by the
-	// byte-identity grids).
-	Hint *SizeHint
 }
 
-// SizeHint is a predicted execution profile (typically from
-// internal/twin) used to pre-size per-session state.
-type SizeHint struct {
-	// Rounds is the predicted number of rounds.
-	Rounds int
-	// Deliveries is the predicted total message deliveries.
-	Deliveries int64
-}
-
-// Engine carries the execution Options solvers run their typed cores
+// Engine carries the execution Options solvers run their sessions
 // under. The zero value is usable and equivalent to New(Options{}); a nil
 // *Engine stands for the package-level defaults.
 type Engine struct {
@@ -112,7 +100,7 @@ func New(opts Options) *Engine { return &Engine{opts: opts} }
 
 // Options returns the options the engine was created with, or the
 // package-level defaults for a nil engine. Solvers pass them to
-// NewCore.
+// NewSession.
 func (e *Engine) Options() Options {
 	if e == nil {
 		return DefaultOptions()
@@ -143,32 +131,28 @@ func DefaultOptions() Options {
 	}
 }
 
-// Stats profiles one execution: the executed rounds, the number of
-// messages that crossed edges over all delivery phases, and the effective
-// pool geometry. Deliveries is a property of the algorithm's execution,
-// not of the scheduling — it is byte-identical across every Workers/
-// Shards setting and equals RunReference's count, so it is safe to record
-// in deterministic reports.
+// Stats profiles one execution: the executed rounds and the number of
+// messages that crossed edges over all delivery phases. Both are
+// properties of the algorithm's execution, not of the scheduling — they
+// are byte-identical across every Workers/Shards setting and equal
+// RunReference's counts, so they are safe to record in deterministic
+// reports.
 type Stats struct {
 	// Rounds is the number of executed rounds.
 	Rounds int
 	// Deliveries counts messages delivered across all rounds: every port
 	// slot of every delivery phase.
 	Deliveries int64
-	// Workers and Shards are the effective pool geometry after clamping
-	// (Workers == 1 means the session ran inline; 1/1 for RunReference).
-	Workers int
-	Shards  int
 }
 
 // RunReference executes machines on g with the single-threaded
 // reference implementation: a direct, goroutine-free transcription of the
 // model semantics with per-node inboxes and outboxes, delivering
 // sender-side through HalfAt/OppositeHalf. It shares no route table,
-// shard table, or Session code with Core, which is what makes it the
-// independent differential-testing oracle of every Core geometry.
+// shard table, or Session code, which is what makes it the independent
+// differential-testing oracle of every Session geometry.
 //
-// The typed contract is the same as Core's: inboxes start zeroed, every
+// The typed contract is the same as a Session's: inboxes start zeroed, every
 // port slot is delivered every round (so Deliveries counts every port of
 // every delivery phase), and outboxes persist across rounds. On
 // ErrRoundLimit the Stats still describe the partial execution.
@@ -178,7 +162,7 @@ func RunReference[M any](g *graph.Graph, machines []TypedMachine[M], masterSeed 
 		return Stats{}, fmt.Errorf("engine: %d machines for %d nodes", len(machines), n)
 	}
 	delta := g.MaxDegree()
-	stats := Stats{Workers: 1, Shards: 1}
+	var stats Stats
 	inbox := make([][]M, n)
 	outbox := make([][]M, n)
 	for v := 0; v < n; v++ {

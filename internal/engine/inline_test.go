@@ -1,9 +1,10 @@
 package engine
 
-// In-package tests for the derived inline mode: a session runs every
-// phase on the calling goroutine exactly when its effective worker count,
-// after clamping, is 1. Observable through the unexported inline/started
-// flags and through the goroutine count the machines see mid-round.
+// In-package tests for the session geometry and the derived inline mode:
+// a session runs every phase on the calling goroutine exactly when its
+// effective worker count, after clamping, is 1. Observable through the
+// unexported geometry fields and job channel, and through the goroutine
+// count the machines see mid-round.
 
 import (
 	"runtime"
@@ -56,7 +57,6 @@ func TestInlineStartsNoGoroutines(t *testing.T) {
 		{"workers1-shards8", cycle, Options{Workers: 1, Shards: 8}, true},
 		{"workers4-shards1", cycle, Options{Workers: 4, Shards: 1}, true},
 		{"one-node", single, Options{Workers: 4}, true},
-		{"hinted-workers1", cycle, Options{Workers: 1, Hint: &SizeHint{Rounds: 4}}, true},
 		{"workers2", cycle, Options{Workers: 2, Shards: 4}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,22 +68,21 @@ func TestInlineStartsNoGoroutines(t *testing.T) {
 				typed[v] = &machines[v]
 			}
 			before := int64(runtime.NumGoroutine())
-			s, err := NewCore[int64](tc.opts).NewSession(tc.g, typed)
+			s, err := NewSession(tc.opts, tc.g, typed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if s.inline != tc.inline {
 				t.Fatalf("inline = %v, want %v (workers %d, shards %d)", s.inline, tc.inline, s.workers, s.shards)
 			}
-			st, err := s.Run(1, false, 10)
-			if err != nil {
+			if _, err := s.Run(1, false, 10); err != nil {
 				t.Fatal(err)
 			}
-			started := s.started
+			started := s.jobs != nil
 			s.Close()
 			if tc.inline {
-				if started || st.Workers != 1 {
-					t.Fatalf("inline session started a pool (started %v, workers %d)", started, st.Workers)
+				if started || s.workers != 1 {
+					t.Fatalf("inline session started a pool (started %v, workers %d)", started, s.workers)
 				}
 				if peak.Load() > before {
 					t.Fatalf("inline session ran with %d goroutines, %d before NewSession", peak.Load(), before)
@@ -94,5 +93,40 @@ func TestInlineStartsNoGoroutines(t *testing.T) {
 				t.Fatalf("pooled session: started %v, peak goroutines %d, want >= %d", started, peak.Load(), want)
 			}
 		})
+	}
+}
+
+// TestSessionGeometryClamp: a session clamps its shards to the node
+// count and its workers to the shard count, and defaults to four shards
+// per worker.
+func TestSessionGeometryClamp(t *testing.T) {
+	g, err := graph.NewCycle(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typed := make([]TypedMachine[int64], g.NumNodes())
+	for v := range typed {
+		typed[v] = &goroutineProbe{peak: new(atomic.Int64)}
+	}
+	for _, tc := range []struct {
+		opts            Options
+		workers, shards int
+	}{
+		{Options{Workers: 1, Shards: 1}, 1, 1},
+		{Options{Workers: 4, Shards: 1}, 1, 1},
+		{Options{Workers: 1, Shards: 3}, 1, 3},
+		{Options{Workers: 3, Shards: 4}, 3, 4},
+		{Options{Workers: 1}, 1, 4},
+		{Options{Workers: 2}, 2, 5},
+		{Options{Workers: 16, Shards: 1000}, 5, 5},
+	} {
+		s, err := NewSession(tc.opts, g, typed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if s.workers != tc.workers || s.shards != tc.shards {
+			t.Errorf("%+v: geometry %d/%d, want %d/%d", tc.opts, s.workers, s.shards, tc.workers, tc.shards)
+		}
 	}
 }

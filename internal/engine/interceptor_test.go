@@ -45,7 +45,7 @@ func digestsWith(t *testing.T, g *graph.Graph, opts engine.Options, itc engine.I
 		machines[v].target = 20
 		typed[v] = &machines[v]
 	}
-	sess, err := engine.NewCore[int64](opts).NewSession(g, typed)
+	sess, err := engine.NewSession(opts, g, typed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,7 +214,7 @@ func runWaves(t testing.TB, g *graph.Graph, pats []wavePattern, liar lie, exec w
 	if exec.ref {
 		stats, err = engine.RunReference(g, typed, 1, false, 2000)
 	} else {
-		s, serr := engine.NewCore[int64](exec.opts).NewSession(g, typed)
+		s, serr := engine.NewSession(exec.opts, g, typed)
 		if serr != nil {
 			t.Fatal(serr)
 		}
@@ -471,7 +471,7 @@ func TestInterceptorAfterResetPanics(t *testing.T) {
 		machines[v].pattern = pats[v]
 		typed[v] = &machines[v]
 	}
-	s, err := engine.NewCore[int64](engine.Options{Workers: 1}).NewSession(g, typed)
+	s, err := engine.NewSession(engine.Options{Workers: 1}, g, typed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestStepAfterTerminationCallsAwakeOnly(t *testing.T) {
 		}
 	}
 	for _, opts := range []engine.Options{{Workers: 1, Shards: 3}, {Workers: 3, Shards: 7}} {
-		s, err := engine.NewCore[int64](opts).NewSession(g, typed)
+		s, err := engine.NewSession(opts, g, typed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func newPsiSession(tb testing.TB, height int, opts engine.Options) *engine.Sessi
 		pinned[v] = pinnedPsi{machines[v]}
 		typed[v] = &pinned[v]
 	}
-	sess, err := engine.NewCore[psiMsg](opts).NewSession(gd.G, typed)
+	sess, err := engine.NewSession(opts, gd.G, typed)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -312,7 +312,7 @@ func (vf *Verifier) NewSession(eng *engine.Engine, g *graph.Graph, in *lcl.Label
 	for v := range machines {
 		typed[v] = &machines[v]
 	}
-	sess, err := engine.NewCore[psiMsg](eng.Options()).NewSession(g, typed)
+	sess, err := engine.NewSession(eng.Options(), g, typed)
 	if err != nil {
 		return nil, fmt.Errorf("verifier engine: %w", err)
 	}

@@ -129,15 +129,3 @@ func (g *Graph) Diameter() int {
 	}
 	return diam
 }
-
-// Eccentricity returns the largest BFS distance from v within its
-// component.
-func (g *Graph) Eccentricity(v NodeID) int {
-	ecc := 0
-	for _, d := range g.BFSFrom(v, -1) {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}

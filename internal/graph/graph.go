@@ -44,11 +44,6 @@ type Half struct {
 // of length 2*|E|.
 func (h Half) Index() int { return 2*int(h.Edge) + int(h.Side) }
 
-// HalfFromIndex is the inverse of Half.Index.
-func HalfFromIndex(i int) Half {
-	return Half{Edge: EdgeID(i / 2), Side: Side(i % 2)}
-}
-
 // Endpoint is a node together with the port at which an edge attaches.
 type Endpoint struct {
 	Node NodeID
@@ -143,9 +138,6 @@ func (g *Graph) Halves(v NodeID) []Half { return g.halves[g.off[v]:g.off[v+1]] }
 // any plane indexed by port slot. The returned slice must not be
 // modified.
 func (g *Graph) PortOffsets() []int32 { return g.off }
-
-// PortSlot returns the global port-slot index of port p of node v.
-func (g *Graph) PortSlot(v NodeID, p int32) int { return int(g.off[v] + p) }
 
 // RouteTable returns the delivery route in port-slot space: route[s] is
 // the slot of the opposite half of the edge whose half occupies slot s,

@@ -3,17 +3,16 @@ package scenario
 import (
 	"sort"
 
-	"locallab/internal/engine"
 	"locallab/internal/measure"
 	"locallab/internal/twin"
 )
 
 // autoscalePlan is the twin-derived schedule for one scenario grid: how
 // many grid workers fan the cells, how many engine workers each cell
-// runs with, the dispatch order, and the pre-sizing hints. Plans change
-// scheduling only — every report byte is pinned identical to the static
-// split by the engine's geometry-independence invariant (and by the
-// autoscale byte-identity test).
+// runs with, and the dispatch order. Plans change scheduling only —
+// every report byte is pinned identical to the static split by the
+// engine's geometry-independence invariant (and by the autoscale
+// byte-identity test).
 type autoscalePlan struct {
 	// GridWorkers is the chosen width of the grid layer.
 	GridWorkers int
@@ -23,8 +22,6 @@ type autoscalePlan struct {
 	// Order dispatches predicted-heavy cells first (LPT heuristic); nil
 	// when the grid runs sequentially.
 	Order []int
-	// Hints[i] pre-sizes cell i's session (nil when unpredicted).
-	Hints []*engine.SizeHint
 }
 
 // planAutoscale splits a total worker budget between the grid and
@@ -47,20 +44,17 @@ func planAutoscale(sc *Scenario, engineAware bool, engineParams EngineParams, tw
 	plan := autoscalePlan{
 		GridWorkers:   budget,
 		EngineWorkers: make([]int, n),
-		Hints:         make([]*engine.SizeHint, n),
 	}
 	// Desired engine workers per cell, ignoring the grid share for now.
 	desired := make([]int, n)
 	predicted := make([]bool, n)
 	for i, c := range grid {
 		desired[i] = 1
-		p, ok := tw.Predict(sc.Family, sc.Solver, c.N, 1, engineParams.Shards)
-		if !ok {
+		if _, ok := tw.Predict(sc.Family, sc.Solver, c.N, 1, engineParams.Shards); !ok {
 			continue
 		}
 		predicted[i] = true
 		if engineAware {
-			plan.Hints[i] = &engine.SizeHint{Rounds: p.Rounds, Deliveries: p.Deliveries}
 			if engineParams.Workers > 0 {
 				desired[i] = engineParams.Workers
 			} else {

@@ -18,9 +18,9 @@ func loadTwin(t *testing.T) *twin.Twin {
 }
 
 // TestAutoscaleByteIdentity is the acceptance pin: an autoscaled run —
-// per-cell engine workers, pre-sizing hints, heavy-first dispatch, a
-// planned grid width — emits byte-for-byte the same canonical report as
-// the static split on the same spec.
+// per-cell engine workers, heavy-first dispatch, a planned grid width —
+// emits byte-for-byte the same canonical report as the static split on
+// the same spec.
 func TestAutoscaleByteIdentity(t *testing.T) {
 	tw := loadTwin(t)
 	for _, name := range []string{"ci-smoke", "autoscale-mixed"} {
@@ -79,9 +79,9 @@ func TestAutoscaleLiftsWorkersConflict(t *testing.T) {
 	}
 }
 
-// TestPlanAutoscale unit-tests the planner: budget accounting, twin
-// hints, spec-pin precedence, heavy-first dispatch, and the static
-// fallback for cells the twin has no model for.
+// TestPlanAutoscale unit-tests the planner: budget accounting, spec-pin
+// precedence, heavy-first dispatch, and the static fallback for cells
+// the twin has no model for.
 func TestPlanAutoscale(t *testing.T) {
 	tw := loadTwin(t)
 	sc := &Scenario{Name: "cv-mixed", Family: "cycle", Solver: "cole-vishkin",
@@ -100,12 +100,6 @@ func TestPlanAutoscale(t *testing.T) {
 	for i, e := range plan.EngineWorkers {
 		if e < 1 || e > share {
 			t.Fatalf("cell %d engine workers %d outside share %d", i, e, share)
-		}
-		if plan.Hints[i] == nil {
-			t.Fatalf("cell %d: predicted engine cell missing size hint", i)
-		}
-		if plan.Hints[i].Rounds <= 0 || plan.Hints[i].Deliveries <= 0 {
-			t.Fatalf("cell %d: degenerate hint %+v", i, plan.Hints[i])
 		}
 	}
 	if plan.Order != nil {
@@ -136,13 +130,13 @@ func TestPlanAutoscale(t *testing.T) {
 		}
 	}
 
-	// No model → static behaviour: one engine worker, no hints.
+	// No model → static behaviour: one engine worker.
 	unknown := &Scenario{Name: "mis", Family: "cycle", Solver: "mis",
 		Sizes: []int{512}, Seeds: []int64{1}}
 	uplan := planAutoscale(unknown, true, EngineParams{}, tw, budget, grid[:1])
 	for i, e := range uplan.EngineWorkers {
-		if e != 1 || uplan.Hints[i] != nil {
-			t.Fatalf("unpredicted cell %d got engine workers %d hint %+v, want static 1/nil", i, e, uplan.Hints[i])
+		if e != 1 {
+			t.Fatalf("unpredicted cell %d got engine workers %d, want static 1", i, e)
 		}
 	}
 }

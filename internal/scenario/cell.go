@@ -65,7 +65,7 @@ func NewRunner(req CellRequest) (*CellRunner, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	sol, _ := SolverByName(req.Solver)
+	sol, _ := solver.ByName(req.Solver)
 	var eng *engine.Engine
 	if sol.EngineAware {
 		w := req.Engine.Workers

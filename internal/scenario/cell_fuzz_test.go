@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"locallab/internal/solver"
 )
 
 // FuzzCellRequestValidate fuzzes the serving layer's admission path:
@@ -49,7 +51,7 @@ func FuzzCellRequestValidate(f *testing.F) {
 		}
 		// Accepted requests must be fully resolvable: the worker pool
 		// relies on validation as its only admission gate.
-		if _, ok := SolverByName(req.Solver); !ok {
+		if _, ok := solver.ByName(req.Solver); !ok {
 			t.Fatalf("accepted request with unresolvable solver %q", req.Solver)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"locallab/internal/graph"
+	"locallab/internal/solver"
 )
 
 // TestCellRequestValidateMessages pins the cell validation messages:
@@ -55,7 +56,7 @@ func TestCellRequestValidateMessages(t *testing.T) {
 	}
 }
 
-func joinSolverNames() string { return strings.Join(SolverNames(), ", ") }
+func joinSolverNames() string { return strings.Join(solver.Names(), ", ") }
 
 func joinFamilyNames() string {
 	return strings.Join(graph.FamilyNames(), ", ") + ", " + PaddedFamily

@@ -77,7 +77,7 @@ func Run(spec *Spec, opts RunOptions) (*Report, error) {
 	if opts.ShardOverride > 0 {
 		anyEngine := false
 		for i := range spec.Scenarios {
-			if sol, ok := SolverByName(spec.Scenarios[i].Solver); ok && sol.EngineAware {
+			if sol, ok := solver.ByName(spec.Scenarios[i].Solver); ok && sol.EngineAware {
 				anyEngine = true
 				break
 			}
@@ -98,7 +98,7 @@ func Run(spec *Spec, opts RunOptions) (*Report, error) {
 }
 
 func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
-	sol, ok := SolverByName(sc.Solver)
+	sol, ok := solver.ByName(sc.Solver)
 	if !ok {
 		return nil, fmt.Errorf("unknown solver %q", sc.Solver)
 	}
@@ -123,8 +123,8 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	// get one explicit shared engine so scenario runs never depend on
 	// the mutable package-level engine defaults, with workers defaulting
 	// to 1 inside a cell. Autoscale replaces both decisions with a
-	// twin-derived plan: per-cell engines with planned worker counts and
-	// pre-sizing hints, a planned grid width, and heavy-first dispatch.
+	// twin-derived plan: per-cell engines with planned worker counts, a
+	// planned grid width, and heavy-first dispatch.
 	gridWorkers := opts.GridWorkers
 	var order []int
 	engineFor := func(int) *engine.Engine { return nil }
@@ -149,7 +149,6 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 				return engine.New(engine.Options{
 					Workers: plan.EngineWorkers[i],
 					Shards:  engineParams.Shards,
-					Hint:    plan.Hints[i],
 				})
 			}
 		}

@@ -156,10 +156,10 @@ func (sc *Scenario) validate() error {
 // `cell` for single-cell serving requests — so the exact tested message
 // bodies are shared by both entry points.
 func (sc *Scenario) validateAs(subject string) error {
-	sol, ok := SolverByName(sc.Solver)
+	sol, ok := solver.ByName(sc.Solver)
 	if !ok {
 		return fmt.Errorf("%s: unknown solver %q (known: %s)",
-			subject, sc.Solver, strings.Join(SolverNames(), ", "))
+			subject, sc.Solver, strings.Join(solver.Names(), ", "))
 	}
 	minSize := PaddedMinSize
 	if sc.Family != PaddedFamily {

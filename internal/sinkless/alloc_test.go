@@ -35,7 +35,7 @@ func newTypedSession(tb testing.TB, n int, opts engine.Options) *engine.Session[
 	for v := range typed {
 		typed[v] = &machines[v]
 	}
-	sess, err := engine.NewCore[smMsg](opts).NewSession(g, typed)
+	sess, err := engine.NewSession(opts, g, typed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSinklessRandomizedRunAllocs(t *testing.T) {
 			for v := range typed {
 				typed[v] = &machines[v]
 			}
-			sess, err := engine.NewCore[smMsg](mode.opts).NewSession(g, typed)
+			sess, err := engine.NewSession(mode.opts, g, typed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestSinklessRandomizedRunAllocs(t *testing.T) {
 			seed := int64(0)
 			run := func() {
 				seed++
-				if _, err := sess.Run(seed, true, 4096); err != nil {
+				if _, err := sess.Run(seed, true, MessageMaxRounds); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -268,8 +268,12 @@ type MessageSolver struct {
 
 var _ lcl.Solver = &MessageSolver{}
 
-// NewMessageSolver returns the solver with a generous round cap.
-func NewMessageSolver() *MessageSolver { return &MessageSolver{MaxRounds: 4096} }
+// MessageMaxRounds is the message solver's generous round cap; the
+// native relay caps its hosted copy of the protocol by it too.
+const MessageMaxRounds = 4096
+
+// NewMessageSolver returns the solver with the MessageMaxRounds cap.
+func NewMessageSolver() *MessageSolver { return &MessageSolver{MaxRounds: MessageMaxRounds} }
 
 // Name implements lcl.Solver.
 func (s *MessageSolver) Name() string { return MessageSolverName }
@@ -334,7 +338,7 @@ func (s *MessageSolver) NewSolverSession(g *graph.Graph) (lcl.SolverSession, err
 	for v := range typed {
 		typed[v] = &ms.machines[v]
 	}
-	sess, err := engine.NewCore[smMsg](s.Engine.Options()).NewSession(g, typed)
+	sess, err := engine.NewSession(s.Engine.Options(), g, typed)
 	if err != nil {
 		return nil, err
 	}

@@ -69,11 +69,11 @@ func TestMessageProtocolMatchesReference(t *testing.T) {
 	for name, c := range cells {
 		g, seed := c.g, c.seed
 		want, wantSt := runSM(t, g, func(m []engine.TypedMachine[smMsg]) (engine.Stats, error) {
-			return engine.RunReference(g, m, seed, true, 4096)
+			return engine.RunReference(g, m, seed, true, MessageMaxRounds)
 		})
 		for _, opts := range referenceGeometries {
 			got, st := runSM(t, g, func(m []engine.TypedMachine[smMsg]) (engine.Stats, error) {
-				return engine.NewCore[smMsg](opts).RunStats(g, m, seed, true, 4096)
+				return engine.RunStats(opts, g, m, seed, true, MessageMaxRounds)
 			})
 			if st.Rounds != wantSt.Rounds || st.Deliveries != wantSt.Deliveries {
 				t.Fatalf("%s %+v: rounds/deliveries %d/%d, want %d/%d",

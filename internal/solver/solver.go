@@ -448,7 +448,8 @@ func Registry() []Entry {
 			CycleOnly:     true,
 			EngineAware:   true,
 			Prepare: func(req Request) (Prepared, error) {
-				s := &coloring.CVSolver{MaxRounds: 1 << 20, Engine: req.Engine}
+				s := coloring.NewCVSolver()
+				s.Engine = req.Engine
 				return lclPrepare(req, s, coloring.Three{}, func() engine.Stats { return s.LastStats })
 			},
 		},
@@ -509,7 +510,8 @@ func Registry() []Entry {
 			DefaultFamily: "regular",
 			EngineAware:   true,
 			Prepare: func(req Request) (Prepared, error) {
-				s := &sinkless.MessageSolver{MaxRounds: 4096, Engine: req.Engine}
+				s := sinkless.NewMessageSolver()
+				s.Engine = req.Engine
 				return lclPrepare(req, s, sinkless.Problem{}, func() engine.Stats { return s.LastStats })
 			},
 		},

@@ -8,9 +8,8 @@
 // canonical locallab.twin/v1 artifact (TWIN_0.json at the repo root).
 //
 // The twin is a scheduling oracle, never a source of truth: predictions
-// drive worker splits (scenario autoscaling), buffer pre-sizing
-// (engine.SizeHint), and admission accounting (serve Retry-After and
-// Prewarm ordering), and none of those paths may change any byte of any
+// drive worker splits (scenario autoscaling) and admission accounting
+// (serve Retry-After and Prewarm ordering), and none of those paths may change any byte of any
 // report. The byte-identity grids pin that contract.
 //
 // Invariants:
