@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	lcl-gadget -delta 3 -height 4 [-corrupt half-label-garbage] [-dot out.dot] [-verify] [-workers 8] [-shards 32]
+//	lcl-gadget -delta 3 -height 4 [-corrupt half-label-garbage] [-dot out.dot] [-verify]
 package main
 
 import (
@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"os"
 
-	"locallab/internal/engine"
 	"locallab/internal/errorproof"
 	"locallab/internal/gadget"
 	"locallab/internal/graph"
@@ -35,12 +34,9 @@ func run(args []string) error {
 	dot := fs.String("dot", "", "write the gadget in Graphviz DOT format to this file")
 	verify := fs.Bool("verify", true, "run the error-proof verifier V and report")
 	seed := fs.Int64("seed", 1, "corruption site seed")
-	workers := fs.Int("workers", 0, "engine worker goroutines for the verifier run (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "engine node shards for the verifier run (0 = auto)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engine.SetDefaultOptions(engine.Options{Workers: *workers, Shards: *shards})
 
 	gd, err := gadget.BuildUniform(*delta, *height)
 	if err != nil {

@@ -21,9 +21,14 @@ func TestRunCorrupt(t *testing.T) {
 	}
 }
 
+// TestRunEngineFlags: the verifier runs centrally, so lcl-gadget has no
+// engine knobs, and passing one is a flag error rather than a silent
+// no-op.
 func TestRunEngineFlags(t *testing.T) {
-	if err := run([]string{"-delta", "2", "-height", "3", "-workers", "2", "-shards", "8"}); err != nil {
-		t.Fatal(err)
+	for _, flag := range []string{"-workers", "-shards"} {
+		if err := run([]string{"-delta", "2", "-height", "3", flag, "2"}); err == nil {
+			t.Errorf("%s accepted", flag)
+		}
 	}
 }
 

@@ -136,7 +136,7 @@ func TestSeededTargetDependsOnSeed(t *testing.T) {
 func identityCodec() Codec[uint64] {
 	return Codec[uint64]{
 		Encode: func(m uint64) uint64 { return m },
-		Decode: func(w uint64) uint64 { return w },
+		Decode: func(_ int32, w uint64) uint64 { return w },
 	}
 }
 

@@ -4,11 +4,13 @@ package adversary
 // word — the representation bit-corruption and Byzantine faults operate
 // on. Decode must accept every word (masking excess bits), so an
 // arbitrary Byzantine word always decodes to some well-formed message;
-// Encode∘Decode need not be the identity on out-of-range bits. Both
-// functions must be allocation-free and pure.
+// Encode∘Decode need not be the identity on out-of-range bits. Decode
+// also gets the receiver slot, where a codec of views into storage can
+// keep the word: Deliver never runs twice for one slot in a phase. Both
+// functions must be allocation-free and deterministic.
 type Codec[M any] struct {
 	Encode func(M) uint64
-	Decode func(uint64) M
+	Decode func(slot int32, w uint64) M
 }
 
 // Interceptor executes one Plan on a typed engine session: it
@@ -65,7 +67,7 @@ func (it *Interceptor[M]) Deliver(p int32, m M) M {
 		}
 	case KindByzantine:
 		if pl.active(it.round) && pl.slotSender[p] == int32(pl.Node) {
-			return it.codec.Decode(pl.payload(it.round, p))
+			return it.codec.Decode(p, pl.payload(it.round, p))
 		}
 	case KindDrop:
 		if pl.fires(it.round, p) {
@@ -87,7 +89,7 @@ func (it *Interceptor[M]) Deliver(p int32, m M) M {
 	case KindCorrupt:
 		if pl.fires(it.round, p) {
 			w := it.codec.Encode(m) ^ (1 << (pl.payload(it.round, p) & 63))
-			return it.codec.Decode(w)
+			return it.codec.Decode(p, w)
 		}
 	}
 	return m

@@ -268,7 +268,7 @@ func (s *MISSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.La
 	}
 	out := lcl.NewLabeling(g)
 	inSet := make([]bool, g.NumNodes())
-	for round, col := range []lcl.Label{Color1, Color2, Color3} {
+	for _, col := range []lcl.Label{Color1, Color2, Color3} {
 		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 			if colored.Node[v] != col {
 				continue
@@ -282,7 +282,6 @@ func (s *MISSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.La
 			}
 			inSet[v] = free
 		}
-		_ = round
 	}
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		if inSet[v] {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
+	"locallab/internal/adversary"
 	"locallab/internal/engine"
 	"locallab/internal/sinkless"
 )
@@ -12,7 +14,7 @@ import (
 // hosted gather machine at leader nodes and its Sleeper methods) but
 // never reports done, keeping compute and delivery inside the measured
 // window. The machines read the session's round through their shared
-// relayCtl, which newRelaySession points at the session.
+// relay plane, which newRelaySession points at the session.
 type pinnedRelay struct{ relayMachine }
 
 func (m *pinnedRelay) Round(recv, send []relayMsg) bool {
@@ -21,8 +23,10 @@ func (m *pinnedRelay) Round(recv, send []relayMsg) bool {
 }
 
 // newRelaySession builds a payload-relay session on a balanced Π₂
-// instance, reset and stepped into steady state.
-func newRelaySession(tb testing.TB, opts engine.Options) *engine.Session[relayMsg] {
+// instance, reset and stepped into steady state. A non-nil fault is
+// compiled against the instance and its interceptor installed before the
+// Reset, with the re-flood a faulted gather relay runs.
+func newRelaySession(tb testing.TB, opts engine.Options, fault *adversary.Fault) *engine.Session[relayMsg] {
 	tb.Helper()
 	inst, err := BuildInstance(2, InstanceOptions{BaseNodes: 24, Seed: 5, Balanced: true})
 	if err != nil {
@@ -40,7 +44,16 @@ func newRelaySession(tb testing.TB, opts engine.Options) *engine.Session[relayMs
 	if err != nil {
 		tb.Fatal(err)
 	}
-	machines[0].ctl.sess = sess
+	ctl := machines[0].ctl
+	ctl.plane.sess = sess
+	if fault != nil {
+		plan, err := fault.CompileGraph(inst.G, 5)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sess.SetInterceptor(ctl.plane.faultInterceptor(plan))
+		ctl.reflood = true
+	}
 	sess.Reset(1, false)
 	for i := 0; i < 4; i++ {
 		sess.Step()
@@ -51,17 +64,22 @@ func newRelaySession(tb testing.TB, opts engine.Options) *engine.Session[relayMs
 // TestRelayMachineSteadyStateAllocs pins the payload-relay round loop —
 // knowledge merging, virtual-machine rounds at the leaders, and the
 // double-buffered broadcast — to zero allocations in both execution
-// modes.
+// modes, and also under a delivery fault whose rewritten words land in
+// the plane's fault words (a 20% bit-flip corruption, firing in every
+// round).
 func TestRelayMachineSteadyStateAllocs(t *testing.T) {
+	corrupt := &adversary.Fault{ID: "corrupt:p20", Kind: adversary.KindCorrupt, Prob: 0.2}
 	for _, mode := range []struct {
-		name string
-		opts engine.Options
+		name  string
+		opts  engine.Options
+		fault *adversary.Fault
 	}{
-		{"inline", engine.Options{Workers: 1}},
-		{"pooled", engine.Options{Workers: 4, Shards: 16}},
+		{"inline", engine.Options{Workers: 1}, nil},
+		{"pooled", engine.Options{Workers: 4, Shards: 16}, nil},
+		{"faulted", engine.Options{Workers: 1}, corrupt},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			sess := newRelaySession(t, mode.opts)
+			sess := newRelaySession(t, mode.opts, mode.fault)
 			defer sess.Close()
 			if allocs := testing.AllocsPerRun(64, func() { sess.Step() }); allocs != 0 {
 				t.Fatalf("steady-state relay round allocates %v times, want 0", allocs)
@@ -73,7 +91,7 @@ func TestRelayMachineSteadyStateAllocs(t *testing.T) {
 // BenchmarkRelayMachineSteadyState measures one payload-relay round
 // end-to-end on a balanced Π₂ instance; it must report 0 allocs/op.
 func BenchmarkRelayMachineSteadyState(b *testing.B) {
-	sess := newRelaySession(b, engine.Options{})
+	sess := newRelaySession(b, engine.Options{}, nil)
 	defer sess.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -88,14 +106,14 @@ func BenchmarkRelayMachineSteadyState(b *testing.B) {
 // measured window.
 type pinnedNative struct{ natMachine }
 
-func (m *pinnedNative) Round(recv, send []natMsg) bool {
+func (m *pinnedNative) Round(recv, send []relayMsg) bool {
 	m.natMachine.Round(recv, send)
 	return false
 }
 
 // newNativeSession builds a native-relay session on a balanced Π₂
 // instance, reset and stepped into steady state.
-func newNativeSession(tb testing.TB, opts engine.Options) *engine.Session[natMsg] {
+func newNativeSession(tb testing.TB, opts engine.Options) *engine.Session[relayMsg] {
 	tb.Helper()
 	inst, err := BuildInstance(2, InstanceOptions{BaseNodes: 24, Seed: 5, Balanced: true})
 	if err != nil {
@@ -110,7 +128,7 @@ func newNativeSession(tb testing.TB, opts engine.Options) *engine.Session[natMsg
 		tb.Fatal(err)
 	}
 	pinned := make([]pinnedNative, len(machines))
-	typed := make([]engine.TypedMachine[natMsg], len(machines))
+	typed := make([]engine.TypedMachine[relayMsg], len(machines))
 	for v := range machines {
 		pinned[v] = pinnedNative{machines[v]}
 		typed[v] = &pinned[v]
@@ -119,7 +137,7 @@ func newNativeSession(tb testing.TB, opts engine.Options) *engine.Session[natMsg
 	if err != nil {
 		tb.Fatal(err)
 	}
-	machines[0].plane.round = sess.Rounds
+	machines[0].plane.sess = sess
 	sess.Reset(1, false)
 	for i := 0; i < 4; i++ {
 		sess.Step()
@@ -157,6 +175,20 @@ func BenchmarkNativeMachineSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess.Step()
+	}
+}
+
+// TestRelayMsgHoldsNoPointer pins the relay message to plain integers:
+// a pointer in it would put every port-slot copy of both relays under
+// GC write barriers and make the GC scan the message planes.
+func TestRelayMsgHoldsNoPointer(t *testing.T) {
+	typ := reflect.TypeOf(relayMsg{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch k := typ.Field(i).Type.Kind(); k {
+		case reflect.Int32, reflect.Uint32, reflect.Int64, reflect.Uint64:
+		default:
+			t.Fatalf("relayMsg field %s is a %v: the message must hold no pointer", typ.Field(i).Name, k)
+		}
 	}
 }
 

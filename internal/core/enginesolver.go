@@ -187,8 +187,6 @@ type PreparedPadded struct {
 	// is nil when no gadget is valid.
 	plan  *paddedPlan
 	relay relayExec
-	// itc is the relay fault plan's interceptor, reset before every run.
-	itc *adversary.Interceptor[relayMsg]
 }
 
 // relayExec is a prepared relay session: gather (gatherRelay) or native
@@ -257,9 +255,6 @@ func (p *PreparedPadded) Run(seed int64) (*Detail, error) {
 	var virtOut *lcl.Labeling
 	innerCost := lcl.NewCost(plan.vg.NumVirtualNodes())
 	if p.relay != nil {
-		if p.itc != nil {
-			p.itc.Reset()
-		}
 		_, stats.RelayNative = p.relay.(*nativeRelay)
 		relay, err := p.relay.run(seed)
 		if err != nil {
@@ -316,35 +311,25 @@ func (p *PreparedPadded) build() error {
 		return err
 	}
 	var relay relayExec
-	var itc *adversary.Interceptor[relayMsg]
 	if plan.vg.NumVirtualNodes() > 0 {
 		table := NewFactTable(plan.vg)
-		// A delivery-fault plan (SetRelayFault) installs an adversary
-		// interceptor on the relay session and pins the gather execution,
-		// whose knowledge-word payloads are the plane the plan's codec
-		// rewrites.
-		if s.relayPlan != nil {
-			if s.relayPlan.Slots() != g.NumPorts() {
-				return fmt.Errorf("engine padded solve: relay fault plan covers %d slots, graph has %d ports",
-					s.relayPlan.Slots(), g.NumPorts())
-			}
-			itc = adversary.NewInterceptor(s.relayPlan, relayCodec())
+		// A delivery-fault plan (SetRelayFault) pins the gather execution,
+		// whose relay installs the plan's interceptor on its session.
+		fault := s.relayPlan
+		if fault != nil && fault.Slots() != g.NumPorts() {
+			return fmt.Errorf("engine padded solve: relay fault plan covers %d slots, graph has %d ports",
+				fault.Slots(), g.NumPorts())
 		}
-		if !s.ForceGather && itc == nil && runsNative(s.Inner, plan.vg) {
+		if !s.ForceGather && fault == nil && runsNative(s.Inner, plan.vg) {
 			relay, err = newNativeRelay(s.Engine, g, plan, table)
 		} else {
-			var gr *gatherRelay
-			gr, err = newGatherRelay(s.Engine, g, plan, table, s.Inner)
-			if err == nil && itc != nil {
-				gr.itc = itc
-			}
-			relay = gr
+			relay, err = newGatherRelay(s.Engine, g, plan, table, s.Inner, fault)
 		}
 		if err != nil {
 			return fmt.Errorf("engine padded solve: %w", err)
 		}
 	}
-	p.plan, p.relay, p.itc, p.dec = plan, relay, itc, nil
+	p.plan, p.relay, p.dec = plan, relay, nil
 	return nil
 }
 

@@ -102,7 +102,7 @@ func hComponent(vg *VirtualGraph, vi graph.NodeID) []graph.NodeID {
 }
 
 // TestGatherKnowledgeHeldOnce: every gather node holds relayBufs word
-// buffers, and after held Runs each host's knowledge is its leader's
+// buffers, its own run of the relay plane, and after held Runs each host's knowledge is its leader's
 // words themselves (one backing array, no copy) and reconstructs the
 // host's whole component of H.
 func TestGatherKnowledgeHeldOnce(t *testing.T) {
@@ -112,9 +112,13 @@ func TestGatherKnowledgeHeldOnce(t *testing.T) {
 		if _, err := r.run(2); err != nil {
 			t.Fatal(err)
 		}
+		w := r.machines[0].w
+		if words := len(r.machines[0].ctl.plane.words); words != relayBufs*len(r.machines)*int(w) {
+			t.Fatalf("level %d: plane holds %d words, want %d buffers of %d for each of %d nodes", c.level, words, relayBufs, w, len(r.machines))
+		}
 		for v := range r.machines {
-			if m := &r.machines[v]; len(m.buf) != relayBufs*int(m.w) {
-				t.Fatalf("level %d: node %d holds %d words, want %d buffers of %d", c.level, v, len(m.buf), relayBufs, m.w)
+			if m := &r.machines[v]; m.w != w || m.at != relayBufs*int32(v)*w {
+				t.Fatalf("level %d: node %d's buffers start at word %d, want %d", c.level, v, m.at, relayBufs*int32(v)*w)
 			}
 		}
 		vg := r.vg

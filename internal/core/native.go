@@ -30,7 +30,11 @@ import (
 // back up to the host. A record is forwarded only when its slot's value
 // changed (value semantics: a receiver holding the previous value is
 // indistinguishable from one that just received an identical word), so
-// quiescent protocol phases cost nothing.
+// quiescent protocol phases cost nothing. Records travel on the
+// transport both relays share (relay.go): a record is two words of the
+// session's relayPlane (receiving slot, value), written into the
+// sender's lane for the port, and a message is a relayMsg view of the
+// lane's records.
 //
 // Scheduling is global lockstep. The host runs protocol round k at
 // physical round k·L + 1, where the session's super-round length
@@ -46,11 +50,12 @@ import (
 // worker/shard geometry.
 
 // maxNativePorts bounds the virtual degree a native machine supports:
-// slot tables and transport records are fixed-size arrays so the round
-// loop stays allocation-free.
+// slot routes and host word buffers are fixed-size arrays, and the
+// changed slots a 16-bit mask, so the round loop stays allocation-free.
 const maxNativePorts = 8
 
-// maxNatSlots is the slot-table width: OUT and IN per virtual port.
+// maxNatSlots is the slot-table width: OUT and IN per virtual port. A
+// message carries at most 2·maxNatSlots words.
 const maxNatSlots = 2 * maxNativePorts
 
 // runsNative reports whether the native relay can run inner on vg: the
@@ -148,40 +153,12 @@ func (m *sinklessNative) Finish(out *lcl.Labeling) error {
 	return nil
 }
 
-// natMsg is one physical hop's worth of slot records: the changed slots
-// a node forwards to one neighbor this round, n records from recs[at] of
-// the session's natPlane. Like the gather relay's payloads, the records
-// are a read-only view of the sender's double-buffered storage, so the
-// message the engine copies through every port slot every round — almost
-// always empty — is two integers instead of a record array.
-type natMsg struct {
-	n  uint8
-	at int32
-}
-
-// natRecord is one forwarded slot: the slot identifier on the receiving
-// side and the slot's word.
-type natRecord struct {
-	slot uint8
-	val  uint64
-}
-
-// natPlane is the record storage of one native session. Every physical
-// port slot owns a lane of two halves, each as wide as the number of slots
-// its node routes through that port: a sender writes its round-r records
-// into the half of r's parity, which its receivers read in round r+1
-// while it fills the other half.
-type natPlane struct {
-	recs  []natRecord
-	lanes []natLane // by port slot (graph.PortOffsets)
-	// round reports the session's current round (Session.Rounds). The
-	// machines read it instead of counting their own calls: the session
-	// skips sleeping machines, so a machine is not called every round.
-	round func() int
-}
-
-// natLane locates one port slot's records: the even half starts at at,
-// the odd half follows it.
+// natLane locates one port slot's records in the relay plane: the half
+// of even rounds starts at word at, the half of odd rounds follows it.
+// Each half is width words, two per slot its node routes through the
+// port (a record is the receiving slot, then the slot's word): a sender
+// writes its round-r records into the half of r's parity, which its
+// receivers read in round r+1 while it fills the other half.
 type natLane struct {
 	at, width int32
 }
@@ -195,9 +172,9 @@ type natMachine struct {
 	// host is the gadget's hosted protocol machine on the node hosting it,
 	// nil everywhere else.
 	host *natHost
-	// plane is the session's record storage; the node's lanes start at
+	// plane is the session's relay plane; the node's lanes start at
 	// port slot off.
-	plane *natPlane
+	plane *relayPlane
 	off   int32
 
 	// nslots is 2·deg(vi) for nodes of a valid gadget, 0 elsewhere.
@@ -235,8 +212,8 @@ type natHost struct {
 }
 
 var (
-	_ engine.TypedMachine[natMsg] = (*natMachine)(nil)
-	_ engine.Sleeper              = (*natMachine)(nil)
+	_ engine.TypedMachine[relayMsg] = (*natMachine)(nil)
+	_ engine.Sleeper                = (*natMachine)(nil)
 )
 
 func (m *natMachine) Init(engine.NodeInfo) {
@@ -249,33 +226,31 @@ func (m *natMachine) Init(engine.NodeInfo) {
 	}
 }
 
-func (m *natMachine) Round(recv, send []natMsg) bool {
-	round := int32(m.plane.round())
+func (m *natMachine) Round(recv, send []relayMsg) bool {
+	pl := m.plane
+	round := pl.round()
 	// Merge incoming records. A record only arrives when its value
 	// differs from what this node holds (senders forward on change), but
 	// the guard keeps re-deliveries idempotent. Records are validated
 	// before use: a malformed count is clamped to the slot-table width, a
-	// message reaching outside the record plane is dropped, and so is a
-	// slot outside this node's table — legitimate transport never
+	// view reaching outside the plane reads as silence, and a slot
+	// outside this node's table is dropped — legitimate transport never
 	// produces any of these (a message names its sender's lane, relabel
 	// always targets a live slot of the receiver), so the checks only
-	// matter under fault injection, where
-	// corrupt deliveries must degrade, never panic (FuzzNativeSlotRewrite
-	// pins this).
+	// matter under fault injection, where corrupt deliveries must
+	// degrade, never panic (FuzzNativeSlotRewrite pins this).
 	if round > 1 {
-		recs := m.plane.recs
 		for _, in := range recv {
-			nrec := min(int(in.n), maxNatSlots)
-			if nrec == 0 || in.at < 0 || int(in.at) > len(recs)-nrec {
-				continue
-			}
-			for _, rec := range recs[in.at : int(in.at)+nrec] {
-				if int32(rec.slot) >= m.nslots {
+			in.n = min(in.n, 2*maxNatSlots)
+			rec := pl.view(in)
+			for i := 1; i < len(rec); i += 2 {
+				slot, val := rec[i-1], rec[i]
+				if slot >= uint64(m.nslots) {
 					continue
 				}
-				if m.vals[rec.slot] != rec.val {
-					m.vals[rec.slot] = rec.val
-					m.fresh |= 1 << rec.slot
+				if m.vals[slot] != val {
+					m.vals[slot] = val
+					m.fresh |= 1 << slot
 				}
 			}
 		}
@@ -297,7 +272,7 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 	}
 	// Forward changed slots along their routes.
 	for p := range send {
-		send[p] = natMsg{}
+		send[p] = relayMsg{}
 	}
 	half := round & 1
 	sent := m.sent
@@ -309,11 +284,12 @@ func (m *natMachine) Round(recv, send []natMsg) bool {
 		}
 		out := &send[r]
 		if out.n == 0 {
-			ln := m.plane.lanes[m.off+int32(r)]
+			ln := pl.lanes[m.off+int32(r)]
 			out.at = ln.at + half*ln.width
 		}
-		m.plane.recs[out.at+int32(out.n)] = natRecord{slot: m.relabel[s], val: m.vals[s]}
-		out.n++
+		at := out.at + out.n
+		pl.words[at], pl.words[at+1] = uint64(m.relabel[s]), m.vals[s]
+		out.n += 2
 		m.sent++
 	}
 	m.fresh = 0
@@ -347,7 +323,7 @@ type nativeRelay struct {
 	vg        *VirtualGraph
 	machines  []natMachine
 	hosts     []natHost // by virtual node
-	sess      *engine.Session[natMsg]
+	sess      *engine.Session[relayMsg]
 	maxRounds int
 }
 
@@ -359,7 +335,7 @@ func newNativeRelay(eng *engine.Engine, g *graph.Graph, plan *paddedPlan, table 
 	if err != nil {
 		return nil, fmt.Errorf("run native relay: %w", err)
 	}
-	typed := make([]engine.TypedMachine[natMsg], len(machines))
+	typed := make([]engine.TypedMachine[relayMsg], len(machines))
 	for v := range machines {
 		typed[v] = &machines[v]
 	}
@@ -367,7 +343,7 @@ func newNativeRelay(eng *engine.Engine, g *graph.Graph, plan *paddedPlan, table 
 	if err != nil {
 		return nil, fmt.Errorf("run native relay: %w", err)
 	}
-	machines[0].plane.round = sess.Rounds
+	machines[0].plane.sess = sess
 	return &nativeRelay{
 		vg: plan.vg, machines: machines, hosts: hosts, sess: sess,
 		// The hosted protocol keeps the message solver's round cap; the
@@ -548,16 +524,16 @@ func buildNativeMachines(g *graph.Graph, plan *paddedPlan, table *FactTable) ([]
 	for _, host := range hostOf {
 		machines[host].L = superLen
 	}
-	attachNatPlane(g, machines)
+	attachNativePlane(g, machines)
 	return machines, hosts, superLen, nil
 }
 
-// attachNatPlane sizes every port slot's lane to the slots its node
+// attachNativePlane sizes every port slot's lane to the records its node
 // routes through that port, hands the machines the shared plane, and
 // carves their slot tables from one slab.
-func attachNatPlane(g *graph.Graph, machines []natMachine) {
+func attachNativePlane(g *graph.Graph, machines []natMachine) {
 	off := g.PortOffsets()
-	plane := &natPlane{lanes: make([]natLane, g.NumPorts())}
+	plane := &relayPlane{lanes: make([]natLane, g.NumPorts())}
 	slots := 0
 	for v := range machines {
 		slots += int(machines[v].nslots)
@@ -571,7 +547,7 @@ func attachNatPlane(g *graph.Graph, machines []natMachine) {
 		}
 		for s := int32(0); s < m.nslots; s++ {
 			if r := m.route[s]; r >= 0 {
-				plane.lanes[m.off+int32(r)].width++
+				plane.lanes[m.off+int32(r)].width += 2
 			}
 		}
 	}
@@ -580,5 +556,5 @@ func attachNatPlane(g *graph.Graph, machines []natMachine) {
 		plane.lanes[i].at = total
 		total += 2 * plane.lanes[i].width
 	}
-	plane.recs = make([]natRecord, total)
+	plane.words = make([]uint64, total)
 }

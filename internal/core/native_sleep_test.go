@@ -15,7 +15,7 @@ type countedNat struct {
 	calls int
 }
 
-func (m *countedNat) Round(recv, send []natMsg) bool {
+func (m *countedNat) Round(recv, send []relayMsg) bool {
 	m.calls++
 	return m.natMachine.Round(recv, send)
 }
@@ -23,8 +23,8 @@ func (m *countedNat) Round(recv, send []natMsg) bool {
 // denseNat hides Asleep, so a session of them runs the dense loop.
 type denseNat struct{ m *natMachine }
 
-func (d denseNat) Init(info engine.NodeInfo)      { d.m.Init(info) }
-func (d denseNat) Round(recv, send []natMsg) bool { return d.m.Round(recv, send) }
+func (d denseNat) Init(info engine.NodeInfo)        { d.m.Init(info) }
+func (d denseNat) Round(recv, send []relayMsg) bool { return d.m.Round(recv, send) }
 
 // heldNativeRelay prepares a pi2-rand-native cell (balanced Π₂ instance
 // on base nodes, message-solver inner) under opts, runs it once under
@@ -50,26 +50,26 @@ func heldNativeRelay(tb testing.TB, base int, seed int64, opts engine.Options) (
 }
 
 // nativeSession builds an engine session over typed (wrappers of r's
-// machines) and points the record plane's round clock at it.
-func nativeSession(tb testing.TB, p *PreparedPadded, r *nativeRelay, typed []engine.TypedMachine[natMsg], opts engine.Options) *engine.Session[natMsg] {
+// machines) and points the relay plane's round clock at it.
+func nativeSession(tb testing.TB, p *PreparedPadded, r *nativeRelay, typed []engine.TypedMachine[relayMsg], opts engine.Options) *engine.Session[relayMsg] {
 	tb.Helper()
 	sess, err := engine.NewSession(opts, p.g, typed)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r.machines[0].plane.round = sess.Rounds
+	r.machines[0].plane.sess = sess
 	return sess
 }
 
 // runRelayOver runs r with its session swapped for one over typed.
-func runRelayOver(tb testing.TB, p *PreparedPadded, r *nativeRelay, typed []engine.TypedMachine[natMsg], opts engine.Options, seed int64) *RelayRun {
+func runRelayOver(tb testing.TB, p *PreparedPadded, r *nativeRelay, typed []engine.TypedMachine[relayMsg], opts engine.Options, seed int64) *RelayRun {
 	tb.Helper()
 	orig := r.sess
 	r.sess = nativeSession(tb, p, r, typed, opts)
 	defer func() {
 		r.sess.Close()
 		r.sess = orig
-		r.machines[0].plane.round = orig.Rounds
+		r.machines[0].plane.sess = orig
 	}()
 	run, err := r.run(seed)
 	if err != nil {
@@ -79,9 +79,9 @@ func runRelayOver(tb testing.TB, p *PreparedPadded, r *nativeRelay, typed []engi
 }
 
 // countedNats wraps r's machines in countedNat.
-func countedNats(r *nativeRelay) ([]countedNat, []engine.TypedMachine[natMsg]) {
+func countedNats(r *nativeRelay) ([]countedNat, []engine.TypedMachine[relayMsg]) {
 	counted := make([]countedNat, len(r.machines))
-	typed := make([]engine.TypedMachine[natMsg], len(r.machines))
+	typed := make([]engine.TypedMachine[relayMsg], len(r.machines))
 	for v := range r.machines {
 		counted[v] = countedNat{natMachine: &r.machines[v]}
 		typed[v] = &counted[v]
@@ -124,7 +124,7 @@ func TestNativeRelaySleeps(t *testing.T) {
 		t.Fatalf("sparse schedule made %d Round calls, more than a fifth of the dense %d", calls, dense)
 	}
 
-	hidden := make([]engine.TypedMachine[natMsg], len(r.machines))
+	hidden := make([]engine.TypedMachine[relayMsg], len(r.machines))
 	for v := range r.machines {
 		hidden[v] = denseNat{&r.machines[v]}
 	}
@@ -133,7 +133,7 @@ func TestNativeRelaySleeps(t *testing.T) {
 	}
 
 	pooled := engine.Options{Workers: 3, Shards: 7}
-	for _, ms := range [][]engine.TypedMachine[natMsg]{typed, hidden} {
+	for _, ms := range [][]engine.TypedMachine[relayMsg]{typed, hidden} {
 		got := runRelayOver(t, p, r, ms, pooled, seed)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("pooled %+v run differs from the inline one", pooled)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"locallab/internal/adversary"
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
@@ -50,22 +51,54 @@ import (
 // that sent nothing and has no crossing waiting sleeps (engine.Sleeper)
 // until a neighbor sends it a payload; the round it would be done in
 // follows from its last change, so it need not stay awake to count.
+//
+// The transport below (relayMsg, relayPlane) is shared with the native
+// relay (native.go); a node's knowledge and send buffers are plane runs.
 
-// relayMsg is the relay payload: a read-only view of the sender's
-// double-buffered knowledge words (nil on silent ports).
+// relayMsg is the message of both relays: n words of the session's
+// relayPlane starting at words[at]; n == 0 is silence. A gather payload
+// names the sender's send buffer, a native message its records. It holds
+// no pointer, so the engine copies it through the port slots without
+// write barriers and the GC does not scan the message planes.
 type relayMsg struct {
-	Words []uint64
+	at, n int32
 }
 
-// relayCtl is what the machines of one gather session share.
-type relayCtl struct {
+// relayPlane is the word storage of one relay session. Gather nodes keep
+// their knowledge and send buffers in words, native nodes write their
+// records into per-port lanes of it, and a fault interceptor, when one is
+// installed, writes its rewritten words into one cell per receiver slot
+// at its end. Messages are read only through view.
+type relayPlane struct {
+	words []uint64
 	// sess is the session running the machines. They read its round
 	// (Session.Rounds) instead of counting their own calls: the session
 	// skips sleeping machines, so a machine is not called every round.
 	sess *engine.Session[relayMsg]
+	// lanes locates each port slot's native records (nil for gather).
+	lanes []natLane
+}
+
+// view returns the words m names: nil for silence and for any view
+// reaching outside the plane. Legitimate transport only names live
+// buffers, so the check matters only under fault injection, where a
+// corrupt delivery must degrade, never panic (FuzzNativeSlotRewrite).
+func (pl *relayPlane) view(m relayMsg) []uint64 {
+	at, n := int(m.at), int(m.n)
+	if n <= 0 || at < 0 || at > len(pl.words)-n {
+		return nil
+	}
+	return pl.words[at : at+n : at+n]
+}
+
+func (pl *relayPlane) round() int32 { return int32(pl.sess.Rounds()) }
+
+// relayCtl is what the machines of one gather session share.
+type relayCtl struct {
+	plane relayPlane
 	// reflood makes every node send its payload on every gadget port
 	// every round and across its port edges at every boundary, changed
-	// or not. gatherRelay.run sets it while an interceptor is installed.
+	// or not. newGatherRelay sets it when it installs an interceptor.
 	reflood bool
 	// table reseeds the valid-gadget nodes' knowledge at Init.
 	table *FactTable
@@ -73,8 +106,9 @@ type relayCtl struct {
 
 // relayMachine floods knowledge payloads under the dilated schedule.
 // It is kept small because a prepared relay holds one per physical node:
-// port lists and word buffers are runs of shared slabs, and the hosted
-// gather machine sits behind a pointer on leader nodes only.
+// port lists are runs of a shared slab, word buffers runs of the plane,
+// and the hosted gather machine sits behind a pointer on leader nodes
+// only.
 type relayMachine struct {
 	// ports lists the in-scope (gadget-edge) ports, flooded in rounds the
 	// payload changed, then from nGad on the ports on virtual (port)
@@ -88,13 +122,12 @@ type relayMachine struct {
 	// eccentricity + 1 (measured at plan time) — never more than
 	// superLen, which uses the worst gadget's eccentricity.
 	crossEvery int32
-	// w is the payload width. buf holds the node's relayBufs w-word
-	// buffers: the current knowledge and the two alternating send
-	// buffers (a buffer written in round r is read in round r+1 and not
-	// touched again before round r+2, so receivers never race the
+	// w is the payload width. The node's relayBufs w-word buffers start
+	// at plane word at: the current knowledge and the two alternating
+	// send buffers (a buffer written in round r is read in round r+1 and
+	// not touched again before round r+2, so receivers never race the
 	// writer).
-	w   int32
-	buf []uint64
+	w, at int32
 	// host is the gadget's gather machine on its leader node, running
 	// on the node's knowledge words; nil everywhere else.
 	host *GatherMachine
@@ -121,12 +154,8 @@ type relayMachine struct {
 // relayBufs is the number of w-word buffers of a node.
 const relayBufs = 3
 
-func (m *relayMachine) words() []uint64 { return m.buf[:m.w:m.w] }
-
-// sendBuf is the send buffer of rounds with parity k.
-func (m *relayMachine) sendBuf(k int32) []uint64 {
-	lo := (1 + k) * m.w
-	return m.buf[lo : lo+m.w : lo+m.w]
+func (m *relayMachine) words() []uint64 {
+	return m.ctl.plane.words[m.at : m.at+m.w : m.at+m.w]
 }
 
 var (
@@ -151,15 +180,19 @@ func (m *relayMachine) Init(engine.NodeInfo) {
 }
 
 func (m *relayMachine) Round(recv, send []relayMsg) bool {
-	round := int32(m.ctl.sess.Rounds())
+	pl := &m.ctl.plane
+	round := pl.round()
 	words := m.words()
 	gad, virt := m.ports[:m.nGad], m.ports[m.nGad:]
 	// fresh marks knowledge that changed this round; round 1 sends the
-	// initial knowledge.
+	// initial knowledge. A payload is at most w words: a longer count
+	// (only a fault produces one) is clamped, as the native merge clamps.
 	fresh := round == 1
 	if !fresh {
 		for _, p := range m.ports {
-			if w := recv[p].Words; w != nil && orInto(words, w) {
+			in := recv[p]
+			in.n = min(in.n, m.w)
+			if orInto(words, pl.view(in)) {
 				m.lastChange, m.news, fresh = round, true, true
 			}
 		}
@@ -196,19 +229,20 @@ func (m *relayMachine) Round(recv, send []relayMsg) bool {
 	toVirt := boundary && (m.cross || reflood) && len(virt) > 0
 	m.quiet = !toGad && !toVirt
 	if !m.quiet {
-		buf := m.sendBuf(round & 1)
-		copy(buf, words)
+		// The send buffer of this round's parity.
+		msg := relayMsg{at: m.at + (1+round&1)*m.w, n: m.w}
+		copy(pl.words[msg.at:msg.at+m.w], words)
 		if toGad {
 			for _, p := range gad {
-				send[p] = relayMsg{Words: buf}
+				send[p] = msg
 			}
-			m.sent += int64(len(buf) * len(gad))
+			m.sent += int64(m.w) * int64(len(gad))
 		}
 		if toVirt {
 			for _, p := range virt {
-				send[p] = relayMsg{Words: buf}
+				send[p] = msg
 			}
-			m.sent += int64(len(buf) * len(virt))
+			m.sent += int64(m.w) * int64(len(virt))
 			m.cross = false
 		}
 	}
@@ -267,24 +301,25 @@ type RelayRun struct {
 // Only the seed changes between runs, and it reaches the machines
 // through the hosts' VirtualNodeInfo.
 //
-// A non-nil itc (an adversary delivery-fault interceptor) is installed
-// on the session; the round cap then doubles as the loud failure mode —
-// a fault regime that starves the flood of its fixpoint surfaces as
-// engine.ErrRoundLimit, never as a hang.
+// A delivery-fault plan's interceptor (relayfault.go) is installed on
+// the session and reset before every run; the round cap then doubles as
+// the loud failure mode — a fault regime that starves the flood of its
+// fixpoint surfaces as engine.ErrRoundLimit, never as a hang.
 type gatherRelay struct {
 	vg        *VirtualGraph
 	machines  []relayMachine
 	hosts     []GatherMachine // by virtual node
 	sess      *engine.Session[relayMsg]
 	maxRounds int
-	// itc is installed on the session before every run (nil: the
-	// engine's plain delivery loop).
-	itc engine.Interceptor[relayMsg]
+	// itc is the fault plan's interceptor (nil: the engine's plain
+	// delivery loop).
+	itc *adversary.Interceptor[relayMsg]
 }
 
 // newGatherRelay prepares a gather relay running inner on the plan's
-// virtual graph. It requires at least one valid gadget.
-func newGatherRelay(eng *engine.Engine, g *graph.Graph, plan *paddedPlan, table *FactTable, inner lcl.Solver) (*gatherRelay, error) {
+// virtual graph, under the delivery-fault plan fault when it is not nil.
+// It requires at least one valid gadget.
+func newGatherRelay(eng *engine.Engine, g *graph.Graph, plan *paddedPlan, table *FactTable, inner lcl.Solver, fault *adversary.Plan) (*gatherRelay, error) {
 	nv := plan.vg.NumVirtualNodes()
 	if nv == 0 {
 		return nil, fmt.Errorf("run relay: no valid gadgets")
@@ -298,11 +333,18 @@ func newGatherRelay(eng *engine.Engine, g *graph.Graph, plan *paddedPlan, table 
 	if err != nil {
 		return nil, fmt.Errorf("run relay: %w", err)
 	}
-	machines[0].ctl.sess = sess
+	ctl := machines[0].ctl
+	ctl.plane.sess = sess
 	// Dissemination needs at most ~2 super-rounds per virtual hop plus
 	// one super-round of stabilization detection.
-	maxRounds := int(machines[0].superLen) * (2*nv + 8)
-	return &gatherRelay{vg: plan.vg, machines: machines, hosts: hosts, sess: sess, maxRounds: maxRounds}, nil
+	r := &gatherRelay{vg: plan.vg, machines: machines, hosts: hosts, sess: sess,
+		maxRounds: int(machines[0].superLen) * (2*nv + 8)}
+	if fault != nil {
+		r.itc = ctl.plane.faultInterceptor(fault)
+		sess.SetInterceptor(r.itc)
+		ctl.reflood = true
+	}
+	return r, nil
 }
 
 // run executes the relay session under seed.
@@ -310,8 +352,9 @@ func (r *gatherRelay) run(seed int64) (*RelayRun, error) {
 	for vi := range r.hosts {
 		r.hosts[vi].info.Seed = seed
 	}
-	r.sess.SetInterceptor(r.itc)
-	r.machines[0].ctl.reflood = r.itc != nil
+	if r.itc != nil {
+		r.itc.Reset()
+	}
 	stats, err := r.sess.Run(seed, false, r.maxRounds)
 	if err != nil {
 		return nil, fmt.Errorf("run relay: %w", err)
@@ -338,10 +381,10 @@ func (r *gatherRelay) close() { r.sess.Close() }
 // buildRelayMachines derives the per-physical-node relay configuration:
 // port lists, knowledge buffers, the crossing interval from the node's
 // own gadget's leader eccentricity (plan.compEcc), and the gather machine
-// around inner hosted at each valid gadget's leader node. Port lists and
-// word buffers live in flat slabs, the hosts in one slab by virtual
-// node; their VirtualNodeInfo carries seed 0 until a run writes its
-// seed.
+// around inner hosted at each valid gadget's leader node. Port lists live
+// in one flat slab and word buffers in the shared plane, the hosts in one
+// slab by virtual node; their VirtualNodeInfo carries seed 0 until a run
+// writes its seed.
 func buildRelayMachines(g *graph.Graph, plan *paddedPlan, table *FactTable, inner lcl.Solver) ([]relayMachine, []GatherMachine) {
 	vg := plan.vg
 	superLen := superRoundLen(plan.dilation)
@@ -349,16 +392,15 @@ func buildRelayMachines(g *graph.Graph, plan *paddedPlan, table *FactTable, inne
 	words := table.Words()
 	machines := make([]relayMachine, n)
 	hosts := make([]GatherMachine, vg.NumVirtualNodes())
-	slab := make([]uint64, relayBufs*n*words)
 	ports := make([]int32, 0, g.NumPorts())
-	ctl := &relayCtl{table: table}
+	ctl := &relayCtl{plane: relayPlane{words: make([]uint64, relayBufs*n*words)}, table: table}
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		m := &machines[v]
 		m.ctl = ctl
 		m.superLen = superLen
 		m.crossEvery = superLen
 		m.w = int32(words)
-		m.buf, slab = slab[:relayBufs*words:relayBufs*words], slab[relayBufs*words:]
+		m.at = int32(relayBufs * int(v) * words)
 		m.vi = -1
 		if ci := vg.CompOf[v]; ci >= 0 && vg.Valid[ci] && vg.VirtOf[ci] >= 0 {
 			vi := vg.VirtOf[ci]

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"locallab/internal/adversary"
 	"locallab/internal/engine"
 )
 
@@ -26,12 +27,6 @@ type denseRelay struct{ m *relayMachine }
 
 func (d denseRelay) Init(info engine.NodeInfo)        { d.m.Init(info) }
 func (d denseRelay) Round(recv, send []relayMsg) bool { return d.m.Round(recv, send) }
-
-// identityRelayItc passes every payload through unchanged.
-type identityRelayItc struct{}
-
-func (identityRelayItc) BeginRound(int)                       {}
-func (identityRelayItc) Deliver(_ int32, m relayMsg) relayMsg { return m }
 
 // heldGatherRelay prepares a padded cell of the given level (balanced
 // instance on base nodes, deterministic engine tower) under opts, runs it
@@ -72,7 +67,7 @@ func gatherSession(tb testing.TB, p *PreparedPadded, r *gatherRelay, typed []eng
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r.machines[0].ctl.sess = sess
+	r.machines[0].ctl.plane.sess = sess
 	return sess
 }
 
@@ -84,7 +79,7 @@ func runGatherOver(tb testing.TB, p *PreparedPadded, r *gatherRelay, typed []eng
 	defer func() {
 		r.sess.Close()
 		r.sess = orig
-		r.machines[0].ctl.sess = orig
+		r.machines[0].ctl.plane.sess = orig
 	}()
 	run, err := r.run(seed)
 	if err != nil {
@@ -131,9 +126,11 @@ func refloodWords(r *gatherRelay, rounds int) int64 {
 // a held pi3-det base-4 outer relay session, the perfbench tower-pi3
 // cell shape: the sparse schedule calls the machines at most half as
 // often as the dense loop, and the run (labeling, per-node rounds, Stats,
-// relay words) equals the dense loop's, inline and pooled. An identity
-// interceptor turns the full re-flood back on: same run, with the words
-// of every node sending every round.
+// relay words) equals the dense loop's, inline and pooled. A relay
+// built under a fault plan installs its interceptor, which turns the
+// full re-flood back on; under a drop plan that never fires, every
+// payload passes unchanged: same run, with the words of every node
+// sending every round.
 func TestGatherRelaySleeps(t *testing.T) {
 	const seed = 1
 	inline := engine.Options{Workers: 1}
@@ -171,9 +168,17 @@ func TestGatherRelaySleeps(t *testing.T) {
 		}
 	}
 
-	r.itc = identityRelayItc{}
-	reflooded, err := r.run(seed)
-	r.itc = nil
+	never := adversary.Fault{ID: "drop:p0", Kind: adversary.KindDrop}
+	fault, err := never.CompileGraph(p.g, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted, err := newGatherRelay(engine.New(inline), p.g, p.plan, NewFactTable(p.plan.vg), p.s.Inner, fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer faulted.close()
+	reflooded, err := faulted.run(seed)
 	if err != nil {
 		t.Fatal(err)
 	}

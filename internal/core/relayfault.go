@@ -8,38 +8,45 @@ import (
 
 // The adversary's view of the payload relay plane. Delivery faults
 // compiled with adversary.Fault.CompileGraph against the padded
-// instance install on the solver's relay session through SetRelayFault;
-// the interceptor then rewrites relayMsg payloads in flight, exactly as
-// the Ψ fault plane rewrites psiMsg predicate vectors. Fault decisions
+// instance install on the solver's gather relay through SetRelayFault;
+// the relay's interceptor then rewrites relayMsg views in flight, exactly
+// as the Ψ fault plane rewrites psiMsg predicate vectors. Fault decisions
 // are pure in (round, slot), and the relay merge is OR-monotone, so a
 // faulted execution — its outputs, its session length, its verdict — is
 // still byte-identical across every worker/shard geometry.
 //
 // Only the gather execution is faultable: with a plan installed the
-// solver skips the native port-machine fast path (the native plane's
-// natMsg messages are views into the session's record plane and its
-// robustness is pinned separately by FuzzNativeSlotRewrite), so the
-// faults land on the knowledge-word payloads the flattened tower's inner
-// levels actually ride.
+// solver skips the native relay (whose robustness under malformed views
+// is pinned by FuzzNativeSlotRewrite), so the faults land on the
+// knowledge-word payloads the flattened tower's inner levels actually
+// ride.
 
-// relayCodec is the adversary's word view of a relay payload: the first
-// knowledge word. Encode of a silent port is 0; Decode yields a
-// one-word payload (orInto merges shorter payloads soundly), so an
-// arbitrary Byzantine word always decodes to a deliverable message.
-// Decode allocates, but only on fired faults — the clean delivery path
-// never calls it.
-func relayCodec() adversary.Codec[relayMsg] {
-	return adversary.Codec[relayMsg]{
+// faultInterceptor ends the plane with one fault word per receiver slot
+// of p and returns p's interceptor over them. Its codec reads a payload's
+// first word (0 for silence) and writes a rewritten word into the
+// receiver slot's own fault word, delivered as a one-word view (orInto
+// merges shorter payloads soundly), so an arbitrary Byzantine word
+// always decodes to a deliverable message and a fired fault allocates
+// nothing. Deliver never runs twice for one slot in a phase, so two
+// Decode calls never write the same word, and the receiver reads its
+// word before the next phase rewrites it. Call it between runs: the
+// machines re-read the plane at Init.
+func (pl *relayPlane) faultInterceptor(p *adversary.Plan) *adversary.Interceptor[relayMsg] {
+	base := int32(len(pl.words))
+	pl.words = append(pl.words, make([]uint64, p.Slots())...)
+	return adversary.NewInterceptor(p, adversary.Codec[relayMsg]{
 		Encode: func(m relayMsg) uint64 {
-			if len(m.Words) == 0 {
-				return 0
+			if w := pl.view(m); w != nil {
+				return w[0]
 			}
-			return m.Words[0]
+			return 0
 		},
-		Decode: func(w uint64) relayMsg {
-			return relayMsg{Words: []uint64{w}}
+		Decode: func(slot int32, w uint64) relayMsg {
+			at := base + slot
+			pl.words[at] = w
+			return relayMsg{at: at, n: 1}
 		},
-	}
+	})
 }
 
 // SetRelayFault installs a compiled delivery-fault plan on every relay

@@ -71,7 +71,7 @@ func TestGatherMachineMatchesCentralizedSolve(t *testing.T) {
 // interceptor), runs it once under seed and closes it: the path a
 // PreparedPadded takes.
 func runGatherOnce(opts engine.Options, g *graph.Graph, plan *paddedPlan, inner lcl.Solver, seed int64) (*RelayRun, error) {
-	r, err := newGatherRelay(engine.New(opts), g, plan, NewFactTable(plan.vg), inner)
+	r, err := newGatherRelay(engine.New(opts), g, plan, NewFactTable(plan.vg), inner, nil)
 	if err != nil {
 		return nil, err
 	}

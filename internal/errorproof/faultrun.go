@@ -66,9 +66,13 @@ func decodePsiMsg(w uint64) psiMsg {
 	}
 }
 
-// psiCodec is the adversary's word view of the Ψ message plane.
+// psiCodec is the adversary's word view of the Ψ message plane. A Ψ
+// message is a value, so Decode ignores the receiver slot.
 func psiCodec() adversary.Codec[psiMsg] {
-	return adversary.Codec[psiMsg]{Encode: encodePsiMsg, Decode: decodePsiMsg}
+	return adversary.Codec[psiMsg]{
+		Encode: encodePsiMsg,
+		Decode: func(_ int32, w uint64) psiMsg { return decodePsiMsg(w) },
+	}
 }
 
 // FaultRun is one (possibly adversarial) execution of the Ψ machines.

@@ -198,15 +198,6 @@ func (c Cycle) Nodes(g *Graph) []NodeID {
 	return nodes
 }
 
-// edgeSeq returns the edge-ID sequence of the traversal.
-func (c Cycle) edgeSeq() []EdgeID {
-	seq := make([]EdgeID, len(c.Walk))
-	for i, h := range c.Walk {
-		seq[i] = h.Edge
-	}
-	return seq
-}
-
 // Canonicalize rewrites the cycle into its canonical oriented rotation:
 // among all 2L oriented rotations (L rotations in each direction), the one
 // whose (edge-ID sequence, node-ID sequence) is lexicographically smallest.

@@ -30,42 +30,3 @@ func NewHypercube(dim int, seed int64) (*Graph, error) {
 	}
 	return b.Build()
 }
-
-// Girth returns the length of the shortest cycle in the graph, or
-// (Unreachable, false) for forests. Self-loops have girth 1 and parallel
-// pairs girth 2, consistent with the model's multigraph conventions.
-func (g *Graph) Girth() (int, bool) {
-	best := Unreachable
-	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-		limit := best
-		if limit < Unreachable {
-			// A shorter cycle through v would have been found from one
-			// of its nodes anyway; still bound the search.
-			limit = best
-		} else {
-			limit = -1
-		}
-		if sc, ok := g.ShortestCycleThrough(v, limit); ok && sc < best {
-			best = sc
-		}
-	}
-	if best >= Unreachable {
-		return Unreachable, false
-	}
-	return best, true
-}
-
-// DegreeSequence returns the sorted-ascending degree multiset; useful for
-// isomorphism spot checks.
-func (g *Graph) DegreeSequence() []int {
-	out := make([]int, g.NumNodes())
-	for v := range out {
-		out[v] = g.Degree(NodeID(v))
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}

@@ -25,53 +25,3 @@ func TestNewHypercube(t *testing.T) {
 		t.Error("dim 0 accepted")
 	}
 }
-
-func TestGirth(t *testing.T) {
-	tests := []struct {
-		name  string
-		build func() (*Graph, error)
-		want  int
-		ok    bool
-	}{
-		{"C5", func() (*Graph, error) { return NewCycle(5, 1) }, 5, true},
-		{"Q3", func() (*Graph, error) { return NewHypercube(3, 1) }, 4, true},
-		{"tree", func() (*Graph, error) { return NewCompleteBinaryTree(4, 1) }, 0, false},
-		{"torus", func() (*Graph, error) { return NewTorus(5, 5, 1) }, 4, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			g, err := tt.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, ok := g.Girth()
-			if ok != tt.ok || (ok && got != tt.want) {
-				t.Fatalf("Girth = (%d,%v), want (%d,%v)", got, ok, tt.want, tt.ok)
-			}
-		})
-	}
-	// Multigraph conventions.
-	b := NewBuilder(2, 2)
-	u := b.Node(1)
-	v := b.Node(2)
-	b.Link(u, v)
-	b.Link(u, v)
-	g := mustBuild(b)
-	if got, ok := g.Girth(); !ok || got != 2 {
-		t.Errorf("parallel-pair girth = (%d,%v), want (2,true)", got, ok)
-	}
-}
-
-func TestDegreeSequence(t *testing.T) {
-	g, err := NewPath(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := g.DegreeSequence()
-	want := []int{1, 1, 2, 2}
-	for i := range want {
-		if seq[i] != want[i] {
-			t.Fatalf("degree sequence %v, want %v", seq, want)
-		}
-	}
-}

@@ -97,19 +97,6 @@ func BestFit(points []Point) []Fit {
 	return fits
 }
 
-// GrowthFactor summarizes a series by the ratio of last to first rounds,
-// normalized by the same ratio for a model: ≈1 means the series grows
-// like the model.
-func GrowthFactor(s Series, m Model) float64 {
-	if len(s.Points) < 2 {
-		return math.NaN()
-	}
-	first, last := s.Points[0], s.Points[len(s.Points)-1]
-	obs := last.Rounds / math.Max(first.Rounds, 1e-9)
-	mod := m.F(float64(last.N)) / math.Max(m.F(float64(first.N)), 1e-9)
-	return obs / mod
-}
-
 // sweepWorkers is the worker count Sweep fans its grid across; 0 means
 // sequential (1). Parallel sweeping is opt-in so that callers which are
 // already parallel at a coarser layer — the experiment harness, engine
@@ -156,28 +143,22 @@ type Cell struct {
 	Rounds int
 }
 
-// ParallelCells fans an explicit measurement grid across the given number
-// of workers and returns one Cell per spec, in spec order. The results
-// are deterministic regardless of the worker count: every cell runs with
-// exactly the spec it was given, results come back in grid order, and on
-// failure the error of the earliest grid cell is returned (wrapped with
-// that cell's coordinates). run must be safe to call concurrently, which
-// holds for measurement closures that build their instance and solver per
-// call. It is the primitive both ParallelSweep and the scenario runner
-// are built on.
-func ParallelCells(label string, specs []CellSpec, workers int, run func(c CellSpec) (int, error)) ([]Cell, error) {
-	return ParallelCellsOrdered(label, specs, workers, nil, run)
-}
-
-// ParallelCellsOrdered is ParallelCells with an explicit dispatch order:
+// ParallelCellsOrdered fans an explicit measurement grid across the
+// given number of workers and returns one Cell per spec, in spec order.
+// The results are deterministic regardless of the worker count: every
+// cell runs with exactly the spec it was given, results come back in
+// grid order, and on failure the error of the earliest grid cell is
+// returned (wrapped with that cell's coordinates). run must be safe to
+// call concurrently, which holds for measurement closures that build
+// their instance and solver per call. It is the scenario runner's grid.
+//
 // order[k] is the grid index of the k-th cell handed to the worker pool.
-// Results still come back in grid order and the error contract is
-// unchanged (every cell runs; the earliest grid cell's error wins), so
-// reordering can never change outputs — only wall-clock. The scenario
-// autoscaler uses it to dispatch predicted-heavy cells first, the
-// longest-processing-time heuristic that keeps a big cell from landing
-// last on an otherwise drained pool. A nil order means grid order; a
-// non-nil order must be a permutation of the grid indices.
+// Every cell runs and the earliest grid cell's error wins whatever the
+// order, so reordering can never change outputs — only wall-clock. The
+// scenario autoscaler uses it to dispatch predicted-heavy cells first,
+// the longest-processing-time heuristic that keeps a big cell from
+// landing last on an otherwise drained pool. A nil order means grid
+// order; a non-nil order must be a permutation of the grid indices.
 func ParallelCellsOrdered(label string, specs []CellSpec, workers int, order []int, run func(c CellSpec) (int, error)) ([]Cell, error) {
 	if order != nil {
 		if err := checkPermutation(order, len(specs)); err != nil {

@@ -55,19 +55,6 @@ func TestBestFitSeparatesLogFromLogLog(t *testing.T) {
 	}
 }
 
-func TestGrowthFactor(t *testing.T) {
-	s := Series{Points: synth("log", []int{1024, 1 << 20}, 3)}
-	var logModel Model
-	for _, m := range Models() {
-		if m.Name == "log" {
-			logModel = m
-		}
-	}
-	if g := GrowthFactor(s, logModel); math.Abs(g-1) > 1e-9 {
-		t.Errorf("growth factor = %f, want 1", g)
-	}
-}
-
 func TestSweep(t *testing.T) {
 	s, err := Sweep("test", []int{10, 20}, 3, func(n int, seed int64) (int, error) {
 		return n + int(seed%2), nil
@@ -143,7 +130,7 @@ func TestParallelSweepSeedsMatchSequential(t *testing.T) {
 func TestParallelCellsDeterministic(t *testing.T) {
 	specs := []CellSpec{{N: 8, Seed: 3}, {N: 8, Seed: 4}, {N: 16, Seed: 3}, {N: 32, Seed: 9}}
 	run := func(c CellSpec) (int, error) { return c.N*100 + int(c.Seed), nil }
-	want, err := ParallelCells("g", specs, 1, run)
+	want, err := ParallelCellsOrdered("g", specs, 1, nil, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +143,7 @@ func TestParallelCellsDeterministic(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 3, 8, 0} {
-		got, err := ParallelCells("g", specs, workers, run)
+		got, err := ParallelCellsOrdered("g", specs, workers, nil, run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +159,7 @@ func TestParallelCellsErrorDeterministic(t *testing.T) {
 	boom := errors.New("boom")
 	specs := []CellSpec{{N: 1, Seed: 1}, {N: 2, Seed: 7}, {N: 3, Seed: 8}}
 	for _, workers := range []int{1, 2, 8} {
-		cells, err := ParallelCells("g", specs, workers, func(c CellSpec) (int, error) {
+		cells, err := ParallelCellsOrdered("g", specs, workers, nil, func(c CellSpec) (int, error) {
 			if c.N >= 2 {
 				return 0, boom
 			}
@@ -258,7 +245,7 @@ func TestFormatSeries(t *testing.T) {
 func TestParallelCellsOrdered(t *testing.T) {
 	specs := []CellSpec{{N: 8, Seed: 3}, {N: 16, Seed: 1}, {N: 32, Seed: 9}, {N: 64, Seed: 2}}
 	run := func(c CellSpec) (int, error) { return c.N*10 + int(c.Seed), nil }
-	want, err := ParallelCells("g", specs, 1, run)
+	want, err := ParallelCellsOrdered("g", specs, 1, nil, run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // deterministic fields of the report.
 type RunOptions struct {
 	// GridWorkers fans each scenario's (size × seed) grid across a worker
-	// pool (measure.ParallelCells); <= 1 runs sequentially. This is the
+	// pool (measure.ParallelCellsOrdered); <= 1 runs sequentially. This is the
 	// coarse parallelism layer — engine workers inside a cell default to
 	// 1 unless the scenario's engine parameters raise them, so the two
 	// layers do not multiply into oversubscription by default.
