@@ -320,8 +320,9 @@ func BenchmarkVerifyPaddedLevel3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	held := lvl.Verifier(inst.G, inst.In)
 	benchVerify(b, func(out *lcl.Labeling) error { return lvl.Verify(inst.G, inst.In, out) },
-		lvl.Verifier(inst.G, inst.In), out)
+		func(out *lcl.Labeling) error { return held(out, nil) }, out)
 }
 
 // benchVerify runs the cold and held verifies of one output as

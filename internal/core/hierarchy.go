@@ -107,18 +107,20 @@ func EngineTower(ps *PaddedSolver, eng *engine.Engine) *EnginePaddedSolver {
 // Verify validates an output of this level's problem, using the global
 // padded verifier above level 1.
 func (l *Level) Verify(g *graph.Graph, in, out *lcl.Labeling) error {
-	return l.Verifier(g, in)(out)
+	return l.Verifier(g, in)(out, nil)
 }
 
 // Verifier returns Verify bound to the instance (g, in), for a caller
 // that checks many outputs of one unchanging input: above level 1 it
-// holds in's Π′ input projection (PiPrime.Verifier), and every call
-// still checks its output in full.
-func (l *Level) Verifier(g *graph.Graph, in *lcl.Labeling) func(out *lcl.Labeling) error {
+// holds in's Π′ input projection and decodes each output through the
+// label table its solve assembled it through (labels, which may be nil;
+// see PiPrime.SeededVerifier). Every call still checks its output in
+// full.
+func (l *Level) Verifier(g *graph.Graph, in *lcl.Labeling) func(out *lcl.Labeling, labels *OutputLabels) error {
 	if pp, ok := l.Problem.(*PiPrime); ok {
-		return pp.Verifier(g, in)
+		return pp.SeededVerifier(g, in)
 	}
-	return func(out *lcl.Labeling) error { return lcl.Verify(g, l.Problem, in, out) }
+	return func(out *lcl.Labeling, _ *OutputLabels) error { return lcl.Verify(g, l.Problem, in, out) }
 }
 
 // MinBaseNodes is the smallest accepted base-graph size for hierarchy

@@ -35,6 +35,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"unicode/utf8"
 
 	"locallab/internal/lcl"
 )
@@ -163,21 +164,44 @@ func DecodeSigmaList(l lcl.Label, delta int) (*SigmaList, error) {
 	if err := json.Unmarshal([]byte(l), &sl); err != nil {
 		return nil, fmt.Errorf("decode sigma list: %w", err)
 	}
+	if err := sl.check(delta); err != nil {
+		return nil, err
+	}
+	return &sl, nil
+}
+
+// check validates the slot widths against Δ and S as strictly ascending
+// ports in 1..Δ.
+func (sl *SigmaList) check(delta int) error {
 	if len(sl.IE) != delta || len(sl.IB) != delta || len(sl.OE) != delta || len(sl.OB) != delta {
-		return nil, fmt.Errorf("decode sigma list: slot widths %d/%d/%d/%d, want Δ=%d",
+		return fmt.Errorf("decode sigma list: slot widths %d/%d/%d/%d, want Δ=%d",
 			len(sl.IE), len(sl.IB), len(sl.OE), len(sl.OB), delta)
 	}
-	seen := make(map[int]bool, len(sl.S))
 	prev := 0
 	for _, p := range sl.S {
 		if p < 1 || p > delta {
-			return nil, fmt.Errorf("decode sigma list: port %d out of 1..Δ", p)
+			return fmt.Errorf("decode sigma list: port %d out of 1..Δ", p)
 		}
-		if seen[p] || p <= prev {
-			return nil, fmt.Errorf("decode sigma list: S not strictly ascending")
+		if p <= prev {
+			return fmt.Errorf("decode sigma list: S not strictly ascending")
 		}
-		seen[p] = true
 		prev = p
 	}
-	return &sl, nil
+	return nil
+}
+
+// validUTF8 reports whether every string of the Σlist is valid UTF-8,
+// so that json carries it through Encode and DecodeSigmaList unchanged.
+func (sl *SigmaList) validUTF8() bool {
+	if !utf8.ValidString(sl.IV) || !utf8.ValidString(sl.OV) {
+		return false
+	}
+	for _, slots := range [][]string{sl.IE, sl.IB, sl.OE, sl.OB} {
+		for _, s := range slots {
+			if !utf8.ValidString(s) {
+				return false
+			}
+		}
+	}
+	return true
 }

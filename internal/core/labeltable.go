@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unicode/utf8"
+
 	"locallab/internal/lcl"
 )
 
@@ -25,13 +27,24 @@ const noLabel labelID = -1
 // lcl.Labeling boundary: projections hand out the table's interned
 // strings, and comparisons inside one table compare ids.
 //
-// A table lives for one solve, one padded-instance build, one input
-// decode, or the output projection of one VerifyPadded level. It is
-// never package-level and never shared between labelings, so its memory
-// is bounded by the labeling it decodes or renders. The decoded values
-// it hands out are shared: callers read them and never modify them. The
-// decode that builds a table fills it completely; after that it is only
-// read.
+// A table composes labels or decodes them, and it can do both: the
+// table a solve assembles its output through (expandVirtual) knows each
+// composite's parts and each Σlist's contents already, and it records
+// them, so the held verify of that output (PiPrime.SeededVerifier)
+// projects the output through the same table and decodes only what
+// assembly did not compose. Lookups stay keyed by label bytes, so a
+// label changed after assembly misses and is decoded from its bytes.
+// Only exact round trips are recorded: json.Marshal turns invalid UTF-8
+// into U+FFFD, so a composite with a non-UTF-8 part, or a Σlist with a
+// non-UTF-8 string, is left to decode from its bytes.
+//
+// A table lives for one solve (with that solve's verify), one
+// padded-instance build, one input decode, or the output projection of
+// one VerifyPadded level. It is never package-level and never shared
+// between labelings, so its memory is bounded by the labeling it decodes
+// or renders. The decoded values it hands out are shared: callers read
+// them and never modify them. The decode that builds a table fills it
+// completely; after that it is only read.
 type labelTable struct {
 	ids      map[lcl.Label]labelID
 	entries  []labelEntry
@@ -50,6 +63,9 @@ type labelEntry struct {
 	sigmaDone bool
 	sigma     *sigmaIDs
 	sigmaErr  error
+	// encoded is the Σlist assembly encoded into this label (encodeSigma),
+	// until the first sigma call decodes the label from it.
+	encoded *SigmaList
 }
 
 // sigmaIDs is a decoded Σlist (see SigmaList) whose labels are ids of
@@ -115,19 +131,38 @@ func (t *labelTable) split(l lcl.Label, n int) ([]labelID, error) {
 }
 
 // sigma decodes id as a Σlist, like DecodeSigmaList. A table decodes
-// Σlists for a single Δ.
+// Σlists for a single Δ. A label encodeSigma rendered decodes from the
+// Σlist it encoded, when that Σlist passes DecodeSigmaList's checks and
+// survives its own encoding unchanged.
 func (t *labelTable) sigma(id labelID, delta int) (*sigmaIDs, error) {
 	if !t.entries[id].sigmaDone {
-		sl, err := DecodeSigmaList(t.entries[id].lab, delta)
+		sl, err := t.entries[id].encoded, error(nil)
+		if sl == nil || sl.check(delta) != nil || !sl.validUTF8() {
+			sl, err = DecodeSigmaList(t.entries[id].lab, delta)
+		}
 		var s *sigmaIDs
 		if err == nil {
 			s = t.internSigma(sl)
 		}
 		e := &t.entries[id]
-		e.sigmaDone, e.sigma, e.sigmaErr = true, s, err
+		e.sigmaDone, e.sigma, e.sigmaErr, e.encoded = true, s, err, nil
 	}
 	e := &t.entries[id]
 	return e.sigma, e.sigmaErr
+}
+
+// encodeSigma encodes sl and interns the label, recording sl for a
+// later sigma of the label. sl must not change afterwards.
+func (t *labelTable) encodeSigma(sl *SigmaList) (labelID, error) {
+	enc, err := sl.Encode()
+	if err != nil {
+		return noLabel, err
+	}
+	id := t.intern(enc)
+	if e := &t.entries[id]; !e.sigmaDone && e.encoded == nil {
+		e.encoded = sl
+	}
+	return id, nil
 }
 
 func (t *labelTable) internSigma(sl *SigmaList) *sigmaIDs {
@@ -152,7 +187,8 @@ func (t *labelTable) internSigma(sl *SigmaList) *sigmaIDs {
 }
 
 // compose returns the id of the composite of at most three parts, rendering
-// each distinct tuple once with Compose.
+// each distinct tuple once with Compose. A new composite of UTF-8 parts
+// records them as its split.
 func (t *labelTable) compose(parts ...labelID) (labelID, error) {
 	key := [3]labelID{noLabel, noLabel, noLabel}
 	copy(key[:], parts)
@@ -172,7 +208,21 @@ func (t *labelTable) compose(parts ...labelID) (labelID, error) {
 	}
 	id := t.intern(lab)
 	t.composed[key] = id
+	if e := &t.entries[id]; !e.split && allUTF8(labs[:len(parts)]) {
+		e.split, e.parts = true, append([]labelID(nil), parts...)
+	}
 	return id, nil
+}
+
+// allUTF8 reports whether every label is valid UTF-8, so that json
+// carries it through Compose and Split unchanged.
+func allUTF8(labs []lcl.Label) bool {
+	for _, l := range labs {
+		if !utf8.ValidString(string(l)) {
+			return false
+		}
+	}
+	return true
 }
 
 // composeLabels interns at most three parts and composes them.

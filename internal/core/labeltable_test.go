@@ -133,7 +133,7 @@ func TestLabelTableBoundedByLabeling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pout := NewPiPrime(sinkless.Problem{}, 3).projectOutput(pi.G, out)
+	pout := NewPiPrime(sinkless.Problem{}, 3).projectOutput(pi.G, out, nil)
 	distinct := map[lcl.Label]bool{}
 	for _, l := range out.Node {
 		distinct[l] = true
@@ -281,8 +281,10 @@ func labelCodecSeeds(tb testing.TB) []string {
 // Σlist decoding (at Δ 3 and 5) must give the same parts, Σlist,
 // error/no-error and error text as the reference, on the first decode
 // and on the cached one; the public Split and DecodeSigmaList must agree
-// too; and composites the table renders must be byte-equal to
-// json.Marshal.
+// too; composites the table renders must be byte-equal to json.Marshal;
+// and composites and Σlists an assembly table rendered from the input
+// must split and decode from what it recorded exactly as their bytes
+// decode.
 func FuzzLabelCodec(f *testing.F) {
 	for _, s := range labelCodecSeeds(f) {
 		f.Add(s)
@@ -338,18 +340,7 @@ func FuzzLabelCodec(f *testing.F) {
 				if err != nil {
 					continue
 				}
-				str := func(ids []labelID) []string {
-					out := make([]string, len(ids))
-					for i, id := range ids {
-						out[i] = string(tbl.label(id))
-					}
-					return out
-				}
-				got := &SigmaList{
-					S: s.S, IV: string(tbl.label(s.IV)), OV: string(tbl.label(s.OV)),
-					IE: str(s.IE), IB: str(s.IB), OE: str(s.OE), OB: str(s.OB),
-				}
-				if !reflect.DeepEqual(got, want) {
+				if got := sigmaStrings(tbl, s); !reflect.DeepEqual(got, want) {
 					t.Fatalf("table sigma/Δ%d: got %+v, want %+v", delta, got, want)
 				}
 			}
@@ -384,5 +375,93 @@ func FuzzLabelCodec(f *testing.F) {
 				t.Fatalf("compose %q: ids %d/%d, label %q, json.Marshal %q", ss, a, b, tbl.label(a), enc)
 			}
 		}
+
+		// The seeding path: a composite an assembly table rendered splits
+		// from the parts it recorded, and a Σlist it encoded decodes from
+		// the struct it recorded, exactly as a fresh table decodes their
+		// bytes: same parts, Σlist, error and error text. The parts and
+		// Σlist strings come from l, so they may be invalid UTF-8, and
+		// the Σlists include ones that fail the width and port checks.
+		half := string(l[len(l)/2:]) // may cut a UTF-8 sequence
+		for _, parts := range [][]lcl.Label{{l, "NoPortErr", "GadOk"}, {"", lcl.Label(half)}, {l, l, l}} {
+			asm := newLabelTable()
+			ids := make([]labelID, len(parts))
+			for i, p := range parts {
+				ids[i] = asm.intern(p)
+			}
+			id, err := asm.compose(ids...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSplit(t, asm, asm.label(id))
+		}
+		for _, width := range []int{3, 2} {
+			sl := NewSigmaList(width)
+			sl.IV, sl.OV = raw, half
+			for i := 0; i < width; i++ {
+				sl.IE[i], sl.IB[i], sl.OE[i], sl.OB[i] = raw[:i*len(raw)/width], "x", raw, ""
+			}
+			for i := 0; i < len(raw) && i < 4; i++ {
+				sl.S = append(sl.S, int(raw[i]%7)) // 0..6: in and out of 1..Δ, any order
+			}
+			for _, delta := range []int{3, 5} {
+				asm := newLabelTable()
+				id, err := asm.encodeSigma(sl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lab := asm.label(id)
+				want, wantErr := refDecodeSigma(lab, delta)
+				s, err := asm.sigma(id, delta)
+				sameErr(t, fmt.Sprintf("seeded sigma/width %d/Δ%d", width, delta), err, wantErr)
+				if err == nil {
+					if got := sigmaStrings(asm, s); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seeded sigma/width %d/Δ%d: got %+v, want %+v", width, delta, got, want)
+					}
+				}
+				// The Σlist's label also composes and splits like any other.
+				cid, err := asm.compose(id, asm.intern(NoPortErr), asm.intern("GadOk"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSplit(t, asm, asm.label(cid))
+			}
+		}
 	})
+}
+
+// checkSplit splits lab through tbl at arities 2 and 3 and compares the
+// parts and error text with the plain codec.
+func checkSplit(t *testing.T, tbl *labelTable, lab lcl.Label) {
+	t.Helper()
+	for _, n := range []int{2, 3} {
+		want, wantErr := refSplit(lab, n)
+		ids, err := tbl.split(lab, n)
+		sameErr(t, fmt.Sprintf("seeded split/%d of %q", n, lab), err, wantErr)
+		if err != nil {
+			continue
+		}
+		got := make([]string, len(ids))
+		for i, id := range ids {
+			got[i] = string(tbl.label(id))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seeded split/%d: got %q, want %q", n, got, want)
+		}
+	}
+}
+
+// sigmaStrings renders a table's decoded Σlist back into strings.
+func sigmaStrings(tbl *labelTable, s *sigmaIDs) *SigmaList {
+	str := func(ids []labelID) []string {
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			out[i] = string(tbl.label(id))
+		}
+		return out
+	}
+	return &SigmaList{
+		S: s.S, IV: string(tbl.label(s.IV)), OV: string(tbl.label(s.OV)),
+		IE: str(s.IE), IB: str(s.IB), OE: str(s.OE), OB: str(s.OB),
+	}
 }

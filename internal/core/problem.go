@@ -132,10 +132,13 @@ type starEdgeKey struct {
 	pu, pv int
 }
 
-// projectOutput decodes every node's composite output label.
-func (p *PiPrime) projectOutput(g *graph.Graph, out *lcl.Labeling) *projOut {
+// projectOutput decodes every node's composite output label through t,
+// a table assembly composed out through (nil: a new table).
+func (p *PiPrime) projectOutput(g *graph.Graph, out *lcl.Labeling, t *labelTable) *projOut {
 	n := g.NumNodes()
-	t := newLabelTable()
+	if t == nil {
+		t = newLabelTable()
+	}
 	pr := &projOut{
 		labels:  t,
 		sigma:   make([]labelID, n),
@@ -168,11 +171,13 @@ func (pr *projOut) sigmaAt(v graph.NodeID, delta int) (*sigmaIDs, error) {
 
 // paddedCheck is Π′'s checker for one verification: it reads the
 // instance's input projection, held by the caller or built on first
-// use, and the output projection it builds on first use. It is never
-// shared between calls, so no output projection outlives its verify.
+// use, and the output projection it builds on first use, through the
+// seed table when the caller has one. It is never shared between calls,
+// so no output projection outlives its verify.
 type paddedCheck struct {
 	p    *PiPrime
 	pin  *projIn
+	seed *labelTable
 	pout *projOut
 }
 
@@ -188,7 +193,7 @@ func (c *paddedCheck) inputs(g *graph.Graph, in *lcl.Labeling) *projIn {
 
 func (c *paddedCheck) outputs(g *graph.Graph, out *lcl.Labeling) *projOut {
 	if c.pout == nil {
-		c.pout = c.p.projectOutput(g, out)
+		c.pout = c.p.projectOutput(g, out, c.seed)
 	}
 	return c.pout
 }

@@ -56,7 +56,17 @@ type Detail struct {
 	// on the message-passing engine (EnginePaddedSolver); nil for the
 	// sequential oracle.
 	Engine *EngineRunStats
+	// Labels is the label table assembly composed Out's node labels
+	// through. A held verify of Out starts its decode from it
+	// (Level.Verifier, PiPrime.SeededVerifier); after that verify the
+	// caller drops it, so the table lives for one solve and its verify.
+	Labels *OutputLabels
 }
+
+// OutputLabels is the label table a padded solve assembled its output
+// through (Detail.Labels), opaque outside this package. A verify seeded
+// with it adds its own decodes to it, so it seeds one verify at a time.
+type OutputLabels labelTable
 
 // Solve implements lcl.Solver.
 func (s *PaddedSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
@@ -202,7 +212,7 @@ func assemblePadded(g *graph.Graph, plan *paddedPlan, virtOut *lcl.Labeling,
 	vg := plan.vg
 	scope := plan.scope
 	dilation := plan.dilation
-	out, err := expandVirtual(g, scope, plan.portErr, plan.psiNode, vg, plan.sigmas, virtOut, delta)
+	out, labels, err := expandVirtual(g, scope, plan.portErr, plan.psiNode, vg, plan.sigmas, virtOut, delta)
 	if err != nil {
 		return nil, err
 	}
@@ -229,15 +239,17 @@ func assemblePadded(g *graph.Graph, plan *paddedPlan, virtOut *lcl.Labeling,
 		Dilation:  dilation,
 		Valid:     valid,
 		Invalid:   invalid,
+		Labels:    (*OutputLabels)(labels),
 	}, nil
 }
 
 // expandVirtual assembles the composite Π′ output labeling from the
 // virtual solution: every node of a valid gadget carries its gadget's
 // Σlist, every node its port-validity and Ψ labels, and gadget elements
-// the ψ placeholder.
+// the ψ placeholder. It returns the table the node labels were composed
+// through, which knows every composite's parts and Σlist.
 func expandVirtual(g *graph.Graph, scope func(graph.EdgeID) bool, portErr []lcl.Label, psiNode []lcl.Label,
-	vg *VirtualGraph, sigmas []gadgetSigma, virtOut *lcl.Labeling, delta int) (*lcl.Labeling, error) {
+	vg *VirtualGraph, sigmas []gadgetSigma, virtOut *lcl.Labeling, delta int) (*lcl.Labeling, *labelTable, error) {
 
 	// Node labels are composed through one table: a few distinct
 	// (Σlist, portErr, Ψ) tuples cover every node.
@@ -251,13 +263,11 @@ func expandVirtual(g *graph.Graph, scope func(graph.EdgeID) bool, portErr []lcl.
 		}
 		sl, err := sigmas[ci].sigma(vg.VirtOf[ci], virtOut, delta)
 		if err != nil {
-			return nil, fmt.Errorf("padded solve: %w", err)
+			return nil, nil, fmt.Errorf("padded solve: %w", err)
 		}
-		enc, err := sl.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("padded solve: %w", err)
+		if sigmaOf[ci], err = labels.encodeSigma(sl); err != nil {
+			return nil, nil, fmt.Errorf("padded solve: %w", err)
 		}
-		sigmaOf[ci] = labels.intern(enc)
 	}
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		ci := vg.CompOf[v]
@@ -267,7 +277,7 @@ func expandVirtual(g *graph.Graph, scope func(graph.EdgeID) bool, portErr []lcl.
 		}
 		id, err := labels.compose(sigma, labels.intern(portErr[v]), labels.intern(psiNode[v]))
 		if err != nil {
-			return nil, fmt.Errorf("padded solve: %w", err)
+			return nil, nil, fmt.Errorf("padded solve: %w", err)
 		}
 		out.Node[v] = labels.label(id)
 	}
@@ -278,7 +288,7 @@ func expandVirtual(g *graph.Graph, scope func(graph.EdgeID) bool, portErr []lcl.
 			out.SetHalf(graph.Half{Edge: e, Side: graph.SideV}, LabPsiEdge)
 		}
 	}
-	return out, nil
+	return out, labels, nil
 }
 
 // scopedValidity computes the scoped (GadEdge) components and whether each

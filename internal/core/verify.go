@@ -25,13 +25,25 @@ func VerifyPadded(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) error {
 // change while the verifier is in use. Calls only read the held input
 // projection, so they may run concurrently.
 func (p *PiPrime) Verifier(g *graph.Graph, in *lcl.Labeling) func(out *lcl.Labeling) error {
+	check := p.SeededVerifier(g, in)
+	return func(out *lcl.Labeling) error { return check(out, nil) }
+}
+
+// SeededVerifier is Verifier for outputs of padded solves: a call also
+// takes the label table the solve assembled out through (Detail.Labels,
+// or nil) and decodes out through it, so the labels assembly composed
+// are not decoded again. The table is keyed by label bytes, so a label
+// assembly did not compose, or one changed since, is decoded from its
+// bytes, and every call returns exactly what Verifier's does. A call
+// adds its decodes to the table: concurrent calls need distinct tables.
+func (p *PiPrime) SeededVerifier(g *graph.Graph, in *lcl.Labeling) func(out *lcl.Labeling, labels *OutputLabels) error {
 	var pin *projIn
 	// A mis-shaped input is left to each call's lcl.Verify to report.
 	if lcl.CheckShape(g, in) == nil {
 		pin = p.projectInput(g, in)
 	}
-	return func(out *lcl.Labeling) error {
-		return (&paddedCheck{p: p, pin: pin}).verify(g, in, out)
+	return func(out *lcl.Labeling, labels *OutputLabels) error {
+		return (&paddedCheck{p: p, pin: pin, seed: (*labelTable)(labels)}).verify(g, in, out)
 	}
 }
 

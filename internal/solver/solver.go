@@ -386,24 +386,19 @@ func (r paddedRow) prepare(req Request) (Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps, ok := r.inner.solver(lvl).(*core.PaddedSolver)
-	if !ok {
-		return nil, fmt.Errorf("level %d has no sequential padded solver", r.level)
+	solve, release, err := r.solver(lvl, req.Engine)
+	if err != nil {
+		return nil, err
 	}
 	inst, err := core.BuildInstance(r.level, core.InstanceOptions{BaseNodes: req.N, Seed: req.Seed, Balanced: true})
 	if err != nil {
 		return nil, err
 	}
-	solve, release := paddedSolve(ps.SolveDetailed), func() {}
-	if r.plane != planeOracle {
-		s := core.EngineTower(ps, req.Engine)
-		s.ForceGather = r.plane == planeGather
-		solve, release = heldSolve(s)
-	}
 	// No solver writes to its input, so every Run reads the cell's one
 	// input labeling, and the verifier built at the first Run holds its
-	// decoded projection; only the output is decoded and checked per Run.
-	var verify func(out *lcl.Labeling) error
+	// decoded projection; only the output is decoded and checked per Run,
+	// starting from the label table its assembly built.
+	var verify func(out *lcl.Labeling, labels *core.OutputLabels) error
 	run := func() (*Outcome, error) {
 		d, err := solve(inst.G, inst.In, req.Seed)
 		if err != nil {
@@ -412,7 +407,9 @@ func (r paddedRow) prepare(req Request) (Prepared, error) {
 		if verify == nil {
 			verify = lvl.Verifier(inst.G, inst.In)
 		}
-		if err := verify(d.Out); err != nil {
+		err = verify(d.Out, d.Labels)
+		d.Labels = nil // the table served its one verify; no Outcome keeps it
+		if err != nil {
 			return nil, fmt.Errorf("verify: %w", err)
 		}
 		o := &Outcome{
@@ -435,6 +432,23 @@ func (r paddedRow) prepare(req Request) (Prepared, error) {
 		return o, nil
 	}
 	return &prepared{run: run, release: release}, nil
+}
+
+// solver returns the row's solve at lvl: the sequential padded solver
+// for an oracle row, else its engine tower held across calls, with the
+// release of the held solve.
+func (r paddedRow) solver(lvl *core.Level, eng *engine.Engine) (paddedSolve, func(), error) {
+	ps, ok := r.inner.solver(lvl).(*core.PaddedSolver)
+	if !ok {
+		return nil, nil, fmt.Errorf("level %d has no sequential padded solver", r.level)
+	}
+	if r.plane == planeOracle {
+		return ps.SolveDetailed, func() {}, nil
+	}
+	s := core.EngineTower(ps, eng)
+	s.ForceGather = r.plane == planeGather
+	solve, release := heldSolve(s)
+	return solve, release, nil
 }
 
 // Registry returns the unified registry in canonical order.
@@ -626,39 +640,6 @@ func Names() []string {
 		out[i] = e.Name
 	}
 	return out
-}
-
-// LabelingChecksum fingerprints an output labeling with FNV-1a 64,
-// section-separated so (Node, Edge, Half) permutations cannot collide
-// trivially. It is the per-cell "labels checksum" of scenario reports:
-// two runs agree on a cell iff they produced the identical labeling.
-// The hash is inlined over the labels' bytes: every label is followed by
-// a 0 byte and every section but the last by a 0xff byte, the same
-// stream hash/fnv's New64a would hash, without a []byte copy per label.
-func LabelingChecksum(l *lcl.Labeling) uint64 {
-	h := fnvLabels(fnvOffset64, l.Node)
-	h = (h ^ 0xff) * fnvPrime64
-	h = fnvLabels(h, l.Edge)
-	h = (h ^ 0xff) * fnvPrime64
-	return fnvLabels(h, l.Half)
-}
-
-// FNV-1a 64 parameters (hash/fnv's offset64 and prime64).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnvLabels continues FNV-1a hash h over each label's bytes and a 0
-// separator after each.
-func fnvLabels(h uint64, labs []lcl.Label) uint64 {
-	for _, lab := range labs {
-		for i := 0; i < len(lab); i++ {
-			h = (h ^ uint64(lab[i])) * fnvPrime64
-		}
-		h *= fnvPrime64 // the 0 separator: h ^ 0 == h
-	}
-	return h
 }
 
 // DecompositionChecksum fingerprints a network decomposition: cluster
