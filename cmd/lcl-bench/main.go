@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	lcl-bench [-quick] [-only E-F1,E-T11] [-workers 8] [-shards 32] [-json out.json]
+//	lcl-bench [-quick] [-only E-F1,E-T11] [-workers 8] [-json out.json]
 //	lcl-bench -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //	lcl-bench -calibrate BENCH_0.json -json TWIN_0.json
 package main
@@ -17,7 +17,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"locallab/internal/engine"
 	"locallab/internal/experiments"
 	"locallab/internal/scenario"
 	"locallab/internal/solver"
@@ -72,7 +71,6 @@ func run(args []string) (err error) {
 	quick := fs.Bool("quick", false, "small sizes (seconds instead of minutes)")
 	only := fs.String("only", "", "comma-separated experiment ids to run (default all)")
 	workers := fs.Int("workers", 0, "sweep-grid workers: the (size × seed) cells of each measurement sweep run this wide (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "engine node shards for message-passing solvers (0 = auto)")
 	jsonOut := fs.String("json", "", "also write the experiment tables as a machine-readable report to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
@@ -111,12 +109,10 @@ func run(args []string) (err error) {
 	}
 	// Parallelism budget: exactly one layer fans out across -workers —
 	// the sweep grid, whose independent (size × seed) cells are the
-	// fine-grained bulk of the work. Experiments run in order and the
-	// engines inside each cell stay single-worker; stacking all three
-	// layers at GOMAXPROCS would multiply into oversubscription without
-	// adding throughput. Sharding still applies (identical outputs
-	// either way; the engine is deterministic).
-	engine.SetDefaultOptions(engine.Options{Workers: 1, Shards: *shards})
+	// fine-grained bulk of the work. Experiments run in order, and every
+	// engine-aware solver inside a cell runs on a one-worker engine
+	// (internal/experiments); stacking all three layers at GOMAXPROCS
+	// would multiply into oversubscription without adding throughput.
 	if *workers <= 0 {
 		*workers = runtime.GOMAXPROCS(0)
 	}

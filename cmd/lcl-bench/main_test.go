@@ -14,8 +14,16 @@ func TestRunQuickSubset(t *testing.T) {
 }
 
 func TestRunQuickSubsetParallel(t *testing.T) {
-	if err := run([]string{"-quick", "-only", "E-F2,E-F5,E-L1", "-workers", "4", "-shards", "16"}); err != nil {
+	if err := run([]string{"-quick", "-only", "E-F2,E-F5,E-L1", "-workers", "4"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The experiments pick their own engines, so lcl-bench takes no engine
+// flag: -shards, which only ever changed scheduling, is refused.
+func TestRunRefusesShards(t *testing.T) {
+	if err := run([]string{"-quick", "-only", "E-F2", "-shards", "16"}); err == nil {
+		t.Fatal("-shards accepted")
 	}
 }
 

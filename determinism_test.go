@@ -75,7 +75,7 @@ var shardedConfigs = []engine.Options{
 	{Workers: 2, Shards: 5},
 	{Workers: 4, Shards: 16},
 	{Workers: 8, Shards: 64},
-	{}, // package defaults (GOMAXPROCS workers)
+	{}, // auto geometry (GOMAXPROCS workers)
 }
 
 // twinOracleTable pins LabelingChecksum and rounds for sinkless-msg on

@@ -136,13 +136,8 @@ type CVSolver struct {
 	// MaxRounds caps the runtime (elimination chains are short in
 	// practice; the cap only guards against adversarial inputs).
 	MaxRounds int
-	// Engine overrides the execution engine; nil uses the package-level
-	// engine defaults.
+	// Engine is the execution engine; nil means engine.Options{}.
 	Engine *engine.Engine
-	// LastStats is the execution profile of the most recent successful
-	// Solve (see engine.Stats). Callers that read it must not share one
-	// solver across goroutines.
-	LastStats engine.Stats
 }
 
 var _ lcl.Solver = &CVSolver{}
@@ -158,12 +153,13 @@ func (s *CVSolver) Randomized() bool { return false }
 
 // Solve implements lcl.Solver.
 func (s *CVSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
-	sess, err := s.NewSolverSession(g)
+	cs, err := s.NewSession(g)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer sess.Close()
-	return sess.Solve(in, seed)
+	defer cs.Close()
+	out, cost, _, err := cs.Run(in, seed)
+	return out, cost, err
 }
 
 // cvFinish validates the final palette and assembles the labeling and
@@ -183,27 +179,26 @@ func cvFinish(g *graph.Graph, colors []int64, rounds int) (*lcl.Labeling, *lcl.C
 	return out, cost, nil
 }
 
-// CVSession pins a Cole–Vishkin execution to one cycle graph: the typed
+// CVSession holds a Cole–Vishkin execution on one cycle graph: the typed
 // machines and the engine session (flat message planes, shard table,
-// worker pool) are allocated once and reused across Solve calls through
+// worker pool) are allocated once and reused across Runs through
 // engine.Session.Reset, so repeated solves of the same instance skip all
 // session construction. Not safe for concurrent use.
 type CVSession struct {
-	s        *CVSolver
-	g        *graph.Graph
-	machines []cvTypedMachine
-	sess     *engine.Session[cvMsg]
+	g         *graph.Graph
+	maxRounds int
+	machines  []cvTypedMachine
+	sess      *engine.Session[cvMsg]
 }
 
-var _ lcl.SolverSession = (*CVSession)(nil)
-
-// NewSolverSession implements lcl.SessionSolver.
-func (s *CVSolver) NewSolverSession(g *graph.Graph) (lcl.SolverSession, error) {
+// NewSession holds a Cole–Vishkin execution on g under the solver's
+// engine and round cap.
+func (s *CVSolver) NewSession(g *graph.Graph) (*CVSession, error) {
 	if err := RequireCycleGraph(g); err != nil {
 		return nil, fmt.Errorf("cole-vishkin: %w", err)
 	}
 	n := g.NumNodes()
-	cs := &CVSession{s: s, g: g, machines: make([]cvTypedMachine, n)}
+	cs := &CVSession{g: g, maxRounds: s.MaxRounds, machines: make([]cvTypedMachine, n)}
 	typed := make([]engine.TypedMachine[cvMsg], n)
 	for v := range typed {
 		typed[v] = &cs.machines[v]
@@ -216,39 +211,39 @@ func (s *CVSolver) NewSolverSession(g *graph.Graph) (lcl.SolverSession, error) {
 	return cs, nil
 }
 
-// Solve implements lcl.SolverSession. The input labeling is unused (the
-// problem has no input labels) and the seed is ignored by this
-// deterministic solver, exactly as in CVSolver.Solve.
-func (cs *CVSession) Solve(_ *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
-	stats, err := cs.sess.Run(seed, false, cs.s.MaxRounds)
+// Run solves the held graph as CVSolver.Solve does and returns the
+// engine profile of this execution beside the labeling. The input
+// labeling is unused (the problem has no input labels) and the seed is
+// ignored by this deterministic solver.
+func (cs *CVSession) Run(_ *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, engine.Stats, error) {
+	stats, err := cs.sess.Run(seed, false, cs.maxRounds)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cole-vishkin runtime: %w", err)
+		return nil, nil, engine.Stats{}, fmt.Errorf("cole-vishkin runtime: %w", err)
 	}
 	colors := make([]int64, len(cs.machines))
 	for v := range cs.machines {
 		colors[v] = cs.machines[v].color
 	}
-	cs.s.LastStats = stats
-	return cvFinish(cs.g, colors, stats.Rounds)
+	out, cost, err := cvFinish(cs.g, colors, stats.Rounds)
+	return out, cost, stats, err
 }
 
-// Close releases the pinned engine session's worker pool.
+// Close releases the held engine session's worker pool.
 func (cs *CVSession) Close() { cs.sess.Close() }
 
 // MISSolver computes a maximal independent set on cycles by reducing to
 // 3-coloring and then two greedy rounds (color class 1 joins; classes 2
 // and 3 join when no earlier neighbor joined). Θ(log* n).
 type MISSolver struct {
-	cv *CVSolver
-	// Engine overrides the execution engine of the underlying coloring
-	// stage; nil uses the package-level engine defaults.
+	// Engine is the execution engine of the underlying coloring stage;
+	// nil means engine.Options{}.
 	Engine *engine.Engine
 }
 
 var _ lcl.Solver = &MISSolver{}
 
 // NewMISSolver returns the solver.
-func NewMISSolver() *MISSolver { return &MISSolver{cv: NewCVSolver()} }
+func NewMISSolver() *MISSolver { return &MISSolver{} }
 
 // Name implements lcl.Solver.
 func (s *MISSolver) Name() string { return "cycle-mis-via-coloring" }
@@ -258,11 +253,7 @@ func (s *MISSolver) Randomized() bool { return false }
 
 // Solve implements lcl.Solver.
 func (s *MISSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
-	if s.cv == nil {
-		s.cv = NewCVSolver()
-	}
-	s.cv.Engine = s.Engine
-	colored, cost, err := s.cv.Solve(g, in, seed)
+	colored, cost, err := colorCycles(s.Engine, g, in, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -292,6 +283,14 @@ func (s *MISSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.La
 		cost.Charge(v, cost.Radius(v)+2) // two greedy join rounds
 	}
 	return out, cost, nil
+}
+
+// colorCycles is the Cole–Vishkin stage of the coloring-based solvers,
+// run on eng.
+func colorCycles(eng *engine.Engine, g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
+	cv := NewCVSolver()
+	cv.Engine = eng
+	return cv.Solve(g, in, seed)
 }
 
 // TrivialSolver solves Trivial in zero rounds.

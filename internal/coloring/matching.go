@@ -3,6 +3,7 @@ package coloring
 import (
 	"fmt"
 
+	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
 )
@@ -71,7 +72,9 @@ func (MaximalMatching) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.
 // (Cole–Vishkin) followed by a constant number of proposal sweeps over
 // the color classes. Θ(log* n).
 type MatchingSolver struct {
-	cv *CVSolver
+	// Engine is the execution engine of the underlying coloring stage;
+	// nil means engine.Options{}.
+	Engine *engine.Engine
 	// MaxSweeps caps the proposal sweeps (3 suffice on cycles; the cap
 	// guards adversarial inputs).
 	MaxSweeps int
@@ -81,7 +84,7 @@ var _ lcl.Solver = &MatchingSolver{}
 
 // NewMatchingSolver returns the solver.
 func NewMatchingSolver() *MatchingSolver {
-	return &MatchingSolver{cv: NewCVSolver(), MaxSweeps: 20}
+	return &MatchingSolver{MaxSweeps: 20}
 }
 
 // Name implements lcl.Solver.
@@ -92,7 +95,7 @@ func (s *MatchingSolver) Randomized() bool { return false }
 
 // Solve implements lcl.Solver.
 func (s *MatchingSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
-	colored, cost, err := s.cv.Solve(g, in, seed)
+	colored, cost, err := colorCycles(s.Engine, g, in, seed)
 	if err != nil {
 		return nil, nil, err
 	}

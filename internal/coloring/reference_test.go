@@ -14,7 +14,7 @@ var referenceGeometries = []engine.Options{
 	{Workers: 2, Shards: 5},
 	{Workers: 4, Shards: 16},
 	{Workers: 8, Shards: 64},
-	{}, // package defaults (GOMAXPROCS workers)
+	{}, // auto geometry (GOMAXPROCS workers)
 }
 
 // runCV executes fresh Cole–Vishkin machines on g through run and

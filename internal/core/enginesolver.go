@@ -28,9 +28,6 @@ type EngineRunStats struct {
 	// RelayNative records whether the relay session ran native
 	// constant-bandwidth protocol machines (true) or gather machines (false).
 	RelayNative bool
-	// Depth is the number of engine-run padding layers in this solve:
-	// 1 for a plain level-2 solve, level−1 for a flattened tower.
-	Depth int
 	// Inner is the merged profile of the nested engine runs one level
 	// down (nil when the inner solver is a leaf decision function).
 	// Components solve concurrently in the LOCAL model, so round counts
@@ -82,9 +79,6 @@ func (s *EngineRunStats) fold(o *EngineRunStats) {
 	s.Relay.Deliveries += o.Relay.Deliveries
 	s.RelayWords += o.RelayWords
 	s.RelayNative = s.RelayNative || o.RelayNative
-	if o.Depth > s.Depth {
-		s.Depth = o.Depth
-	}
 	if o.Inner != nil {
 		if s.Inner == nil {
 			s.Inner = &EngineRunStats{}
@@ -112,7 +106,7 @@ func (s *EngineRunStats) fold(o *EngineRunStats) {
 type EnginePaddedSolver struct {
 	Delta int
 	Inner lcl.Solver
-	// Engine configures the worker pool; nil uses the package defaults.
+	// Engine configures the worker pool; nil means engine.Options{}.
 	Engine *engine.Engine
 	// ForceGather disables native relay selection, running the inner
 	// solver over gather machines even when a native protocol exists.
@@ -251,7 +245,7 @@ func (p *PreparedPadded) Run(seed int64) (*Detail, error) {
 	// build. Both executions pin per-virtual-node RNG streams by virtual
 	// identifier, so every worker/shard geometry — and both executions —
 	// produce the same bytes.
-	stats := EngineRunStats{Psi: psiStats, Depth: 1}
+	stats := EngineRunStats{Psi: psiStats}
 	var virtOut *lcl.Labeling
 	innerCost := lcl.NewCost(plan.vg.NumVirtualNodes())
 	if p.relay != nil {
@@ -271,10 +265,7 @@ func (p *PreparedPadded) Run(seed int64) (*Detail, error) {
 		// session on its reconstructed component — the recursion is
 		// message passing all the way down — and the relay returns their
 		// merged profiles, which this level's stats nest.
-		if relay.Inner != nil {
-			stats.Inner = relay.Inner
-			stats.Depth = 1 + relay.Inner.Depth
-		}
+		stats.Inner = relay.Inner
 	}
 
 	// Step 5: shared assembly; every valid-gadget node is charged the

@@ -63,7 +63,7 @@ func NewLevel(i int) (*Level, error) {
 
 // EngineSolvers returns engine-backed counterparts of the level's Det and
 // Rand solvers: the same Lemma-4 pipeline, executed as message-passing
-// machines on the sharded engine (nil eng uses the engine defaults),
+// machines on the sharded engine (nil eng means engine.Options{}),
 // with the inner algorithm running as native machines over the payload
 // relay plane. Only padded levels (i >= 2) run on the engine; level 1 is
 // the sinkless base problem whose message solver lives in

@@ -224,12 +224,15 @@ type Session[M any] struct {
 	// outside the gather loop, so the nil case costs nothing.
 	itc Interceptor[M]
 
-	// The sparse schedule (see Sleeper). sleep and sched are allocated by
-	// NewSession only when every machine is a Sleeper; sparse is chosen
-	// at Reset: it holds when they are and no interceptor is installed.
-	sparse bool
-	sleep  []sleepShard
-	sched  []nodeSched
+	// The sparse schedule (see Sleeper). sleepers, sleep and sched are
+	// allocated by NewSession only when every machine is a Sleeper;
+	// sleepers holds each machine as its Sleeper, so the schedule asserts
+	// no interface per node. sparse is chosen at Reset: it holds when
+	// they are and no interceptor is installed.
+	sparse   bool
+	sleepers []Sleeper
+	sleep    []sleepShard
+	sched    []nodeSched
 
 	// jobs feeds the worker pool; nil on an inline session.
 	jobs   chan int
@@ -321,6 +324,10 @@ func (s *Session[M]) initSleep() {
 			return
 		}
 	}
+	s.sleepers = make([]Sleeper, s.n)
+	for v, m := range s.machines {
+		s.sleepers[v] = m.(Sleeper)
+	}
 	s.sleep = make([]sleepShard, s.shards)
 	s.sched = make([]nodeSched, s.n)
 	woken, loud := make([]int32, s.n), make([]int32, s.n)
@@ -402,7 +409,7 @@ func (s *Session[M]) initShard(i int) {
 		sh.woken, sh.doneAt = sh.woken[:0], 0
 		for v := s.shardLo[i]; v < s.shardLo[i+1]; v++ {
 			s.sched[v].stamp = 0
-			if asleep, at := s.machines[v].(Sleeper).Asleep(); asleep {
+			if asleep, at := s.sleepers[v].Asleep(); asleep {
 				sh.doneAt = max(sh.doneAt, at)
 			} else {
 				sh.woken = append(sh.woken, v)
@@ -437,7 +444,7 @@ func (s *Session[M]) computeSparse(i int) {
 		if !s.machines[v].Round(s.recv[o0:o1:o1], s.send[o0:o1:o1]) {
 			allDone = false
 		}
-		sl := s.machines[v].(Sleeper)
+		sl := s.sleepers[v]
 		if asleep, at := sl.Asleep(); asleep {
 			doneAt = max(doneAt, at)
 		} else if sl.Quiet() {

@@ -56,7 +56,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"locallab/internal/graph"
 )
@@ -89,8 +88,8 @@ type Options struct {
 }
 
 // Engine carries the execution Options solvers run their sessions
-// under. The zero value is usable and equivalent to New(Options{}); a nil
-// *Engine stands for the package-level defaults.
+// under. The zero value is usable and equivalent to New(Options{}), and
+// so is a nil *Engine.
 type Engine struct {
 	opts Options
 }
@@ -98,37 +97,13 @@ type Engine struct {
 // New returns an Engine with the given options.
 func New(opts Options) *Engine { return &Engine{opts: opts} }
 
-// Options returns the options the engine was created with, or the
-// package-level defaults for a nil engine. Solvers pass them to
-// NewSession.
+// Options returns the options the engine was created with, or Options{}
+// for a nil engine. Solvers pass them to NewSession.
 func (e *Engine) Options() Options {
 	if e == nil {
-		return DefaultOptions()
+		return Options{}
 	}
 	return e.opts
-}
-
-// Package-level defaults, settable from command-line flags. Stored as
-// atomics so flag threading never races with concurrent Runs.
-var (
-	defaultWorkers atomic.Int32
-	defaultShards  atomic.Int32
-)
-
-// SetDefaultOptions installs the worker/shard counts a nil *Engine
-// resolves to (and therefore every solver left without an explicit
-// engine). Non-positive values mean "auto".
-func SetDefaultOptions(o Options) {
-	defaultWorkers.Store(int32(o.Workers))
-	defaultShards.Store(int32(o.Shards))
-}
-
-// DefaultOptions returns the current package-level defaults.
-func DefaultOptions() Options {
-	return Options{
-		Workers: int(defaultWorkers.Load()),
-		Shards:  int(defaultShards.Load()),
-	}
 }
 
 // Stats profiles one execution: the executed rounds and the number of

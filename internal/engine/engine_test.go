@@ -221,12 +221,17 @@ func TestMachineCountMismatch(t *testing.T) {
 	}
 }
 
-func TestDefaultOptionsRoundTrip(t *testing.T) {
-	defer engine.SetDefaultOptions(engine.Options{})
-	engine.SetDefaultOptions(engine.Options{Workers: 3, Shards: 9})
-	got := engine.DefaultOptions()
-	if got.Workers != 3 || got.Shards != 9 {
-		t.Fatalf("defaults = %+v, want Workers:3 Shards:9", got)
+func TestNilEngineOptions(t *testing.T) {
+	var nilEng *engine.Engine
+	if got := nilEng.Options(); got != (engine.Options{}) {
+		t.Fatalf("nil engine options = %+v, want Options{}", got)
+	}
+	if got := (&engine.Engine{}).Options(); got != (engine.Options{}) {
+		t.Fatalf("zero engine options = %+v, want Options{}", got)
+	}
+	want := engine.Options{Workers: 3, Shards: 9}
+	if got := engine.New(want).Options(); got != want {
+		t.Fatalf("engine options = %+v, want %+v", got, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"locallab/internal/engine"
 	"locallab/internal/measure"
 	"locallab/internal/solver"
 )
@@ -28,7 +27,7 @@ func EnginePaddedParity(sc Scale) (*Result, error) {
 			Family: solver.PaddedFamily,
 			N:      base,
 			Seed:   int64(base),
-			Engine: engine.New(engine.Options{Workers: 1}),
+			Engine: serialEngine(),
 		})
 		if err != nil {
 			return nil, err
@@ -86,7 +85,7 @@ func RelayDeliveryComparison(sc Scale) (*Result, error) {
 			Family: solver.PaddedFamily,
 			N:      base,
 			Seed:   int64(base),
-			Engine: engine.New(engine.Options{Workers: 1}),
+			Engine: serialEngine(),
 		}
 		nat, err := native.Run(req)
 		if err != nil {

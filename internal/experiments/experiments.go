@@ -76,6 +76,11 @@ func (s Scale) regularSizes() []int { return s.Sizes().Regular }
 func (s Scale) paddedBases() []int  { return s.Sizes().PaddedBases }
 func (s Scale) reps() int           { return s.Sizes().Reps }
 
+// serialEngine is the engine of every engine-aware solver the
+// experiments run: one worker, because the sweep grid is the layer that
+// parallelises (see Harness). Outputs are the same on every engine.
+func serialEngine() *engine.Engine { return engine.New(engine.Options{Workers: 1}) }
+
 // solveRounds runs a solver on a fresh instance and returns the measured
 // rounds.
 func solveRounds(s lcl.Solver, g *graph.Graph, seed int64) (int, error) {
@@ -118,6 +123,11 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 	// the best known for both columns).
 	cyc := sc.cycleSizes()
 	reps := sc.reps()
+	cvSolver := coloring.NewCVSolver()
+	cvSolver.Engine = serialEngine()
+	misSolver := &coloring.MISSolver{Engine: serialEngine()}
+	matchSolver := coloring.NewMatchingSolver()
+	matchSolver.Engine = serialEngine()
 	trivial, err := measure.Sweep("det", cyc, reps, func(n int, seed int64) (int, error) {
 		g, err := graph.NewCycle(n, seed)
 		if err != nil {
@@ -135,7 +145,7 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		return solveRounds(coloring.NewCVSolver(), g, seed)
+		return solveRounds(cvSolver, g, seed)
 	})
 	if err != nil {
 		return nil, err
@@ -147,7 +157,7 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		return solveRounds(coloring.NewMISSolver(), g, seed)
+		return solveRounds(misSolver, g, seed)
 	})
 	if err != nil {
 		return nil, err
@@ -159,7 +169,7 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		return solveRounds(coloring.NewMatchingSolver(), g, seed)
+		return solveRounds(matchSolver, g, seed)
 	})
 	if err != nil {
 		return nil, err

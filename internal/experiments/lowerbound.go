@@ -104,6 +104,8 @@ func AblationDoubling(sc Scale) (*Result, error) {
 // accounting) with the pure message-passing protocol on the goroutine
 // runtime: same algorithmic idea, protocol rounds within a small factor.
 func AblationMessageProtocol(sc Scale) (*Result, error) {
+	msg := sinkless.NewMessageSolver()
+	msg.Engine = serialEngine()
 	var rows [][]string
 	for _, n := range sc.regularSizes() {
 		g, err := graph.NewRandomRegular(n, 3, int64(n)+9, false)
@@ -114,7 +116,7 @@ func AblationMessageProtocol(sc Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, msgCost, err := sinkless.NewMessageSolver().Solve(g, lclNew(g), 4)
+		_, msgCost, err := msg.Solve(g, lclNew(g), 4)
 		if err != nil {
 			return nil, err
 		}

@@ -57,28 +57,32 @@ type CellRunner struct {
 	prep solver.Prepared
 }
 
-// NewRunner validates the request and prepares its instance. The engine
-// is constructed exactly like runScenario's: engine-aware solvers get an
-// explicit engine with workers defaulting to 1, so pooled results never
-// depend on mutable package-level engine defaults.
+// NewRunner validates the request and prepares its instance on the
+// request's cell engine (cellEngine), the one runScenario gives it.
 func NewRunner(req CellRequest) (*CellRunner, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	sol, _ := solver.ByName(req.Solver)
-	var eng *engine.Engine
-	if sol.EngineAware {
-		w := req.Engine.Workers
-		if w <= 0 {
-			w = 1
-		}
-		eng = engine.New(engine.Options{Workers: w, Shards: req.Engine.Shards})
-	}
-	prep, err := sol.Prepare(solver.Request{Family: req.Family, N: req.N, Seed: req.Seed, Engine: eng})
+	prep, err := sol.Prepare(solver.Request{Family: req.Family, N: req.N, Seed: req.Seed, Engine: cellEngine(sol, req.Engine)})
 	if err != nil {
 		return nil, fmt.Errorf("cell: %w", err)
 	}
 	return &CellRunner{req: req, prep: prep}, nil
+}
+
+// cellEngine is the engine a scenario cell of sol runs on: nil for a
+// solver that does not execute on the engine, else p with workers
+// defaulting to 1, because the grid is the layer that parallelises.
+func cellEngine(sol solver.Entry, p EngineParams) *engine.Engine {
+	if !sol.EngineAware {
+		return nil
+	}
+	w := p.Workers
+	if w <= 0 {
+		w = 1
+	}
+	return engine.New(engine.Options{Workers: w, Shards: p.Shards})
 }
 
 // Request returns the cell the runner was prepared for.

@@ -120,22 +120,13 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 
 	// Static split (the default): the grid is the parallel layer and
 	// engine-aware solvers — including the padded hierarchy entries —
-	// get one explicit shared engine so scenario runs never depend on
-	// the mutable package-level engine defaults, with workers defaulting
-	// to 1 inside a cell. Autoscale replaces both decisions with a
-	// twin-derived plan: per-cell engines with planned worker counts, a
-	// planned grid width, and heavy-first dispatch.
+	// share one cell engine (cellEngine). Autoscale replaces both
+	// decisions with a twin-derived plan: per-cell engines with planned
+	// worker counts, a planned grid width, and heavy-first dispatch.
 	gridWorkers := opts.GridWorkers
 	var order []int
-	engineFor := func(int) *engine.Engine { return nil }
-	if sol.EngineAware {
-		w := engineParams.Workers
-		if w <= 0 {
-			w = 1
-		}
-		eng := engine.New(engine.Options{Workers: w, Shards: engineParams.Shards})
-		engineFor = func(int) *engine.Engine { return eng }
-	}
+	eng := cellEngine(sol, engineParams)
+	engineFor := func(int) *engine.Engine { return eng }
 	if opts.Autoscale {
 		budget := opts.GridWorkers
 		if budget < 1 {

@@ -10,7 +10,8 @@ import (
 
 // This file implements the randomized sinkless-orientation algorithm as a
 // genuine message-passing protocol on the engine's synchronous runtime
-// (engine.Core) — no global state, every decision from received messages:
+// (an engine.Session of smTyped machines) — no global state, every
+// decision from received messages:
 //
 //	round 1     every node claims a uniformly random incident edge and
 //	            announces (identifier, claim) on every port.
@@ -256,14 +257,10 @@ func (m *smTyped) pickTarget(recv []smMsg) int {
 type MessageSolver struct {
 	// MaxRounds caps the runtime.
 	MaxRounds int
-	// Engine overrides the execution engine; nil uses the package-level
-	// engine defaults. Tests inject engines of every geometry here to
-	// pin the labelings geometry-invariant.
+	// Engine is the execution engine; nil means engine.Options{}. Tests
+	// inject engines of every geometry here to pin the labelings
+	// geometry-invariant.
 	Engine *engine.Engine
-	// LastStats is the execution profile of the most recent successful
-	// Solve. Callers that need it (the scenario runner records message
-	// deliveries per cell) must not share one solver across goroutines.
-	LastStats engine.Stats
 }
 
 var _ lcl.Solver = &MessageSolver{}
@@ -283,12 +280,13 @@ func (s *MessageSolver) Randomized() bool { return true }
 
 // Solve implements lcl.Solver.
 func (s *MessageSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
-	sess, err := s.NewSolverSession(g)
+	ms, err := s.NewSession(g)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer sess.Close()
-	return sess.Solve(in, seed)
+	defer ms.Close()
+	out, cost, _, err := ms.Run(in, seed)
+	return out, cost, err
 }
 
 // msgFinish assembles the half-edge orientation labeling and cost from
@@ -312,28 +310,26 @@ func msgFinish(g *graph.Graph, machines []smTyped, rounds int) (*lcl.Labeling, *
 	return out, cost, nil
 }
 
-// MsgSession pins a sinkless-orientation message-passing execution to
+// MsgSession holds a sinkless-orientation message-passing execution on
 // one graph: the typed machines and the engine session (flat message
 // planes, shard table, worker pool) are allocated once and reused across
-// Solve calls through engine.Session.Reset, so repeated solves of the
-// same instance skip all session construction. Not safe for concurrent
-// use.
+// Runs through engine.Session.Reset, so repeated solves of the same
+// instance skip all session construction. Not safe for concurrent use.
 type MsgSession struct {
-	s        *MessageSolver
-	g        *graph.Graph
-	machines []smTyped
-	sess     *engine.Session[smMsg]
+	g         *graph.Graph
+	maxRounds int
+	machines  []smTyped
+	sess      *engine.Session[smMsg]
 }
 
-var _ lcl.SolverSession = (*MsgSession)(nil)
-
-// NewSolverSession implements lcl.SessionSolver.
-func (s *MessageSolver) NewSolverSession(g *graph.Graph) (lcl.SolverSession, error) {
+// NewSession holds a message-passing execution on g under the solver's
+// engine and round cap.
+func (s *MessageSolver) NewSession(g *graph.Graph) (*MsgSession, error) {
 	if err := checkSolvable(g); err != nil {
 		return nil, err
 	}
 	n := g.NumNodes()
-	ms := &MsgSession{s: s, g: g, machines: make([]smTyped, n)}
+	ms := &MsgSession{g: g, maxRounds: s.MaxRounds, machines: make([]smTyped, n)}
 	typed := make([]engine.TypedMachine[smMsg], n)
 	for v := range typed {
 		typed[v] = &ms.machines[v]
@@ -346,16 +342,17 @@ func (s *MessageSolver) NewSolverSession(g *graph.Graph) (lcl.SolverSession, err
 	return ms, nil
 }
 
-// Solve implements lcl.SolverSession. The input labeling is unused (the
-// problem has no input labels), exactly as in MessageSolver.Solve.
-func (ms *MsgSession) Solve(_ *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
-	stats, err := ms.sess.Run(seed, true, ms.s.MaxRounds)
+// Run solves the held graph as MessageSolver.Solve does and returns the
+// engine profile of this execution beside the labeling. The input
+// labeling is unused (the problem has no input labels).
+func (ms *MsgSession) Run(_ *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, engine.Stats, error) {
+	stats, err := ms.sess.Run(seed, true, ms.maxRounds)
 	if err != nil {
-		return nil, nil, fmt.Errorf("message solver: %w", err)
+		return nil, nil, engine.Stats{}, fmt.Errorf("message solver: %w", err)
 	}
-	ms.s.LastStats = stats
-	return msgFinish(ms.g, ms.machines, stats.Rounds)
+	out, cost, err := msgFinish(ms.g, ms.machines, stats.Rounds)
+	return out, cost, stats, err
 }
 
-// Close releases the pinned engine session's worker pool.
+// Close releases the held engine session's worker pool.
 func (ms *MsgSession) Close() { ms.sess.Close() }

@@ -16,7 +16,7 @@ var referenceGeometries = []engine.Options{
 	{Workers: 2, Shards: 5},
 	{Workers: 4, Shards: 16},
 	{Workers: 8, Shards: 64},
-	{}, // package defaults (GOMAXPROCS workers)
+	{}, // auto geometry (GOMAXPROCS workers)
 }
 
 // runSM executes fresh protocol machines on g through run and returns

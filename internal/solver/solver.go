@@ -60,8 +60,8 @@ const PaddedFamily = "padded"
 const PaddedMinSize = core.MinBaseNodes
 
 // Request names one grid cell: the instance family, its size and seed,
-// and the engine the solver should execute on (nil = engine defaults,
-// only meaningful for engine-aware entries).
+// and the engine the solver should execute on (nil means
+// engine.Options{}; only meaningful for engine-aware entries).
 type Request struct {
 	// Family is a graph-family name, PaddedFamily, or "" for the entry's
 	// DefaultFamily.
@@ -211,57 +211,62 @@ func (e Entry) CheckFamily(family string) error {
 	return nil
 }
 
-// lclPrepare builds a family instance once and returns a runner that
-// solves, verifies against the problem, and fingerprints the labeling on
-// every Run. Solvers exposing the lcl.SessionSolver capability get their
-// typed engine session pinned to the graph here, so repeated Runs reuse
-// the session's message planes and worker pool through Reset instead of
-// rebuilding them; solvers without the capability re-solve on the cached
-// graph.
-// stats, when non-nil, is sampled after each solve to record the
-// engine's execution profile.
-func lclPrepare(req Request, s lcl.Solver, p lcl.Problem, stats func() engine.Stats) (Prepared, error) {
+// lclRun solves a family cell's graph on input in, returning the engine
+// profile of the execution beside the labeling (zero for solvers that do
+// not execute on the engine); release, when non-nil, closes what run
+// holds.
+type lclRun struct {
+	run     func(in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, engine.Stats, error)
+	release func()
+}
+
+// solveOn is a plain solver's lclRun: Solve on the cell's graph.
+func solveOn(s lcl.Solver) func(*graph.Graph) (lclRun, error) {
+	return func(g *graph.Graph) (lclRun, error) {
+		return lclRun{run: func(in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, engine.Stats, error) {
+			out, cost, err := s.Solve(g, in, seed)
+			return out, cost, engine.Stats{}, err
+		}}, nil
+	}
+}
+
+// lclPrepare builds a family instance once, hands its graph to hold, and
+// returns a runner that solves through the returned lclRun, verifies
+// against the problem, and fingerprints the labeling on every Run.
+// Engine-aware rows hold their typed engine session on the graph here,
+// so repeated Runs reuse the session's message planes and worker pool
+// through Reset instead of rebuilding them.
+func lclPrepare(req Request, p lcl.Problem, hold func(*graph.Graph) (lclRun, error)) (Prepared, error) {
 	g, err := graph.BuildFamily(req.Family, req.N, req.Seed)
 	if err != nil {
 		return nil, err
 	}
-	solve := func(in *lcl.Labeling, seed int64) (*lcl.Labeling, *lcl.Cost, error) {
-		return s.Solve(g, in, seed)
-	}
-	var release func()
-	if ss, ok := s.(lcl.SessionSolver); ok {
-		sess, err := ss.NewSolverSession(g)
-		if err != nil {
-			return nil, err
-		}
-		solve = sess.Solve
-		release = sess.Close
+	r, err := hold(g)
+	if err != nil {
+		return nil, err
 	}
 	run := func() (*Outcome, error) {
 		in := lcl.NewLabeling(g)
-		out, cost, err := solve(in, req.Seed)
+		out, cost, stats, err := r.run(in, req.Seed)
 		if err != nil {
 			return nil, err
 		}
 		if err := lcl.Verify(g, p, in, out); err != nil {
 			return nil, fmt.Errorf("verify: %w", err)
 		}
-		o := &Outcome{
+		return &Outcome{
 			Nodes:    g.NumNodes(),
 			Edges:    g.NumEdges(),
 			Rounds:   cost.Rounds(),
+			Stats:    stats,
 			Checksum: LabelingChecksum(out),
 			G:        g,
 			In:       in,
 			Out:      out,
 			Cost:     cost,
-		}
-		if stats != nil {
-			o.Stats = stats()
-		}
-		return o, nil
+		}, nil
 	}
-	return &prepared{run: run, release: release}, nil
+	return &prepared{run: run, release: r.release}, nil
 }
 
 // paddedSolve is a bound SolveDetailed of one padded solver.
@@ -322,15 +327,19 @@ const (
 	innerMessage                    // padded sinkless message solver, the inner with a native protocol
 )
 
-// solver returns the sequential padded solver k names at lvl.
-func (k paddedInner) solver(lvl *core.Level) lcl.Solver {
+// solver returns the sequential padded solver k names at lvl. The padded
+// message solver's inner runs on eng wherever it solves a whole graph:
+// as the oracle's inner Solve and as the gather relay's leaf solve.
+func (k paddedInner) solver(lvl *core.Level, eng *engine.Engine) lcl.Solver {
 	switch k {
 	case innerDet:
 		return lvl.Det
 	case innerRand:
 		return lvl.Rand
 	}
-	return core.NewPaddedSolver(sinkless.NewMessageSolver(), core.LevelDelta(lvl.Index))
+	ms := sinkless.NewMessageSolver()
+	ms.Engine = eng
+	return core.NewPaddedSolver(ms, core.LevelDelta(lvl.Index))
 }
 
 // paddedRow is one padded registry entry: a hierarchy level, the
@@ -438,7 +447,7 @@ func (r paddedRow) prepare(req Request) (Prepared, error) {
 // for an oracle row, else its engine tower held across calls, with the
 // release of the held solve.
 func (r paddedRow) solver(lvl *core.Level, eng *engine.Engine) (paddedSolve, func(), error) {
-	ps, ok := r.inner.solver(lvl).(*core.PaddedSolver)
+	ps, ok := r.inner.solver(lvl, eng).(*core.PaddedSolver)
 	if !ok {
 		return nil, nil, fmt.Errorf("level %d has no sequential padded solver", r.level)
 	}
@@ -464,7 +473,13 @@ func Registry() []Entry {
 			Prepare: func(req Request) (Prepared, error) {
 				s := coloring.NewCVSolver()
 				s.Engine = req.Engine
-				return lclPrepare(req, s, coloring.Three{}, func() engine.Stats { return s.LastStats })
+				return lclPrepare(req, coloring.Three{}, func(g *graph.Graph) (lclRun, error) {
+					cs, err := s.NewSession(g)
+					if err != nil {
+						return lclRun{}, err
+					}
+					return lclRun{run: cs.Run, release: cs.Close}, nil
+				})
 			},
 		},
 		{
@@ -473,7 +488,7 @@ func Registry() []Entry {
 			DefaultFamily: "cycle",
 			CycleOnly:     true,
 			Prepare: func(req Request) (Prepared, error) {
-				return lclPrepare(req, coloring.NewMISSolver(), coloring.MIS{}, nil)
+				return lclPrepare(req, coloring.MIS{}, solveOn(coloring.NewMISSolver()))
 			},
 		},
 		{
@@ -482,7 +497,7 @@ func Registry() []Entry {
 			DefaultFamily: "cycle",
 			CycleOnly:     true,
 			Prepare: func(req Request) (Prepared, error) {
-				return lclPrepare(req, coloring.NewMatchingSolver(), coloring.MaximalMatching{}, nil)
+				return lclPrepare(req, coloring.MaximalMatching{}, solveOn(coloring.NewMatchingSolver()))
 			},
 		},
 		{
@@ -491,7 +506,7 @@ func Registry() []Entry {
 			DefaultFamily: "cycle",
 			CycleOnly:     true,
 			Prepare: func(req Request) (Prepared, error) {
-				return lclPrepare(req, coloring.GlobalOrientationSolver{}, coloring.ConsistentOrientation{}, nil)
+				return lclPrepare(req, coloring.ConsistentOrientation{}, solveOn(coloring.GlobalOrientationSolver{}))
 			},
 		},
 		{
@@ -499,7 +514,7 @@ func Registry() []Entry {
 			Description:   "the trivial problem (0 rounds) on any family",
 			DefaultFamily: "regular",
 			Prepare: func(req Request) (Prepared, error) {
-				return lclPrepare(req, coloring.TrivialSolver{}, coloring.Trivial{}, nil)
+				return lclPrepare(req, coloring.Trivial{}, solveOn(coloring.TrivialSolver{}))
 			},
 		},
 		{
@@ -507,7 +522,7 @@ func Registry() []Entry {
 			Description:   "sinkless orientation, deterministic cycle-potential solver (Θ(log n))",
 			DefaultFamily: "regular",
 			Prepare: func(req Request) (Prepared, error) {
-				return lclPrepare(req, sinkless.NewDetSolver(), sinkless.Problem{}, nil)
+				return lclPrepare(req, sinkless.Problem{}, solveOn(sinkless.NewDetSolver()))
 			},
 		},
 		{
@@ -515,7 +530,7 @@ func Registry() []Entry {
 			Description:   "sinkless orientation, randomized claims+repair solver (Θ(loglog n)-shaped)",
 			DefaultFamily: "regular",
 			Prepare: func(req Request) (Prepared, error) {
-				return lclPrepare(req, sinkless.NewRandSolver(), sinkless.Problem{}, nil)
+				return lclPrepare(req, sinkless.Problem{}, solveOn(sinkless.NewRandSolver()))
 			},
 		},
 		{
@@ -526,7 +541,13 @@ func Registry() []Entry {
 			Prepare: func(req Request) (Prepared, error) {
 				s := sinkless.NewMessageSolver()
 				s.Engine = req.Engine
-				return lclPrepare(req, s, sinkless.Problem{}, func() engine.Stats { return s.LastStats })
+				return lclPrepare(req, sinkless.Problem{}, func(g *graph.Graph) (lclRun, error) {
+					ms, err := s.NewSession(g)
+					if err != nil {
+						return lclRun{}, err
+					}
+					return lclRun{run: ms.Run, release: ms.Close}, nil
+				})
 			},
 		},
 		{

@@ -172,6 +172,45 @@ func TestPaddedEntryReportsEngineStats(t *testing.T) {
 	}
 }
 
+// TestLCLEntriesReportOwnProfile: the engine-aware family rows return
+// each Run's engine profile from that Run's held session. Dense sessions
+// deliver every port slot in every round but the last, so a Run's
+// deliveries are fixed by its rounds and the graph; a profile that is
+// missing, or belongs to no Run, breaks that identity.
+func TestLCLEntriesReportOwnProfile(t *testing.T) {
+	for _, tc := range []struct {
+		name, family string
+		n            int
+	}{
+		{"cole-vishkin", "cycle", 64},
+		{"sinkless-msg", "regular", 64},
+	} {
+		e, _ := ByName(tc.name)
+		for _, workers := range []int{1, 2} {
+			p, err := e.Prepare(Request{Family: tc.family, N: tc.n, Seed: 1, Engine: engine.New(engine.Options{Workers: workers})})
+			if err != nil {
+				t.Fatalf("%s workers=%d: prepare: %v", tc.name, workers, err)
+			}
+			for run := 1; run <= 2; run++ {
+				o, err := p.Run()
+				if err != nil {
+					p.Close()
+					t.Fatalf("%s workers=%d run %d: %v", tc.name, workers, run, err)
+				}
+				if o.Stats.Rounds <= 0 || o.Stats.Rounds != o.Rounds {
+					t.Errorf("%s workers=%d run %d: engine rounds %d, charged rounds %d",
+						tc.name, workers, run, o.Stats.Rounds, o.Rounds)
+				}
+				if want := int64(o.Stats.Rounds-1) * int64(o.G.NumPorts()); o.Stats.Deliveries != want {
+					t.Errorf("%s workers=%d run %d: deliveries %d, want (rounds−1)·ports = %d",
+						tc.name, workers, run, o.Stats.Deliveries, want)
+				}
+			}
+			p.Close()
+		}
+	}
+}
+
 // TestPreparedRunRepeatable: every registry entry's Prepared must be
 // reusable — repeated Run calls on one Prepared return the same outcome
 // as a fresh prepare-and-run. This is the contract the serving layer's
