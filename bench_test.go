@@ -1,12 +1,11 @@
 package locallab_test
 
 // One benchmark per paper artifact (figures 1-8, Theorems 1/6/11, plus
-// the DESIGN.md ablations), each regenerating its table at quick scale,
-// plus micro-benchmarks of the load-bearing primitives. Run with
+// the ablations of internal/experiments), each regenerating its table at
+// quick scale, plus micro-benchmarks of the load-bearing primitives. Run
+// with
 //
 //	go test -bench=. -benchmem
-//
-// and see EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 
 import (
 	"testing"
@@ -38,7 +37,13 @@ func benchExperiment(b *testing.B, run func(experiments.Scale) (*experiments.Res
 	}
 }
 
-func BenchmarkFig1Landscape(b *testing.B)       { benchExperiment(b, experiments.Fig1Landscape) }
+// benchSweep benchmarks a sweeping experiment with inline sweeps.
+func benchSweep(b *testing.B, run func(experiments.Scale, int) (*experiments.Result, error)) {
+	b.Helper()
+	benchExperiment(b, func(sc experiments.Scale) (*experiments.Result, error) { return run(sc, 1) })
+}
+
+func BenchmarkFig1Landscape(b *testing.B)       { benchSweep(b, experiments.Fig1Landscape) }
 func BenchmarkFig2Padding(b *testing.B)         { benchExperiment(b, experiments.Fig2Padding) }
 func BenchmarkFig3SinklessCheck(b *testing.B)   { benchExperiment(b, experiments.Fig3SinklessChecker) }
 func BenchmarkFig4PortMapping(b *testing.B)     { benchExperiment(b, experiments.Fig4PortMapping) }
@@ -48,7 +53,7 @@ func BenchmarkFig7ColorProof(b *testing.B)      { benchExperiment(b, experiments
 func BenchmarkFig8ChainProof(b *testing.B)      { benchExperiment(b, experiments.Fig8ChainProof) }
 func BenchmarkThm1Transform(b *testing.B)       { benchExperiment(b, experiments.Thm1Transform) }
 func BenchmarkThm6GadgetFamily(b *testing.B)    { benchExperiment(b, experiments.Thm6GadgetFamily) }
-func BenchmarkThm11Hierarchy(b *testing.B)      { benchExperiment(b, experiments.Thm11Hierarchy) }
+func BenchmarkThm11Hierarchy(b *testing.B)      { benchSweep(b, experiments.Thm11Hierarchy) }
 func BenchmarkAblationBalance(b *testing.B)     { benchExperiment(b, experiments.AblationBalance) }
 func BenchmarkAblationRandRepair(b *testing.B)  { benchExperiment(b, experiments.AblationRandRepair) }
 func BenchmarkDiscussionNetDecomp(b *testing.B) { benchExperiment(b, experiments.DiscussionNetDecomp) }

@@ -1,6 +1,6 @@
 // Command lcl-bench runs the full experiment suite — one experiment per
-// figure/theorem of the paper (see DESIGN.md) — and prints the tables
-// that EXPERIMENTS.md records.
+// figure/theorem of the paper, in the order of experiments.Registry —
+// and prints their tables, optionally as a locallab.report/v1 JSON report.
 //
 // Usage:
 //
@@ -107,12 +107,10 @@ func run(args []string) (err error) {
 			err = writeMemProfile(*memprofile)
 		}()
 	}
-	// Parallelism budget: exactly one layer fans out across -workers —
-	// the sweep grid, whose independent (size × seed) cells are the
-	// fine-grained bulk of the work. Experiments run in order, and every
-	// engine-aware solver inside a cell runs on a one-worker engine
-	// (internal/experiments); stacking all three layers at GOMAXPROCS
-	// would multiply into oversubscription without adding throughput.
+	// Exactly one layer fans out across -workers: the sweep grid of E-F1
+	// and E-T11, whose independent (size × seed) cells are the bulk of
+	// the work. Experiments run in order, and every engine-aware solver
+	// inside a cell runs on a one-worker engine (internal/experiments).
 	if *workers <= 0 {
 		*workers = runtime.GOMAXPROCS(0)
 	}
@@ -126,12 +124,7 @@ func run(args []string) (err error) {
 			wanted[id] = true
 		}
 	}
-	h := &experiments.Harness{
-		Scale:        scale,
-		Workers:      1,
-		SweepWorkers: *workers,
-		Only:         wanted,
-	}
+	h := &experiments.Harness{Scale: scale, SweepWorkers: *workers, Only: wanted}
 	results, err := h.Run()
 	if err != nil {
 		return err

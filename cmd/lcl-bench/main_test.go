@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -13,9 +14,24 @@ func TestRunQuickSubset(t *testing.T) {
 	}
 }
 
+// -workers widens only the sweep grid of E-F1 (and E-T11): the report
+// bytes must not depend on it.
 func TestRunQuickSubsetParallel(t *testing.T) {
-	if err := run([]string{"-quick", "-only", "E-F2,E-F5,E-L1", "-workers", "4"}); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	var reports [][]byte
+	for _, w := range []string{"1", "4"} {
+		out := filepath.Join(dir, "bench-w"+w+".json")
+		if err := run([]string{"-quick", "-only", "E-F1,E-F2,E-F5,E-L1", "-workers", w, "-json", out}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, data)
+	}
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Fatalf("-json report differs between -workers 1 and 4:\n--- 1 ---\n%s\n--- 4 ---\n%s", reports[0], reports[1])
 	}
 }
 

@@ -3,7 +3,7 @@ package locallab_test
 // Determinism integration tests: identical seeds must yield identical
 // outputs through the entire stack — any hidden map-iteration
 // nondeterminism in the solvers would break replayability of the
-// experiments recorded in EXPERIMENTS.md.
+// experiment tables lcl-bench regenerates.
 
 import (
 	"testing"

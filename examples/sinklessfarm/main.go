@@ -23,13 +23,13 @@ func main() {
 
 func run() error {
 	sizes := []int{128, 512, 2048, 8192}
-	det, err := measure.Sweep("deterministic", sizes, 3, func(n int, seed int64) (int, error) {
+	det, err := measure.Sweep("deterministic", sizes, 3, 1, func(n int, seed int64) (int, error) {
 		return solve(sinkless.NewDetSolver(), n, seed)
 	})
 	if err != nil {
 		return err
 	}
-	rnd, err := measure.Sweep("randomized", sizes, 3, func(n int, seed int64) (int, error) {
+	rnd, err := measure.Sweep("randomized", sizes, 3, 1, func(n int, seed int64) (int, error) {
 		return solve(sinkless.NewRandSolver(), n, seed)
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"locallab/internal/adversary"
 	"locallab/internal/engine"
@@ -11,6 +10,7 @@ import (
 	"locallab/internal/gadget"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
+	"locallab/internal/measure"
 	"locallab/internal/solver"
 )
 
@@ -89,55 +89,30 @@ func engineOptions(sc *Scenario, opts RunOptions) engine.Options {
 	return eng
 }
 
-// runCellGrid sweeps the scenario's fault × seed grid through runOne on
-// a bounded worker pool. Cells land in deterministic fault-major,
-// seed-minor order regardless of the pool width.
+// runCellGrid sweeps the scenario's fault × seed grid through runOne,
+// GridWorkers cells at once (measure.FanOut). Cells land in
+// deterministic fault-major, seed-minor order regardless of the width.
 func runCellGrid(sc *Scenario, opts RunOptions,
 	runOne func(f adversary.Fault, seed int64, eng engine.Options) (CellResult, error)) ([]CellResult, error) {
 
 	eng := engineOptions(sc, opts)
 	faults := sc.faults()
-	type cellJob struct {
-		fault adversary.Fault
-		seed  int64
-	}
-	jobs := make([]cellJob, 0, len(faults)*len(sc.Seeds))
-	for _, f := range faults {
-		for _, seed := range sc.Seeds {
-			jobs = append(jobs, cellJob{fault: f, seed: seed})
-		}
-	}
-
-	cells := make([]CellResult, len(jobs))
-	errs := make([]error, len(jobs))
+	seeds := len(sc.Seeds)
 	workers := opts.GridWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				cells[i], errs[i] = runOne(jobs[i].fault, jobs[i].seed, eng)
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("campaign scenario %q: fault %s seed %d: %w",
-				sc.Name, jobs[i].fault.ID, jobs[i].seed, err)
+	cells := make([]CellResult, len(faults)*seeds)
+	err := measure.FanOut(len(cells), workers, nil, func(i int) error {
+		f, seed := faults[i/seeds], sc.Seeds[i%seeds]
+		var err error
+		if cells[i], err = runOne(f, seed, eng); err != nil {
+			return fmt.Errorf("campaign scenario %q: fault %s seed %d: %w", sc.Name, f.ID, seed, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cells, nil
 }

@@ -9,10 +9,10 @@
 // sequential oracle: centralized Ψ walk, one centralized inner Solve
 // call on the virtual graph H. EnginePaddedSolver runs the same
 // pipeline as machines on the sharded engine: Ψ as a fixpoint exchange,
-// and the inner algorithm as native VirtualMachines over the payload
-// relay plane (vm.go, relay.go) — no centralized inner Solve anywhere.
-// Steps 2-3 and 5 are shared code (planPadded, assemblePadded); step 4
-// is differential-tested native vs centralized.
+// and the inner algorithm as the native or gather relay machines over
+// the payload relay plane (native.go, relay.go) — no centralized inner
+// Solve anywhere. Steps 2-3 and 5 are shared code (planPadded,
+// assemblePadded); step 4 is differential-tested native vs centralized.
 //
 // Invariants (pinned by tests in this package and at the root):
 //

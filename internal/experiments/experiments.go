@@ -1,5 +1,5 @@
 // Package experiments regenerates every figure and theorem artifact of
-// the paper's evaluation (see DESIGN.md's experiment index). Each
+// the paper's evaluation; Registry is the experiment index. Each
 // experiment returns a rendered table plus notes; cmd/lcl-bench prints
 // them and the root benchmarks wrap them.
 package experiments
@@ -96,8 +96,9 @@ func solveRounds(s lcl.Solver, g *graph.Graph, seed int64) (int, error) {
 // deterministic and randomized locality per problem, with the best-fit
 // growth class. The paper's separations to reproduce: randomness is
 // useless for trivial/log*/global problems, helps exponentially for
-// sinkless orientation, and helps polynomially for Π₂.
-func Fig1Landscape(sc Scale) (*Result, error) {
+// sinkless orientation, and helps polynomially for Π₂. Its sweeps run
+// sweepWorkers grid cells at once (see measure.Sweep).
+func Fig1Landscape(sc Scale, sweepWorkers int) (*Result, error) {
 	type row struct {
 		problem   string
 		detFit    string
@@ -128,7 +129,7 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 	misSolver := &coloring.MISSolver{Engine: serialEngine()}
 	matchSolver := coloring.NewMatchingSolver()
 	matchSolver.Engine = serialEngine()
-	trivial, err := measure.Sweep("det", cyc, reps, func(n int, seed int64) (int, error) {
+	trivial, err := measure.Sweep("det", cyc, reps, sweepWorkers, func(n int, seed int64) (int, error) {
 		g, err := graph.NewCycle(n, seed)
 		if err != nil {
 			return 0, err
@@ -140,7 +141,7 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 	}
 	addSeries("trivial", trivial, trivial)
 
-	col, err := measure.Sweep("det", cyc, reps, func(n int, seed int64) (int, error) {
+	col, err := measure.Sweep("det", cyc, reps, sweepWorkers, func(n int, seed int64) (int, error) {
 		g, err := graph.NewCycle(n, seed)
 		if err != nil {
 			return 0, err
@@ -152,7 +153,7 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 	}
 	addSeries("3-coloring cycles", col, col)
 
-	mis, err := measure.Sweep("det", cyc, reps, func(n int, seed int64) (int, error) {
+	mis, err := measure.Sweep("det", cyc, reps, sweepWorkers, func(n int, seed int64) (int, error) {
 		g, err := graph.NewCycle(n, seed)
 		if err != nil {
 			return 0, err
@@ -164,7 +165,7 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 	}
 	addSeries("MIS on cycles", mis, mis)
 
-	matching, err := measure.Sweep("det", cyc, reps, func(n int, seed int64) (int, error) {
+	matching, err := measure.Sweep("det", cyc, reps, sweepWorkers, func(n int, seed int64) (int, error) {
 		g, err := graph.NewCycle(n, seed)
 		if err != nil {
 			return 0, err
@@ -176,7 +177,7 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 	}
 	addSeries("maximal matching", matching, matching)
 
-	global, err := measure.Sweep("det", cyc, reps, func(n int, seed int64) (int, error) {
+	global, err := measure.Sweep("det", cyc, reps, sweepWorkers, func(n int, seed int64) (int, error) {
 		g, err := graph.NewCycle(n, seed)
 		if err != nil {
 			return 0, err
@@ -191,7 +192,7 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 	// Sinkless orientation on random 3-regular graphs: the exponential
 	// det/rand gap.
 	reg := sc.regularSizes()
-	skDet, err := measure.Sweep("det", reg, reps, func(n int, seed int64) (int, error) {
+	skDet, err := measure.Sweep("det", reg, reps, sweepWorkers, func(n int, seed int64) (int, error) {
 		g, err := graph.NewRandomRegular(n, 3, seed, false)
 		if err != nil {
 			return 0, err
@@ -201,7 +202,7 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	skRnd, err := measure.Sweep("rand", reg, reps, func(n int, seed int64) (int, error) {
+	skRnd, err := measure.Sweep("rand", reg, reps, sweepWorkers, func(n int, seed int64) (int, error) {
 		g, err := graph.NewRandomRegular(n, 3, seed, false)
 		if err != nil {
 			return 0, err
@@ -214,7 +215,7 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 	addSeries("sinkless orientation", skDet, skRnd)
 
 	// Π₂: the polynomial gap of this paper (black dot in Figure 1).
-	p2Det, p2Rnd, err := level2Series(sc)
+	p2Det, p2Rnd, err := level2Series(sc, sweepWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -236,10 +237,11 @@ func Fig1Landscape(sc Scale) (*Result, error) {
 	}, nil
 }
 
-// level2Series sweeps Π₂ with both solvers over balanced instances. The
-// sweep closures build their instance and solver state per call, so they
+// level2Series sweeps Π₂ with both solvers over balanced instances,
+// sweepWorkers grid cells at once. The sweep closures build their
+// instance per call and the padded solvers keep no run state, so they
 // are safe under the parallel sweep grid.
-func level2Series(sc Scale) (det, rnd measure.Series, err error) {
+func level2Series(sc Scale, sweepWorkers int) (det, rnd measure.Series, err error) {
 	lvl, err := core.NewLevel(2)
 	if err != nil {
 		return det, rnd, err
@@ -247,7 +249,7 @@ func level2Series(sc Scale) (det, rnd measure.Series, err error) {
 	bases := sc.paddedBases()
 	reps := sc.reps()
 	run := func(solver lcl.Solver) (measure.Series, error) {
-		return measure.Sweep(solver.Name(), bases, reps, func(base int, seed int64) (int, error) {
+		return measure.Sweep(solver.Name(), bases, reps, sweepWorkers, func(base int, seed int64) (int, error) {
 			inst, err := core.BuildInstance(2, core.InstanceOptions{BaseNodes: base, Seed: seed, Balanced: true})
 			if err != nil {
 				return 0, err
@@ -622,11 +624,12 @@ func Thm6GadgetFamily(sc Scale) (*Result, error) {
 }
 
 // Thm11Hierarchy reproduces the headline result: Π₁ vs Π₂ deterministic
-// and randomized scaling, and the D/R ratio growth.
-func Thm11Hierarchy(sc Scale) (*Result, error) {
+// and randomized scaling, and the D/R ratio growth. Its sweeps run
+// sweepWorkers grid cells at once (see measure.Sweep).
+func Thm11Hierarchy(sc Scale, sweepWorkers int) (*Result, error) {
 	reg := sc.regularSizes()
 	reps := sc.reps()
-	p1Det, err := measure.Sweep("Π₁ det", reg, reps, func(n int, seed int64) (int, error) {
+	p1Det, err := measure.Sweep("Π₁ det", reg, reps, sweepWorkers, func(n int, seed int64) (int, error) {
 		g, err := graph.NewRandomRegular(n, 3, seed, false)
 		if err != nil {
 			return 0, err
@@ -636,7 +639,7 @@ func Thm11Hierarchy(sc Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p1Rnd, err := measure.Sweep("Π₁ rand", reg, reps, func(n int, seed int64) (int, error) {
+	p1Rnd, err := measure.Sweep("Π₁ rand", reg, reps, sweepWorkers, func(n int, seed int64) (int, error) {
 		g, err := graph.NewRandomRegular(n, 3, seed, false)
 		if err != nil {
 			return 0, err
@@ -646,11 +649,11 @@ func Thm11Hierarchy(sc Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p2Det, p2Rnd, err := level2Series(sc)
+	p2Det, p2Rnd, err := level2Series(sc, sweepWorkers)
 	if err != nil {
 		return nil, err
 	}
-	p3Det, p3Rnd, err := level3Series(sc)
+	p3Det, p3Rnd, err := level3Series(sc, sweepWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -692,9 +695,10 @@ func Thm11Hierarchy(sc Scale) (*Result, error) {
 	}, nil
 }
 
-// level3Series sweeps Π₃ on small balanced instances (both solvers);
-// level-3 instances square the level-2 size, so bases stay tiny.
-func level3Series(sc Scale) (det, rnd measure.Series, err error) {
+// level3Series sweeps Π₃ on small balanced instances (both solvers),
+// sweepWorkers bases at once; level-3 instances square the level-2 size,
+// so bases stay tiny.
+func level3Series(sc Scale, sweepWorkers int) (det, rnd measure.Series, err error) {
 	lvl, err := core.NewLevel(3)
 	if err != nil {
 		return det, rnd, err
@@ -704,19 +708,21 @@ func level3Series(sc Scale) (det, rnd measure.Series, err error) {
 		bases = []int{4, 6, 8}
 	}
 	run := func(solver lcl.Solver, label string) (measure.Series, error) {
-		s := measure.Series{Label: label}
-		for _, base := range bases {
+		s := measure.Series{Label: label, Points: make([]measure.Point, len(bases))}
+		err := measure.FanOut(len(bases), sweepWorkers, nil, func(i int) error {
+			base := bases[i]
 			inst, err := core.BuildInstance(3, core.InstanceOptions{BaseNodes: base, Seed: int64(base), Balanced: true})
 			if err != nil {
-				return s, err
+				return err
 			}
 			_, cost, err := solver.Solve(inst.G, inst.In, int64(base))
 			if err != nil {
-				return s, err
+				return err
 			}
-			s.Points = append(s.Points, measure.Point{N: inst.G.NumNodes(), Rounds: float64(cost.Rounds())})
-		}
-		return s, nil
+			s.Points[i] = measure.Point{N: inst.G.NumNodes(), Rounds: float64(cost.Rounds())}
+			return nil
+		})
+		return s, err
 	}
 	det, err = run(lvl.Det, "Π₃ det")
 	if err != nil {
@@ -847,10 +853,4 @@ func allNodes(g *graph.Graph) []graph.NodeID {
 		out[i] = graph.NodeID(i)
 	}
 	return out
-}
-
-// All runs every experiment at the given scale, fanned across the
-// default parallel harness (results stay in Registry order).
-func All(sc Scale) ([]*Result, error) {
-	return (&Harness{Scale: sc}).Run()
 }

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
 func TestAllQuickExperiments(t *testing.T) {
-	results, err := All(Quick)
+	results, err := (&Harness{Scale: Quick}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,30 +34,33 @@ func TestAllQuickExperiments(t *testing.T) {
 	}
 }
 
-// TestHarnessParallelMatchesSequential renders a sweep-heavy subset of
-// the experiments through the harness at 1 and at 4 workers: every table
-// must be byte-identical, which is the determinism contract of the
-// parallel harness and of the (size × seed) sweep grid underneath it.
-func TestHarnessParallelMatchesSequential(t *testing.T) {
-	only := map[string]bool{"E-F1": true, "E-T1": true, "E-L1": true}
-	seq, err := (&Harness{Scale: Quick, Workers: 1, SweepWorkers: 1, Only: only}).Run()
+// TestHarnessSweepWidthMatchesInline renders both sweeping experiments
+// (E-F1 and E-T11) plus two that do not sweep through the harness at
+// sweep width 1 and at 4: every table and note must be byte-identical,
+// which is the determinism contract of the (size × seed) sweep grid.
+func TestHarnessSweepWidthMatchesInline(t *testing.T) {
+	only := map[string]bool{"E-F1": true, "E-T1": true, "E-T11": true, "E-L1": true}
+	seq, err := (&Harness{Scale: Quick, SweepWorkers: 1, Only: only}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := (&Harness{Scale: Quick, Workers: 4, SweepWorkers: 4, Only: only}).Run()
+	par, err := (&Harness{Scale: Quick, SweepWorkers: 4, Only: only}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != len(par) || len(seq) != 3 {
-		t.Fatalf("result counts: seq=%d par=%d, want 3", len(seq), len(par))
+	if len(seq) != len(par) || len(seq) != len(only) {
+		t.Fatalf("result counts: inline=%d wide=%d, want %d", len(seq), len(par), len(only))
 	}
 	for i := range seq {
 		if seq[i].ID != par[i].ID {
 			t.Fatalf("result order differs at %d: %s vs %s", i, seq[i].ID, par[i].ID)
 		}
 		if seq[i].Table != par[i].Table {
-			t.Errorf("experiment %s table differs between 1 and 4 workers:\n--- sequential ---\n%s\n--- parallel ---\n%s",
+			t.Errorf("experiment %s table differs between sweep width 1 and 4:\n--- width 1 ---\n%s\n--- width 4 ---\n%s",
 				seq[i].ID, seq[i].Table, par[i].Table)
+		}
+		if !reflect.DeepEqual(seq[i].Notes, par[i].Notes) {
+			t.Errorf("experiment %s notes differ between sweep width 1 and 4:\n%q\n%q", seq[i].ID, seq[i].Notes, par[i].Notes)
 		}
 	}
 }
@@ -68,7 +72,7 @@ func TestHarnessUnknownID(t *testing.T) {
 }
 
 func TestRegistryMatchesResultIDs(t *testing.T) {
-	for _, e := range Registry() {
+	for _, e := range Registry(1) {
 		r, err := e.Run(Quick)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)

@@ -2,24 +2,23 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-
-	"locallab/internal/measure"
 )
 
 // Experiment is one registered artifact generator: a stable identifier
-// (the E-* ids EXPERIMENTS.md references) plus its runner.
+// (the E-* ids that lcl-bench -only selects and its reports carry) plus
+// its runner.
 type Experiment struct {
 	ID  string
 	Run func(Scale) (*Result, error)
 }
 
-// Registry lists every experiment in canonical order — the order All has
-// always printed them in and the order harness results come back in.
-func Registry() []Experiment {
+// Registry lists every experiment in canonical order, the order the
+// harness runs them in. sweepWorkers is the grid width of the two
+// experiments that sweep, E-F1 and E-T11 (see measure.Sweep); every
+// other experiment runs inline.
+func Registry(sweepWorkers int) []Experiment {
 	return []Experiment{
-		{ID: "E-F1", Run: Fig1Landscape},
+		{ID: "E-F1", Run: func(sc Scale) (*Result, error) { return Fig1Landscape(sc, sweepWorkers) }},
 		{ID: "E-F2", Run: Fig2Padding},
 		{ID: "E-F3", Run: Fig3SinklessChecker},
 		{ID: "E-F4", Run: Fig4PortMapping},
@@ -29,7 +28,7 @@ func Registry() []Experiment {
 		{ID: "E-F8", Run: Fig8ChainProof},
 		{ID: "E-T1", Run: Thm1Transform},
 		{ID: "E-T6", Run: Thm6GadgetFamily},
-		{ID: "E-T11", Run: Thm11Hierarchy},
+		{ID: "E-T11", Run: func(sc Scale) (*Result, error) { return Thm11Hierarchy(sc, sweepWorkers) }},
 		{ID: "E-E1", Run: EnginePaddedParity},
 		{ID: "E-E2", Run: RelayDeliveryComparison},
 		{ID: "E-A1", Run: AblationBalance},
@@ -41,26 +40,16 @@ func Registry() []Experiment {
 	}
 }
 
-// Harness fans experiments across a worker pool. Two levels of
-// parallelism exist: Workers experiments run concurrently, and inside
-// each experiment the measurement sweeps fan their (size × seed) grid
-// across SweepWorkers (see measure.ParallelSweep). Pick one level to
-// widen — their product is the number of concurrent CPU-bound solves,
-// so setting both to GOMAXPROCS oversubscribes quadratically
-// (cmd/lcl-bench widens the sweep grid; All widens experiments). Both
-// levels preserve determinism: every experiment derives all randomness
-// from fixed seeds, and results always come back in Registry order.
+// Harness runs the selected experiments one after another in Registry
+// order. Its one width, SweepWorkers, is how many (size × seed) cells
+// each measurement sweep runs at once; it is the only layer that
+// parallelises, since every engine-aware solver inside a cell runs on a
+// one-worker engine (serialEngine). Results are identical at every
+// width: every experiment derives all randomness from fixed seeds.
 type Harness struct {
 	// Scale selects quick or full experiment sizes.
 	Scale Scale
-	// Workers is the experiment-level parallelism; <= 0 means GOMAXPROCS.
-	Workers int
-	// SweepWorkers > 0 installs a new process-wide sweep parallelism
-	// default (measure.SetSweepWorkers) before running and does not
-	// restore the previous value — it is a global knob surfaced here
-	// because experiments call measure.Sweep directly. <= 0 leaves the
-	// current setting untouched. Outputs are identical either way; only
-	// scheduling changes.
+	// SweepWorkers is the sweep-grid width; <= 1 sweeps inline.
 	SweepWorkers int
 	// Only restricts the run to the given experiment ids (nil or empty
 	// runs everything).
@@ -68,19 +57,12 @@ type Harness struct {
 }
 
 // Run executes the selected experiments and returns their results in
-// Registry order. On failure it returns the completed results plus the
-// error of the earliest failing experiment, mirroring the sequential
-// behavior.
+// Registry order. An unknown id in Only fails before anything runs. On
+// failure it returns the results of the experiments before the failing
+// one plus its error.
 func (h *Harness) Run() ([]*Result, error) {
-	if h.SweepWorkers > 0 {
-		measure.SetSweepWorkers(h.SweepWorkers)
-	}
-	workers := h.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var selected []Experiment
-	for _, e := range Registry() {
+	for _, e := range Registry(h.SweepWorkers) {
 		if len(h.Only) == 0 || h.Only[e.ID] {
 			selected = append(selected, e)
 		}
@@ -96,31 +78,11 @@ func (h *Harness) Run() ([]*Result, error) {
 			}
 		}
 	}
-	if workers > len(selected) {
-		workers = len(selected)
-	}
-	results := make([]*Result, len(selected))
-	errs := make([]error, len(selected))
-	jobs := make(chan int, len(selected))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], errs[i] = selected[i].Run(h.Scale)
-			}
-		}()
-	}
-	for i := range selected {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	out := make([]*Result, 0, len(selected))
-	for i, r := range results {
-		if errs[i] != nil {
-			return out, fmt.Errorf("experiment %s: %w", selected[i].ID, errs[i])
+	for _, e := range selected {
+		r, err := e.Run(h.Scale)
+		if err != nil {
+			return out, fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
 		out = append(out, r)
 	}

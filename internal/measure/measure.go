@@ -1,6 +1,7 @@
-// Package measure provides the experiment harness: size sweeps with
-// repetition, growth-model fitting against the complexity classes of the
-// paper's Figure 1, and plain-text table rendering for EXPERIMENTS.md.
+// Package measure provides the measurement primitives of the
+// experiments: the ordered fan-out of independent grid cells, size
+// sweeps with repetition, growth-model fitting against the complexity
+// classes of the paper's Figure 1, and plain-text table rendering.
 package measure
 
 import (
@@ -97,39 +98,43 @@ func BestFit(points []Point) []Fit {
 	return fits
 }
 
-// sweepWorkers is the worker count Sweep fans its grid across; 0 means
-// sequential (1). Parallel sweeping is opt-in so that callers which are
-// already parallel at a coarser layer — the experiment harness, engine
-// pools inside solvers — do not silently multiply into oversubscription.
-// Stored atomically so command-line flag threading never races with
-// concurrently running sweeps.
-var sweepWorkers atomic.Int32
-
-// SetSweepWorkers sets the default grid parallelism of Sweep. Values
-// <= 0 restore the sequential default.
-func SetSweepWorkers(w int) { sweepWorkers.Store(int32(w)) }
-
-// SweepWorkers returns the effective default grid parallelism.
-func SweepWorkers() int {
-	if w := int(sweepWorkers.Load()); w > 0 {
-		return w
-	}
-	return 1
-}
-
 // Sweep runs the measurement at each size, averaging rounds over reps
-// seeds. The (size × rep) grid is fanned across SweepWorkers() workers;
-// see ParallelSweep for the determinism contract.
-func Sweep(label string, sizes []int, reps int, run func(n int, seed int64) (int, error)) (Series, error) {
-	return ParallelSweep(label, sizes, reps, SweepWorkers(), run)
+// seeds. The (size × rep) grid fans out across workers (see FanOut), and
+// the series is the same at every width: each cell gets the seed
+// cellSeed derives from its coordinates, and cells aggregate in grid
+// order. With workers > 1, run must be safe to call concurrently, which
+// holds for closures that build their instance and solver per call.
+func Sweep(label string, sizes []int, reps, workers int, run func(n int, seed int64) (int, error)) (Series, error) {
+	s := Series{Label: label}
+	if reps < 1 {
+		return s, fmt.Errorf("sweep %s: reps = %d", label, reps)
+	}
+	rounds := make([]int, len(sizes)*reps)
+	err := FanOut(len(rounds), workers, nil, func(i int) error {
+		n, r := sizes[i/reps], i%reps
+		var err error
+		if rounds[i], err = run(n, cellSeed(n, r)); err != nil {
+			return fmt.Errorf("sweep %s at n=%d rep %d: %w", label, n, r, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return s, err
+	}
+	for i, n := range sizes {
+		total := 0.0
+		for _, r := range rounds[i*reps : (i+1)*reps] {
+			total += float64(r)
+		}
+		s.Points = append(s.Points, Point{N: n, Rounds: total / float64(reps)})
+	}
+	return s, nil
 }
 
-// cellSeed derives the measurement seed of grid cell (n, rep). Both the
-// sequential and the parallel path use it, which is what keeps sweeps
-// byte-identical across worker counts.
+// cellSeed derives the measurement seed of sweep cell (n, rep).
 func cellSeed(n, rep int) int64 { return int64(rep)*7919 + int64(n) }
 
-// CellSpec identifies one cell of a measurement grid: an instance size
+// CellSpec is one coordinate of a measurement grid: an instance size
 // paired with the seed that derives the instance and any solver
 // randomness.
 type CellSpec struct {
@@ -137,40 +142,59 @@ type CellSpec struct {
 	Seed int64
 }
 
-// Cell is one completed grid measurement.
-type Cell struct {
-	Spec   CellSpec
-	Rounds int
-}
-
-// ParallelCellsOrdered fans an explicit measurement grid across the
-// given number of workers and returns one Cell per spec, in spec order.
-// The results are deterministic regardless of the worker count: every
-// cell runs with exactly the spec it was given, results come back in
-// grid order, and on failure the error of the earliest grid cell is
-// returned (wrapped with that cell's coordinates). run must be safe to
-// call concurrently, which holds for measurement closures that build
-// their instance and solver per call. It is the scenario runner's grid.
+// FanOut runs run(i) for every index 0..n-1 on up to workers goroutines
+// and returns the error of the earliest failing index. Every index runs
+// even after another has failed, so which error wins never depends on
+// scheduling; run(i) must touch only index i's results. It is the one
+// fan-out of measurement sweeps, scenario grids and campaign cells; each
+// caller's run wraps its own error with the cell's coordinates.
 //
-// order[k] is the grid index of the k-th cell handed to the worker pool.
-// Every cell runs and the earliest grid cell's error wins whatever the
-// order, so reordering can never change outputs — only wall-clock. The
-// scenario autoscaler uses it to dispatch predicted-heavy cells first,
-// the longest-processing-time heuristic that keeps a big cell from
-// landing last on an otherwise drained pool. A nil order means grid
-// order; a non-nil order must be a permutation of the grid indices.
-func ParallelCellsOrdered(label string, specs []CellSpec, workers int, order []int, run func(c CellSpec) (int, error)) ([]Cell, error) {
+// order[k] is the index handed out k-th. It changes only wall-clock: the
+// scenario autoscaler dispatches predicted-heavy cells first, so a big
+// cell does not land last on an otherwise drained pool. A nil order
+// means index order; a non-nil order must be a permutation of 0..n-1.
+// With workers <= 1 the indices run inline in index order (order is
+// still checked but not followed) and the first error stops the run.
+func FanOut(n, workers int, order []int, run func(i int) error) error {
 	if order != nil {
-		if err := checkPermutation(order, len(specs)); err != nil {
-			return nil, fmt.Errorf("grid %s: %w", label, err)
+		if err := checkPermutation(order, n); err != nil {
+			return err
 		}
 	}
-	cells, fail, err := runCells(specs, workers, order, run)
-	if err != nil {
-		c := specs[fail]
-		return nil, fmt.Errorf("grid %s cell n=%d seed=%d: %w", label, c.N, c.Seed, err)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := run(i); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return cells, nil
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(workers, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if order != nil {
+					i = order[i]
+				}
+				errs[i] = run(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkPermutation validates a dispatch order against the grid size.
@@ -186,101 +210,6 @@ func checkPermutation(order []int, n int) error {
 		seen[i] = true
 	}
 	return nil
-}
-
-// runCells executes the grid and reports the index of the earliest
-// failing cell (with its unwrapped error) so each caller can attach its
-// own coordinate text. order, when non-nil, sets the dispatch sequence
-// (see ParallelCellsOrdered); results and error selection are
-// order-independent by construction.
-func runCells(specs []CellSpec, workers int, order []int, run func(c CellSpec) (int, error)) ([]Cell, int, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	out := make([]Cell, len(specs))
-	if workers == 1 {
-		// Sequential fast path, with early exit on the first error. The
-		// dispatch order is ignored here on purpose: with one worker,
-		// order changes which failing cell is hit first, and the error
-		// contract pins the earliest grid cell regardless of scheduling.
-		for i, c := range specs {
-			rounds, err := run(c)
-			if err != nil {
-				return nil, i, err
-			}
-			out[i] = Cell{Spec: c, Rounds: rounds}
-		}
-		return out, -1, nil
-	}
-	errs := make([]error, len(specs))
-	jobs := make(chan int, len(specs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Every dequeued cell runs to completion even after another
-			// cell has failed: skipping would let scheduling decide
-			// whether the earliest failing cell was ever observed, and
-			// the reported error must not depend on scheduling.
-			for i := range jobs {
-				rounds, err := run(specs[i])
-				out[i] = Cell{Spec: specs[i], Rounds: rounds}
-				errs[i] = err
-			}
-		}()
-	}
-	if order != nil {
-		for _, i := range order {
-			jobs <- i
-		}
-	} else {
-		for i := range specs {
-			jobs <- i
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, i, err
-		}
-	}
-	return out, -1, nil
-}
-
-// ParallelSweep fans the (size × rep) measurement grid across the given
-// number of workers. Results are deterministic regardless of the worker
-// count: every grid cell gets the same derived seed the sequential sweep
-// used, cells are aggregated in grid order, and on failure the error of
-// the earliest grid cell is returned. run must therefore be safe to call
-// concurrently, which holds for measurement closures that build their
-// instance and solver per call.
-func ParallelSweep(label string, sizes []int, reps int, workers int, run func(n int, seed int64) (int, error)) (Series, error) {
-	s := Series{Label: label}
-	if reps < 1 {
-		return s, fmt.Errorf("sweep %s: reps = %d", label, reps)
-	}
-	specs := make([]CellSpec, 0, len(sizes)*reps)
-	for _, n := range sizes {
-		for r := 0; r < reps; r++ {
-			specs = append(specs, CellSpec{N: n, Seed: cellSeed(n, r)})
-		}
-	}
-	cells, fail, err := runCells(specs, workers, nil, func(c CellSpec) (int, error) {
-		return run(c.N, c.Seed)
-	})
-	if err != nil {
-		return s, fmt.Errorf("sweep %s at n=%d rep %d: %w", label, sizes[fail/reps], fail%reps, err)
-	}
-	for i, n := range sizes {
-		total := 0.0
-		for r := 0; r < reps; r++ {
-			total += float64(cells[i*reps+r].Rounds)
-		}
-		s.Points = append(s.Points, Point{N: n, Rounds: total / float64(reps)})
-	}
-	return s, nil
 }
 
 // Table renders a fixed-width plain-text table.

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -56,7 +57,7 @@ func TestBestFitSeparatesLogFromLogLog(t *testing.T) {
 }
 
 func TestSweep(t *testing.T) {
-	s, err := Sweep("test", []int{10, 20}, 3, func(n int, seed int64) (int, error) {
+	s, err := Sweep("test", []int{10, 20}, 3, 1, func(n int, seed int64) (int, error) {
 		return n + int(seed%2), nil
 	})
 	if err != nil {
@@ -78,12 +79,12 @@ func TestParallelSweepDeterministic(t *testing.T) {
 	run := func(n int, seed int64) (int, error) {
 		return n*3 + int(seed%13), nil
 	}
-	want, err := ParallelSweep("p", sizes, 5, 1, run)
+	want, err := Sweep("p", sizes, 5, 1, run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7, 16, 0} {
-		got, err := ParallelSweep("p", sizes, 5, workers, run)
+		got, err := Sweep("p", sizes, 5, workers, run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestParallelSweepSeedsMatchSequential(t *testing.T) {
 			idx[[2]int{n, r}] = i*3 + r
 		}
 	}
-	_, err := ParallelSweep("s", sizes, 3, 4, func(n int, seed int64) (int, error) {
+	_, err := Sweep("s", sizes, 3, 4, func(n int, seed int64) (int, error) {
 		calls.Add(1)
 		// Recover the rep from the seed formula to index deterministically.
 		r := (seed - int64(n)) / 7919
@@ -125,25 +126,41 @@ func TestParallelSweepSeedsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestParallelCellsDeterministic: cells come back in spec order with the
-// spec's exact coordinates for every worker count.
+// fanCells runs specs through FanOut the way the scenario grid does:
+// each index writes its own slot and wraps its own error with the
+// cell's coordinates.
+func fanCells(specs []CellSpec, workers int, order []int, run func(c CellSpec) (int, error)) ([]int, error) {
+	out := make([]int, len(specs))
+	err := FanOut(len(specs), workers, order, func(i int) error {
+		c := specs[i]
+		var err error
+		if out[i], err = run(c); err != nil {
+			return fmt.Errorf("grid g cell n=%d seed=%d: %w", c.N, c.Seed, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// TestParallelCellsDeterministic: every index runs with its own cell and
+// the results land in index order for every worker count.
 func TestParallelCellsDeterministic(t *testing.T) {
 	specs := []CellSpec{{N: 8, Seed: 3}, {N: 8, Seed: 4}, {N: 16, Seed: 3}, {N: 32, Seed: 9}}
 	run := func(c CellSpec) (int, error) { return c.N*100 + int(c.Seed), nil }
-	want, err := ParallelCellsOrdered("g", specs, 1, nil, run)
+	want, err := fanCells(specs, 1, nil, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range want {
-		if c.Spec != specs[i] {
-			t.Fatalf("cell %d spec = %+v, want %+v", i, c.Spec, specs[i])
-		}
-		if c.Rounds != specs[i].N*100+int(specs[i].Seed) {
-			t.Fatalf("cell %d rounds = %d", i, c.Rounds)
+	for i, r := range want {
+		if r != specs[i].N*100+int(specs[i].Seed) {
+			t.Fatalf("cell %d rounds = %d", i, r)
 		}
 	}
 	for _, workers := range []int{2, 3, 8, 0} {
-		got, err := ParallelCellsOrdered("g", specs, workers, nil, run)
+		got, err := fanCells(specs, workers, nil, run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,25 +171,28 @@ func TestParallelCellsDeterministic(t *testing.T) {
 }
 
 // TestParallelCellsErrorDeterministic: the earliest failing cell's error
-// is reported with its coordinates, regardless of worker interleaving.
+// is reported with its coordinates, regardless of worker interleaving
+// and dispatch order.
 func TestParallelCellsErrorDeterministic(t *testing.T) {
 	boom := errors.New("boom")
 	specs := []CellSpec{{N: 1, Seed: 1}, {N: 2, Seed: 7}, {N: 3, Seed: 8}}
-	for _, workers := range []int{1, 2, 8} {
-		cells, err := ParallelCellsOrdered("g", specs, workers, nil, func(c CellSpec) (int, error) {
-			if c.N >= 2 {
-				return 0, boom
+	for _, order := range [][]int{nil, {2, 1, 0}} {
+		for _, workers := range []int{1, 2, 8} {
+			cells, err := fanCells(specs, workers, order, func(c CellSpec) (int, error) {
+				if c.N >= 2 {
+					return 0, boom
+				}
+				return c.N, nil
+			})
+			if cells != nil {
+				t.Fatalf("order=%v workers=%d: cells = %+v, want nil on error", order, workers, cells)
 			}
-			return c.N, nil
-		})
-		if cells != nil {
-			t.Fatalf("workers=%d: cells = %+v, want nil on error", workers, cells)
-		}
-		if err == nil || !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
-		}
-		if !strings.Contains(err.Error(), "n=2 seed=7") {
-			t.Errorf("workers=%d: err = %v, want earliest failing cell n=2 seed=7", workers, err)
+			if err == nil || !errors.Is(err, boom) {
+				t.Fatalf("order=%v workers=%d: err = %v, want wrapped boom", order, workers, err)
+			}
+			if want := "grid g cell n=2 seed=7: boom"; err.Error() != want {
+				t.Errorf("order=%v workers=%d: err = %q, want earliest failing cell %q", order, workers, err, want)
+			}
 		}
 	}
 }
@@ -183,7 +203,7 @@ func TestParallelCellsErrorDeterministic(t *testing.T) {
 func TestParallelSweepErrorDeterministic(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 2, 8} {
-		_, err := ParallelSweep("e", []int{1, 2, 3, 4}, 2, workers, func(n int, seed int64) (int, error) {
+		_, err := Sweep("e", []int{1, 2, 3, 4}, 2, workers, func(n int, seed int64) (int, error) {
 			if n >= 3 {
 				return 0, boom
 			}
@@ -192,21 +212,9 @@ func TestParallelSweepErrorDeterministic(t *testing.T) {
 		if err == nil || !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}
-		if !strings.Contains(err.Error(), "n=3 rep 0") {
-			t.Errorf("workers=%d: err = %v, want earliest failing cell n=3 rep 0", workers, err)
+		if want := "sweep e at n=3 rep 0: boom"; err.Error() != want {
+			t.Errorf("workers=%d: err = %q, want earliest failing cell %q", workers, err, want)
 		}
-	}
-}
-
-func TestSweepWorkersSetting(t *testing.T) {
-	defer SetSweepWorkers(0)
-	SetSweepWorkers(5)
-	if got := SweepWorkers(); got != 5 {
-		t.Fatalf("SweepWorkers = %d, want 5", got)
-	}
-	SetSweepWorkers(0)
-	if got := SweepWorkers(); got < 1 {
-		t.Fatalf("SweepWorkers auto = %d, want >= 1", got)
 	}
 }
 
@@ -240,18 +248,18 @@ func TestFormatSeries(t *testing.T) {
 }
 
 // TestParallelCellsOrdered: an explicit dispatch order changes only
-// scheduling — results stay in grid order, identical to the unordered
+// scheduling — results stay in index order, identical to the unordered
 // run — and a non-permutation order is rejected loudly.
 func TestParallelCellsOrdered(t *testing.T) {
 	specs := []CellSpec{{N: 8, Seed: 3}, {N: 16, Seed: 1}, {N: 32, Seed: 9}, {N: 64, Seed: 2}}
 	run := func(c CellSpec) (int, error) { return c.N*10 + int(c.Seed), nil }
-	want, err := ParallelCellsOrdered("g", specs, 1, nil, run)
+	want, err := fanCells(specs, 1, nil, run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, order := range [][]int{nil, {0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}} {
 		for _, workers := range []int{1, 2, 8} {
-			got, err := ParallelCellsOrdered("g", specs, workers, order, run)
+			got, err := fanCells(specs, workers, order, run)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,9 +271,9 @@ func TestParallelCellsOrdered(t *testing.T) {
 	// Dispatch order is scheduling, not selection: every cell still runs
 	// exactly once under a reordered parallel fan-out.
 	var calls atomic.Int64
-	if _, err := ParallelCellsOrdered("g", specs, 2, []int{3, 2, 1, 0}, func(c CellSpec) (int, error) {
+	if err := FanOut(len(specs), 2, []int{3, 2, 1, 0}, func(int) error {
 		calls.Add(1)
-		return c.N, nil
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +281,18 @@ func TestParallelCellsOrdered(t *testing.T) {
 		t.Fatalf("reordered grid ran %d cells, want %d", calls.Load(), len(specs))
 	}
 	for _, bad := range [][]int{{0, 1, 2}, {0, 1, 2, 2}, {0, 1, 2, 4}, {-1, 1, 2, 3}} {
-		if _, err := ParallelCellsOrdered("g", specs, 2, bad, run); err == nil {
-			t.Errorf("order %v accepted, want permutation error", bad)
+		for _, workers := range []int{1, 2} {
+			calls.Store(0)
+			err := FanOut(len(specs), workers, bad, func(int) error {
+				calls.Add(1)
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), "dispatch order") {
+				t.Errorf("order %v workers=%d: err = %v, want permutation error", bad, workers, err)
+			}
+			if calls.Load() != 0 {
+				t.Errorf("order %v workers=%d: ran %d cells before refusing", bad, workers, calls.Load())
+			}
 		}
 	}
 }

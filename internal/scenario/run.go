@@ -15,7 +15,7 @@ import (
 // deterministic fields of the report.
 type RunOptions struct {
 	// GridWorkers fans each scenario's (size × seed) grid across a worker
-	// pool (measure.ParallelCellsOrdered); <= 1 runs sequentially. This is the
+	// pool (measure.FanOut); <= 1 runs sequentially. This is the
 	// coarse parallelism layer — engine workers inside a cell default to
 	// 1 unless the scenario's engine parameters raise them, so the two
 	// layers do not multiply into oversubscription by default.
@@ -106,15 +106,11 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	if opts.ShardOverride > 0 && sol.EngineAware {
 		engineParams.Shards = opts.ShardOverride
 	}
-	// Size-major grid order; cell index recovered from the spec grid so
-	// each cell writes only its own slot under the parallel fan-out.
+	// Size-major grid order; each fan-out index is a grid position.
 	grid := make([]measure.CellSpec, 0, len(sc.Sizes)*len(sc.Seeds))
-	index := make(map[measure.CellSpec]int, len(sc.Sizes)*len(sc.Seeds))
 	for _, n := range sc.Sizes {
 		for _, seed := range sc.Seeds {
-			cs := measure.CellSpec{N: n, Seed: seed}
-			index[cs] = len(grid)
-			grid = append(grid, cs)
+			grid = append(grid, measure.CellSpec{N: n, Seed: seed})
 		}
 	}
 
@@ -148,38 +144,31 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	// Only the scalar report cell is kept per grid slot: retaining the
 	// full solver.Outcome (graph + labelings + padded diagnostics) across
 	// the grid would hold every instance live until report assembly.
-	outcomes := make([]CellResult, len(grid))
-	wall := make([]int64, len(grid))
-	_, err := measure.ParallelCellsOrdered(sc.Name, grid, gridWorkers, order, func(c measure.CellSpec) (int, error) {
+	cells := make([]CellResult, len(grid))
+	err := measure.FanOut(len(grid), gridWorkers, order, func(i int) error {
 		// wall_nanos covers the whole cell — instance construction, solve,
 		// and verification — since the registry entry owns all three.
 		start := time.Now()
-		i := index[c]
+		c := grid[i]
 		o, err := sol.Run(solver.Request{Family: sc.Family, N: c.N, Seed: c.Seed, Engine: engineFor(i)})
 		if err != nil {
-			return 0, err
+			return fmt.Errorf("grid %s cell n=%d seed=%d: %w", sc.Name, c.N, c.Seed, err)
 		}
-		outcomes[i] = newCellResult(c.N, c.Seed, o)
-		wall[i] = time.Since(start).Nanoseconds()
-		return o.Rounds, nil
+		cells[i] = newCellResult(c.N, c.Seed, o)
+		if opts.Timing {
+			cells[i].WallNanos = time.Since(start).Nanoseconds()
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
 	res := &ScenarioResult{
 		Name:   sc.Name,
 		Family: sc.Family,
 		Solver: sc.Solver,
 		Engine: sc.Engine,
-		Cells:  make([]CellResult, len(grid)),
-	}
-	for i := range grid {
-		cell := outcomes[i]
-		if opts.Timing {
-			cell.WallNanos = wall[i]
-		}
-		res.Cells[i] = cell
+		Cells:  cells,
 	}
 	return res, nil
 }

@@ -1,7 +1,7 @@
 // Package scenario is the declarative workload subsystem: a JSON spec
 // names a graph family, a size × seed grid, a solver, and engine
 // parameters; the runner fans the grid through the sharded engine (via
-// measure.ParallelCellsOrdered) and emits a structured, machine-readable report
+// measure.FanOut) and emits a structured, machine-readable report
 // whose canonical JSON is byte-identical across runs and worker counts —
 // the format CI records as a per-commit benchmark artifact. The report
 // schema (locallab.report/v1) is documented in docs/REPORT_SCHEMA.md.

@@ -16,8 +16,8 @@
 //   - Randomized, measured Θ(log log n)-shaped: every node claims a
 //     uniformly random incident half-edge; leftover sinks repair by
 //     flipping a shortest path to the nearest node of out-degree >= 2.
-//     This is the standard shattering profile of the Ghaffari–Su
-//     algorithm, substituted per DESIGN.md.
+//     This stands in for the Ghaffari–Su algorithm: it has the same
+//     shattering profile.
 package sinkless
 
 import (

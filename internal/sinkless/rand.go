@@ -14,8 +14,8 @@ import (
 // surviving sinks. On Δ>=3-regular instances a node survives as a sink
 // with probability at most Δ^-Δ, so defects are sparse and repair paths
 // short; the measured locality grows like the largest surviving defect,
-// the shattering shape of the true Θ(log log n) algorithm (see DESIGN.md,
-// substitution 3).
+// the shattering shape of the true Θ(log log n) algorithm, which this
+// solver stands in for.
 type RandSolver struct {
 	// MaxRepairRadius caps the search for a repair target (out-degree >= 2
 	// node); it only guards against unsolvable leftovers.

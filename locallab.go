@@ -161,5 +161,6 @@ func VerifyPadded(g *Graph, p *PiPrime, in, out *Labeling) error {
 // BestFit fits measured rounds against the paper's growth classes.
 var BestFit = measure.BestFit
 
-// Sweep measures a solver across instance sizes.
+// Sweep measures a solver across instance sizes, running up to workers
+// (size × seed) cells at once; the series is the same at every width.
 var Sweep = measure.Sweep

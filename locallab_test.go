@@ -77,7 +77,7 @@ func TestFacadeGadgetAndPadding(t *testing.T) {
 }
 
 func TestFacadeMeasurement(t *testing.T) {
-	s, err := locallab.Sweep("demo", []int{64, 256}, 1, func(n int, seed int64) (int, error) {
+	s, err := locallab.Sweep("demo", []int{64, 256}, 1, 1, func(n int, seed int64) (int, error) {
 		g, err := locallab.NewRandomRegular(n, 3, seed, false)
 		if err != nil {
 			return 0, err
